@@ -25,21 +25,17 @@ from .errors import (
     StieltjesError,
 )
 from .gderiv import gderiv
-from .heat1d import (
-    HeatSolution,
-    check_cos_condition,
-    check_sin_condition,
-    find_periodic_eigenvalues,
-)
-from .heat2d import ProductCaseSolution, radius_sigma
-from .lsintegral import indefinite, integrate
+from .heat1d import check_cos_condition, check_sin_condition, find_periodic_eigenvalues
+from .heat2d import radius_sigma
+from .lsintegral import indefinite, integrate_gauss
 from .ode import solve_second_order
-from .problems import alpha_stream, load_problem, solve
+from .problems import load_problem, mode_params, scan_params, solve
 from .special import gexp, gsin_gcos
 
 _PARSE_ERRORS = (SchemaError, DomainError, InvariantError)
+# OverflowError: float arithmetic past the double range (gexp, ratio**n)
 _NUMERIC_ERRORS = (NonConvergenceError, DivergenceError, NoSolutionError,
-                   EvaluationError)
+                   EvaluationError, OverflowError)
 
 
 def _parser():
@@ -103,56 +99,30 @@ def _emit(lines, out):
 def _point_residual(sol, t, x):
     """Numeric residual where the quotients are well posed, the exact rule
     residual otherwise."""
-    if isinstance(sol, ProductCaseSolution):
-        try:
-            return sol.residual(t, x, mode="numeric")
-        except StieltjesError:
-            return sol.residual(t, x, mode="rule")
     try:
         return sol.residual_numeric(t, x)
     except StieltjesError:
         return sol.residual_rule(t, x)
 
 
-def _rule_residual(sol, t, x):
-    if isinstance(sol, ProductCaseSolution):
-        return sol.residual(t, x, mode="rule")
-    return sol.residual_rule(t, x)
-
-
-def _csv_row(sol, t, x, emit):
+def _csv_row(sol, t, x, res=None):
+    """One CSV row; the residual column holds |res|, empty when res is None."""
     u = complex(sol(t, x))
-    res = repr(float(_point_residual(sol, t, x))) if emit else ""
-    return f"{t!r},{x!r},{u.real!r},{u.imag!r},{res}"
+    col = "" if res is None else repr(float(abs(res)))
+    return f"{t!r},{x!r},{u.real!r},{u.imag!r},{col}"
 
 
 def _atom_rows(sol, parsed, ts, xs, emit):
-    """Extra rows at atom coordinates.  The residual entry holds the exact
-    jump-quotient residual where the solution exposes it, the rule residual
-    otherwise."""
+    """Extra rows at atom coordinates, with the atom-row residuals."""
     rows = []
     for tau, _gap in parsed.g.atoms_in(0.0, parsed.T):
         for x in xs:
-            if emit:
-                if isinstance(sol, HeatSolution):
-                    res = repr(float(sol.jump_residual_t(tau, x)))
-                else:
-                    res = repr(float(_rule_residual(sol, tau, x)))
-            else:
-                res = ""
-            u = complex(sol(tau, x))
-            rows.append(f"{tau!r},{x!r},{u.real!r},{u.imag!r},{res}")
+            res = sol.jump_residual_t(tau, x) if emit else None
+            rows.append(_csv_row(sol, tau, x, res))
     for xi, _gap in parsed.h.atoms_in(0.0, parsed.L):
         for t in ts:
-            if emit:
-                if isinstance(sol, HeatSolution):
-                    res = repr(float(sol.jump_residual_x(t, xi)))
-                else:
-                    res = repr(float(_rule_residual(sol, t, xi)))
-            else:
-                res = ""
-            u = complex(sol(t, xi))
-            rows.append(f"{t!r},{xi!r},{u.real!r},{u.imag!r},{res}")
+            res = sol.jump_residual_x(t, xi) if emit else None
+            rows.append(_csv_row(sol, t, xi, res))
     return rows
 
 
@@ -164,7 +134,8 @@ def cmd_eval(args, parsed):
     lines = ["t,x,u_re,u_im,residual"]
     for t in ts:
         for x in xs:
-            lines.append(_csv_row(sol, t, x, args.emit_diagnostics))
+            res = _point_residual(sol, t, x) if args.emit_diagnostics else None
+            lines.append(_csv_row(sol, t, x, res))
     if args.include_atoms:
         lines.extend(_atom_rows(sol, parsed, ts, xs, args.emit_diagnostics))
     _emit(lines, args.out)
@@ -172,32 +143,6 @@ def cmd_eval(args, parsed):
 
 
 # -- check -------------------------------------------------------------------
-
-
-def _gauss_stieltjes(f, a, b, d, n=64):
-    """Fixed-order Gauss-Legendre Stieltjes sum of f over [a, b).
-
-    Non-adaptive on purpose: the integrand may carry difference-quotient
-    noise that adaptive subdivision chases forever.  Atoms contribute their
-    left value times the gap; flat segments carry no measure.
-    """
-    import numpy as np
-
-    z, w = np.polynomial.legendre.leggauss(n)
-    total = 0.0
-    for seg in d.segments:
-        if seg.kind != "affine" or seg.slope == 0.0:
-            continue
-        lo, hi = max(seg.lo, a), min(seg.hi, b)
-        if hi <= lo:
-            continue
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        total += seg.slope * half * sum(
-            wi * f(mid + half * zi) for zi, wi in zip(z, w)
-        )
-    for t, gap in d.atoms_in(a, b):
-        total += f(t) * gap
-    return total
 
 
 def _check_ftc(d, label, rows):
@@ -211,7 +156,7 @@ def _check_ftc(d, label, rows):
     E = lambda s: gexp(d, 0.7, d.lo, s)
     D = lambda s: gderiv(E, s, d)
     b = pts[-1]
-    dev2 = abs(_gauss_stieltjes(D, d.lo, b, d) - (E(b) - E(d.lo)))
+    dev2 = abs(integrate_gauss(D, d.lo, b, d) - (E(b) - E(d.lo)))
     rows.append((f"ftc-integral-of-derivative({label})", dev2 < 1e-6,
                  f"dev {dev2:.3g}"))
 
@@ -231,14 +176,9 @@ def _check_special(d, label, rows):
     rows.append((f"gsincos-ode({label})", dev < 1e-6, f"max dev {dev:.3g}"))
 
 
-def _residual_grid(parsed, n=5):
-    ts = regular_points(parsed.g, 0.0, parsed.T, n)
-    xs = regular_points(parsed.h, 0.0, parsed.L, n)
-    return ts, xs
-
-
 def _check_residual(sol, parsed, rows, tol):
-    ts, xs = _residual_grid(parsed)
+    ts = regular_points(parsed.g, 0.0, parsed.T, 5)
+    xs = regular_points(parsed.h, 0.0, parsed.L, 5)
     dev = max(
         abs(_point_residual(sol, t, x)) / (1.0 + abs(sol(t, x)))
         for t in ts
@@ -249,8 +189,6 @@ def _check_residual(sol, parsed, rows, tol):
 
 
 def _check_atom_jumps(sol, parsed, rows):
-    if not isinstance(sol, HeatSolution):
-        return
     g_atoms = parsed.g.atoms_in(0.0, parsed.T)
     h_atoms = parsed.h.atoms_in(0.0, parsed.L)
     if g_atoms:
@@ -263,24 +201,20 @@ def _check_atom_jumps(sol, parsed, rows):
         rows.append(("atom-jump(x)", dev < 1e-9, f"max |residual| {dev:.3g}"))
 
 
-def _ivp_initial(parsed, payload, x):
+def _ivp_initial(h, spec, x):
     """u0(x) assembled independently through the complex exponential."""
-    h = parsed.h
-    a0 = payload.get("a0", 0.0)
-    b0 = payload.get("b0", 0.0)
-    val = complex(a0) + complex(b0) * h.eval(x)
-    for mode in payload.get("modes", []):
-        lam, a, b = complex(mode["lam"]), complex(mode["a"]), complex(mode["b"])
+    val = complex(spec["a0"]) + complex(spec["b0"]) * h.eval(x)
+    for lam, a, b in spec["modes"]:
         sq = cmath.sqrt(lam)
         val += a * gexp(h, sq, 0.0, x) + b * gexp(h, -sq, 0.0, x)
     return val
 
 
 def _check_mode(sol, info, parsed, rows, args):
-    mode, payload = parsed.mode, parsed.payload
+    mode, p = parsed.mode, mode_params(parsed)
     if mode == "ivp":
         xs = [parsed.L * j / 200 for j in range(201)]
-        dev = max(abs(complex(sol(0.0, x)) - _ivp_initial(parsed, payload, x))
+        dev = max(abs(complex(sol(0.0, x)) - _ivp_initial(parsed.h, p, x))
                   for x in xs)
         rows.append(("initial-values", dev < 1e-12,
                      f"max |u(0,x) - u0(x)| {dev:.3g} on 201 points"))
@@ -299,9 +233,7 @@ def _check_mode(sol, info, parsed, rows, args):
                      f"max value/flux mismatch {dev:.3g}"))
         _check_residual(sol, parsed, rows, 1e-6)
     elif mode == "dirichlet":
-        lam = float(payload["lam"])
-        N = int(payload.get("N", 60))
-        _value, _tail, ok = check_sin_condition(parsed.h, lam, parsed.L, N=N)
+        _value, _tail, ok = check_sin_condition(parsed.h, p["lam"], parsed.L, N=p["N"])
         rows.append(("sine-gate", ok, "series value within its tail bound"))
         ts = regular_points(parsed.g, 0.0, parsed.T, 7)
         dev = max(abs(sol(t, xb)) for t in ts for xb in (0.0, parsed.L))
@@ -309,9 +241,7 @@ def _check_mode(sol, info, parsed, rows, args):
         _check_residual(sol, parsed, rows, 1e-6)
         _check_atom_jumps(sol, parsed, rows)
     elif mode == "neumann":
-        lam = float(payload["lam"])
-        N = int(payload.get("N", 60))
-        _value, _tail, ok = check_cos_condition(parsed.h, lam, parsed.L, N=N)
+        _value, _tail, ok = check_cos_condition(parsed.h, p["lam"], parsed.L, N=p["N"])
         rows.append(("cosine-gate", ok, "series value within its tail bound"))
         ts = regular_points(parsed.g, 0.0, parsed.T, 7)
         dev = max(abs(sol.dhx_rule(t, xb)) for t in ts for xb in (0.0, parsed.L))
@@ -336,17 +266,15 @@ def _check_mode(sol, info, parsed, rows, args):
                     ok = ok and lhs == rhs
         rows.append(("coefficient-law", ok,
                      "a(m+1,n) == c^2 (n+2)(n+1)/(m+1) a(m,n+2) for m<4, n<5"))
-        for i, claim in enumerate(payload.get("a_claims", [])):
-            m, n = int(claim["m"]), int(claim["n"])
+        for m, n, value in p["a_claims"]:
             want = complex(sol.a_mn(m, n))
-            got = complex(claim["value"]) if not isinstance(claim["value"], list) \
-                else complex(claim["value"][0], claim["value"][1])
+            got = complex(value)
             ok = abs(got - want) <= 1e-9 * (1.0 + abs(want))
             rows.append((f"coefficient-claim(m={m},n={n})", ok,
                          f"claimed {got}, law gives {want}"))
     elif mode == "product-eigen":
         _check_residual(sol, parsed, rows, 1e-5)
-        lam = float(payload["lam"])
+        lam = p["lam"]
         h = parsed.h
         Q = lambda x: -lam / h.eval(x)
         kw = {} if args.tol is None else {"tol": args.tol}
@@ -387,11 +315,8 @@ def cmd_check(args, parsed):
 def cmd_radius(args, parsed):
     if parsed.mode != "gpoly-series":
         raise SchemaError("radius requires a spec with mode 'gpoly-series'")
-    payload = parsed.payload
-    alpha = alpha_stream(payload.get("alpha"), "gpoly-series.alpha")
-    N = int(payload.get("N", 40))
-    n_probe = int(payload.get("n_probe", max(2 * N, 120)))
-    rep = radius_sigma(alpha, n_probe=n_probe)
+    p = mode_params(parsed)
+    rep = radius_sigma(p["alpha"], n_probe=p["n_probe"])
     g_T = parsed.g.measure(0.0, parsed.T)
     lines = [
         f"sigma = {rep.sigma!r}",
@@ -417,15 +342,8 @@ def cmd_radius(args, parsed):
 def cmd_eigs(args, parsed):
     if parsed.problem is None:
         raise SchemaError("eigs requires a separated problem (fields g and h)")
-    payload = parsed.raw.get("periodic", {})
-    L = parsed.L
-    default_lo = -((8.5 * math.pi / L) ** 2)
-    rng = payload.get("lam_range", [default_lo, 0.0])
-    if (not isinstance(rng, list) or len(rng) != 2
-            or not all(isinstance(v, (int, float)) for v in rng)):
-        raise SchemaError("periodic.lam_range must be [lo, hi]")
-    count = int(payload.get("count", 8))
-    eigs = find_periodic_eigenvalues(parsed.problem, tuple(rng), count=count)
+    lam_range, count = scan_params(parsed)
+    eigs = find_periodic_eigenvalues(parsed.problem, lam_range, count=count)
     lines = ["lam"] + [repr(lam) for lam in eigs]
     _emit(lines, args.out)
     return 0

@@ -10,7 +10,10 @@ table extrapolates the quotients to step zero with a convergence check.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 
@@ -33,28 +36,37 @@ DEFAULT_OUTER = DiffConfig(step0=0.25, tol=5e-7)
 DEFAULT_INNER = DiffConfig(step0=0.05, tol=1e-10)
 
 
+def _sup(v):
+    return float(np.max(np.abs(v))) if isinstance(v, np.ndarray) else abs(v)
+
+
 def _extrapolate(pairs, tol, min_levels):
-    """Neville extrapolation to step 0 over (step, quotient) pairs."""
+    """Neville extrapolation to step 0 over (step, value) pairs.
+
+    Values are scalars or arrays of one shape.  The table stops once at least
+    min_levels levels are in and the diagonal moves by at most
+    tol * (1 + |diagonal|), both in the sup norm.
+    """
     xs = []
     prev_row = []
-    prev_diag = None
     last_two = (None, None)
+    err = math.inf
     for x, y in pairs:
         xs.append(x)
         row = [y]
         for j in range(1, len(xs)):
             ratio = xs[-1 - j] / xs[-1]
             row.append(row[j - 1] + (row[j - 1] - prev_row[j - 1]) / (ratio - 1.0))
-        prev_row = row
         diag = row[-1]
-        if prev_diag is not None:
-            err = abs(diag - prev_diag)
-            last_two = (prev_diag, diag)
-            if len(xs) >= min_levels and err <= tol * (1.0 + abs(diag)):
+        if prev_row:
+            last_two = (prev_row[-1], diag)
+            err = _sup(diag - prev_row[-1])
+            if len(xs) >= min_levels and err <= tol * (1.0 + _sup(diag)):
                 return diag
-        prev_diag = diag
+        prev_row = row
     raise NonConvergenceError(
-        "difference quotients did not converge", estimates=last_two
+        f"extrapolation to step 0 stalled at change {err:.3e} (tol {tol:.1e})",
+        estimates=last_two,
     )
 
 
@@ -87,38 +99,6 @@ def right_limit_of(f, t, d, cfg=None):
     return _extrapolate(pairs(), cfg.tol, cfg.min_levels)
 
 
-def _forward_sample(d, base, gb, eta):
-    na = d.next_atom(base)
-    cap = d.eval(na) if na is not None else d.eval(d.hi)
-    room = cap - gb
-    if room <= _TINY * (1.0 + abs(gb)):
-        return None
-    e = min(eta, room)
-    s = d.advance_to_value(gb + e)
-    if s is None or s <= base:
-        return None
-    actual = d.eval(s) - gb
-    return (s, actual) if actual > 0.0 else None
-
-
-def _backward_sample(d, base, gb, eta):
-    pa = d.prev_atom(base)
-    if pa is not None:
-        floor = d.eval(pa) + d.jump(pa)  # open: that value is a right limit
-        room = gb - floor
-        e = min(eta, 0.95 * room)
-    else:
-        room = gb - d.eval(d.lo)
-        e = min(eta, room)
-    if room <= _TINY * (1.0 + abs(gb)) or e <= 0.0:
-        return None
-    s = d.advance_to_value(gb - e)
-    if s is None or s >= base:
-        return None
-    actual = gb - d.eval(s)
-    return (s, actual) if actual > 0.0 else None
-
-
 def _room_forward(d, base, gb):
     na = d.next_atom(base)
     cap = d.eval(na) if na is not None else d.eval(d.hi)
@@ -128,8 +108,32 @@ def _room_forward(d, base, gb):
 def _room_backward(d, base, gb):
     pa = d.prev_atom(base)
     if pa is not None:
-        return gb - (d.eval(pa) + d.jump(pa))
+        return gb - (d.eval(pa) + d.jump(pa))  # open: that value is a right limit
     return gb - d.eval(d.lo)
+
+
+def _forward_sample(d, base, gb, eta):
+    room = _room_forward(d, base, gb)
+    if room <= _TINY * (1.0 + abs(gb)):
+        return None
+    s = d.advance_to_value(gb + min(eta, room))
+    if s is None or s <= base:
+        return None
+    actual = d.eval(s) - gb
+    return (s, actual) if actual > 0.0 else None
+
+
+def _backward_sample(d, base, gb, eta):
+    room = _room_backward(d, base, gb)
+    # keep clear of an open floor left by an atom
+    e = min(eta, 0.95 * room if d.prev_atom(base) is not None else room)
+    if room <= _TINY * (1.0 + abs(gb)) or e <= 0.0:
+        return None
+    s = d.advance_to_value(gb - e)
+    if s is None or s >= base:
+        return None
+    actual = gb - d.eval(s)
+    return (s, actual) if actual > 0.0 else None
 
 
 def _one_sided(f, base, d, cfg, side):
@@ -235,6 +239,47 @@ def heat_residual(u, t, x, g, h, c, cfg=None, cfg2=None, inner_cfg=None):
     du = gderiv(lambda s: u(s, x), t, g, cfg)
     d2 = gderiv2(lambda y: u(t, y), x, h, cfg2, inner_cfg)
     return du - c * c * d2
+
+
+def _atom_gap(d, s, name):
+    gap = d.jump(s)
+    if gap == 0.0:
+        raise DomainError(f"{name}={s} is not an atom of its derivator")
+    return gap
+
+
+class HeatResidual:
+    """The residual d_g u - c^2 d_h^2 u of a solution, by rule and numerically.
+
+    A solution class supplies its closed-form partials dgt_rule and
+    dhx2_rule, its time and space derivators g and h, and the diffusion
+    constant c.  The rules hold at atoms too, where they are the exact jump
+    quotients, so the atom-row residuals default to the rule residual; a
+    class with an independent jump-quotient route overrides them.
+    """
+
+    def residual_rule(self, t, x):
+        return self.dgt_rule(t, x) - self.c**2 * self.dhx2_rule(t, x)
+
+    def residual_numeric(self, t, x, **kw):
+        return heat_residual(self, t, x, self.g, self.h, self.c, **kw)
+
+    def residual(self, t, x, mode="rule"):
+        if mode == "rule":
+            return self.residual_rule(t, x)
+        if mode == "numeric":
+            return self.residual_numeric(t, x)
+        raise DomainError(f"mode must be 'rule' or 'numeric', got {mode!r}")
+
+    def jump_residual_t(self, t, x):
+        """Residual at an atom t of the time derivator."""
+        _atom_gap(self.g, t, "t")
+        return self.residual_rule(t, x)
+
+    def jump_residual_x(self, t, x):
+        """Residual at an atom x of the space derivator."""
+        _atom_gap(self.h, x, "x")
+        return self.residual_rule(t, x)
 
 
 def make_config(**kw):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .derivators import Derivator, regular_points
 from .errors import DivergenceError, DomainError, GateError, InvariantError
-from .gderiv import heat_residual
+from .gderiv import HeatResidual, _atom_gap
 from .ode import solve_periodic_first_order
 from .special import (
     gcos_series,
@@ -202,11 +202,12 @@ def _as_term(problem, term):
     return SeparatedTerm(problem, lam, a, b)
 
 
-class HeatSolution:
+class HeatSolution(HeatResidual):
     """Finite superposition of separated terms with closed-form partials."""
 
     def __init__(self, problem: HeatProblem, terms):
         self.problem = problem
+        self.g, self.h, self.c = problem.g, problem.h, problem.c
         self.terms = tuple(_as_term(problem, tm) for tm in terms)
 
     def __call__(self, t, x):
@@ -224,33 +225,20 @@ class HeatSolution:
     def dhx2_rule(self, t, x):
         return _tidy(sum((tm.dhx2(t, x) for tm in self.terms), 0.0))
 
-    def residual_rule(self, t, x):
-        return self.dgt_rule(t, x) - self.problem.c**2 * self.dhx2_rule(t, x)
-
-    def residual_numeric(self, t, x, **kw):
-        p = self.problem
-        return heat_residual(self, t, x, p.g, p.h, p.c, **kw)
-
     def jump_residual_t(self, t, x):
         """Exact atom-row residual in time: jump quotient minus c^2 d_h^2 u."""
-        g = self.problem.g
-        gap = g.jump(t)
-        if gap == 0.0:
-            raise DomainError(f"t={t} is not an atom of the time derivator")
+        gap = _atom_gap(self.g, t, "t")
         up = sum((tm.w_right(t) * tm.v(x) for tm in self.terms), 0.0)
         quot = (up - self(t, x)) / gap
-        return _tidy(quot - self.problem.c**2 * self.dhx2_rule(t, x))
+        return _tidy(quot - self.c**2 * self.dhx2_rule(t, x))
 
     def jump_residual_x(self, t, x):
         """Exact atom-row residual in space: d_g u minus c^2 times the jump
         quotient of the first h-derivative."""
-        h = self.problem.h
-        gap = h.jump(x)
-        if gap == 0.0:
-            raise DomainError(f"x={x} is not an atom of the space derivator")
+        gap = _atom_gap(self.h, x, "x")
         dplus = sum((tm.w(t) * tm.dv_right(x) for tm in self.terms), 0.0)
         quot = (dplus - self.dhx_rule(t, x)) / gap
-        return _tidy(self.dgt_rule(t, x) - self.problem.c**2 * quot)
+        return _tidy(self.dgt_rule(t, x) - self.c**2 * quot)
 
 
 def general_solution(problem: HeatProblem, terms) -> HeatSolution:
@@ -419,7 +407,7 @@ def find_periodic_eigenvalues(problem, lam_range, count=8):
     return out[:count]
 
 
-class PeriodicSolution:
+class PeriodicSolution(HeatResidual):
     """u(t, x) = w(t) v(x) with v periodic on [0, L].
 
     v comes from the first-order splitting: u1 = exp_h(-sqrt(lam); 0, .)
@@ -429,6 +417,7 @@ class PeriodicSolution:
 
     def __init__(self, problem, lam, v):
         self.problem = problem
+        self.g, self.h, self.c = problem.g, problem.h, problem.c
         self.lam = lam
         self.rate = lam * problem.c**2
         self.v = v
@@ -447,13 +436,6 @@ class PeriodicSolution:
 
     def dhx2_rule(self, t, x):
         return self.lam * self(t, x)
-
-    def residual_rule(self, t, x):
-        return self.dgt_rule(t, x) - self.problem.c**2 * self.dhx2_rule(t, x)
-
-    def residual_numeric(self, t, x, **kw):
-        p = self.problem
-        return heat_residual(self, t, x, p.g, p.h, p.c, **kw)
 
 
 def periodic_solution(problem, lam, tol=1e-10):

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DivergenceError, DomainError, GateError
-from .gderiv import gderiv, gderiv2, heat_residual
+from .gderiv import HeatResidual, gderiv, gderiv2
 from .lsintegral import integrate
 from .ode import build_grid, solve_second_order
 from .special import classify_regressivity, gexp, monomial_table
@@ -156,27 +156,8 @@ def G_mn(m, n, t, x, G, method="product", mesh=1e-3):
     gm = 1.0 if m == 0 else _monomials_numeric(G.g, float(t), m, mesh)[-1]
     if n == 0:
         return gm
-    # the K-chain starts from the x-constant function G_{m,0}(t, .) = gm
-    if x == 0.0:
-        return 0.0
-    coarse = _kchain(G.h, float(x), n, mesh, gm)
-    fine = _kchain(G.h, float(x), n, 0.5 * mesh, gm)
-    return (4.0 * fine - coarse) / 3.0
-
-
-def _kchain(d, top, depth, mesh, start):
-    if top == 0.0:
-        return 0.0
-    nodes = np.asarray(build_grid(d, 0.0, top, mesh=mesh).nodes)
-    gvals = d.eval_array(nodes)
-    gaps = np.array([d.jump(float(t)) for t in nodes])
-    cont = np.diff(gvals) - gaps[:-1]
-    f_left = np.full_like(nodes, start)
-    f_right = np.full_like(nodes, start)
-    for k in range(1, depth + 1):
-        left, right = _cum_pass(f_left, f_right, gaps, cont)
-        f_left, f_right = k * left, k * right
-    return f_left[-1]
+    # the K-chain is linear in its start, the x-constant function G_{m,0}(t, .) = gm
+    return gm * _monomials_numeric(G.h, float(x), n, mesh)[-1]
 
 
 @dataclass(frozen=True)
@@ -343,17 +324,20 @@ class GateReport:
     truncation: int
 
 
-class GPolySolution:
+class GPolySolution(HeatResidual):
     """Truncated series sum_{n<=N} alpha_n v_n^G with closed-form G-derivatives.
 
     The t/x G-derivatives use the polynomial ladders d_Gx v_n = n v_{n-1} and
     d_Gt v_n = c^2 n (n-1) v_{n-2}; term by term the heat residual vanishes.
+    Sum-case G-derivatives reduce to the one-variable ones of g and h, which
+    is what the numeric residual differentiates along.
     a_mn exposes the full rational coefficient grid a_{m,n} =
     c^(2m) (n+2m)!/(n! m!) alpha_{n+2m}.
     """
 
     def __init__(self, ctx, alpha, N, radius, tail_bound):
         self.ctx = ctx
+        self.g, self.h, self.c = ctx.G.g, ctx.G.h, ctx.c
         self.alpha = alpha
         self.N = N
         self.radius = radius
@@ -399,13 +383,6 @@ class GPolySolution:
             if n >= 2
             else 0.0
         )
-
-    def residual_rule(self, t, x):
-        return self.dgt_rule(t, x) - self.ctx.c**2 * self.dhx2_rule(t, x)
-
-    def residual_numeric(self, t, x, **kw):
-        # sum-case G-derivatives reduce to the one-variable ones
-        return heat_residual(self, t, x, self.ctx.G.g, self.ctx.G.h, self.ctx.c, **kw)
 
     def a_mn(self, m, n):
         """Exact rational coefficient a_{m,n} of G_{m,n} in the double series."""
@@ -534,11 +511,12 @@ def independence_determinant(v1, v2, x=0.0):
     return v1(x) * v2.derivative(x) - v2(x) * v1.derivative(x)
 
 
-class ProductCaseSolution:
+class ProductCaseSolution(HeatResidual):
     """u(t, x) = w(t) v(x) with w'_g = (lam c^2/g^2) w and v''_h = (lam/h) v."""
 
     def __init__(self, G, lam, c, w, v, regressivity, independence):
         self.G = G
+        self.g, self.h = G.g, G.h
         self.lam = lam
         self.c = c
         self.w = w
@@ -552,8 +530,15 @@ class ProductCaseSolution:
     def partials(self, t, x, mode="rule"):
         return product_partials(self.w, self.v, t, x, self.G, mode=mode)
 
-    def residual(self, t, x, mode="rule"):
-        dt, dxx = self.partials(t, x, mode=mode)
+    def dgt_rule(self, t, x):
+        return self.partials(t, x)[0]
+
+    def dhx2_rule(self, t, x):
+        return self.partials(t, x)[1]
+
+    def residual_numeric(self, t, x):
+        # quotients along the G-slices, which rescale g by h(x) and h by g(t)
+        dt, dxx = self.partials(t, x, mode="numeric")
         return dt - self.c**2 * dxx
 
 

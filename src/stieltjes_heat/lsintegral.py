@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError, EvaluationError, NonConvergenceError
@@ -57,6 +58,19 @@ def _quad_real(f, lo, hi, eps):
     return val
 
 
+def _affine_spans(d, a, b):
+    """(lo, hi, slope) for each affine piece of [a, b); the atoms of [a, b)
+    are d.atoms_in(a, b) and flat pieces carry no measure."""
+    spans = []
+    for seg in d.segments:
+        if seg.kind != "affine":
+            continue
+        lo, hi = max(a, seg.lo), min(b, seg.hi)
+        if hi > lo:
+            spans.append((lo, hi, seg.slope))
+    return spans
+
+
 def integrate(f, a, b, d, tol=DEFAULT_TOL):
     """integral over [a, b) of f d(mu_g).  Requires a <= b, both in domain."""
     ig = _as_integrand(f)
@@ -74,13 +88,7 @@ def integrate(f, a, b, d, tol=DEFAULT_TOL):
         for t, gap in d.atoms_in(a, b):
             total += func(t) * gap
 
-    spans = []
-    for seg in d.segments:
-        if seg.kind != "affine":
-            continue
-        lo, hi = max(a, seg.lo), min(b, seg.hi)
-        if hi > lo:
-            spans.append((lo, hi, seg.slope))
+    spans = _affine_spans(d, a, b)
     if spans:
         eps = tol / len(spans)
         probe = func(0.5 * (spans[0][0] + spans[0][1]))
@@ -92,6 +100,23 @@ def integrate(f, a, b, d, tol=DEFAULT_TOL):
         else:
             for lo, hi, slope in spans:
                 total += slope * _quad_real(func, lo, hi, eps)
+    return total
+
+
+def integrate_gauss(f, a, b, d):
+    """Fixed-order (64-point Gauss-Legendre) Stieltjes sum of f over [a, b).
+
+    Non-adaptive on purpose: the integrand may carry difference-quotient
+    noise that adaptive subdivision chases forever.  Atoms contribute their
+    left value times the gap.
+    """
+    z, w = np.polynomial.legendre.leggauss(64)
+    total = 0.0
+    for lo, hi, slope in _affine_spans(d, a, b):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        total += slope * half * sum(wi * f(mid + half * zi) for zi, wi in zip(z, w))
+    for t, gap in d.atoms_in(a, b):
+        total += f(t) * gap
     return total
 
 

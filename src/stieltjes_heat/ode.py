@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, NoSolutionError, NonConvergenceError
+from .errors import DivergenceError, DomainError, NoSolutionError
+from .gderiv import _extrapolate
 
 
 def _structural_points(d, a, b):
@@ -141,61 +142,18 @@ def _euler_tuple(ts, gs, F, y0):
     return out
 
 
-def _level_nodes(panels, b, factor):
-    chunks = []
-    for u, v, n in panels:
-        chunks.append(np.linspace(u, v, n * factor + 1)[:-1])
-    chunks.append(np.array([b]))
-    return np.concatenate(chunks)
-
-
 def _extrapolated_solve(d, a, b, F, y0, mesh, tol, max_halvings):
     """Nested Euler runs with pointwise Neville extrapolation on the level-0
-    nodes.  Returns (nodes, values (n x dim), err)."""
-    grid0 = build_grid(d, a, b, mesh)
-    panels = grid0.panels
-    nodes0 = grid0.nodes
-    # index of each level-0 node inside the level-k node array
-    counts = np.array([n for (_u, _v, n) in panels])
-    offsets0 = np.concatenate([[0], np.cumsum(counts)])
+    nodes.  Returns (nodes, values (n x dim))."""
 
-    hs = []
-    prev_row = None
-    prev_diag = None
-    last_err = math.inf
-    for k in range(max_halvings + 1):
-        factor = 2**k
-        nodes_k = _level_nodes(panels, b, factor)
-        gs_k = d.eval_array(nodes_k)
-        Y = _euler_tuple(nodes_k, gs_k, F, y0)
-        # level-0 node j of panel i sits at index factor * j within the panel
-        base_idx = np.empty(len(nodes0), dtype=int)
-        pos = 0
-        for i, n in enumerate(counts):
-            start0 = offsets0[i]
-            for j in range(n):
-                base_idx[start0 + j] = pos + j * factor
-            pos += n * factor
-        base_idx[-1] = len(nodes_k) - 1
-        sample = Y[base_idx]
+    def levels():
+        for k in range(max_halvings + 1):
+            step = 2**k
+            nodes = build_grid(d, a, b, mesh, factor=step).nodes
+            # the level-0 nodes are every step-th node of level k
+            yield 1.0 / step, _euler_tuple(nodes, d.eval_array(nodes), F, y0)[::step]
 
-        hs.append(2.0**-k)
-        row = [sample]
-        for j in range(1, len(hs)):
-            ratio = hs[-1 - j] / hs[-1]
-            row.append(row[j - 1] + (row[j - 1] - prev_row[j - 1]) / (ratio - 1.0))
-        diag = row[-1]
-        if prev_diag is not None:
-            scale = 1.0 + float(np.max(np.abs(diag)))
-            last_err = float(np.max(np.abs(diag - prev_diag))) / scale
-            if k >= 2 and last_err <= tol:
-                return nodes0, diag, last_err
-        prev_row = row
-        prev_diag = diag
-    raise NonConvergenceError(
-        f"mesh halving stalled at relative change {last_err:.3e} (tol {tol:.1e})",
-        estimates=(prev_diag, None),
-    )
+    return build_grid(d, a, b, mesh).nodes, _extrapolate(levels(), tol, min_levels=3)
 
 
 def _as_coef(c):
@@ -301,7 +259,7 @@ def solve_second_order(
     def F(t, y):
         return (y[1], rhs(t, y[0], y[1]))
 
-    nodes, Y, _err = _extrapolated_solve(d, a, b, F, (x0, v0), mesh, tol, max_halvings)
+    nodes, Y = _extrapolated_solve(d, a, b, F, (x0, v0), mesh, tol, max_halvings)
     return Ode2Solution(d, nodes, Y[:, 0], Y[:, 1], rhs)
 
 
@@ -343,19 +301,11 @@ def solve_periodic_first_order(
     def F_p(t, y):
         return (fc(t) - pc(t) * y[0],)
 
-    nodes, Yh, _ = _extrapolated_solve(d, 0.0, L, F_h, (1.0,), mesh, tol, max_halvings)
-    _, Yp, _ = _extrapolated_solve(d, 0.0, L, F_p, (0.0,), mesh, tol, max_halvings)
+    nodes, Yh = _extrapolated_solve(d, 0.0, L, F_h, (1.0,), mesh, tol, max_halvings)
+    _, Yp = _extrapolated_solve(d, 0.0, L, F_p, (0.0,), mesh, tol, max_halvings)
 
-    homo = HermiteCurve(
-        d, nodes, Yh[:, 0],
-        np.array([-pc(t) * v for t, v in zip(nodes, Yh[:, 0])]),
-        *_plus_data(d, nodes, Yh[:, 0], lambda t, v: -pc(t) * v),
-    )
-    part = HermiteCurve(
-        d, nodes, Yp[:, 0],
-        np.array([fc(t) - pc(t) * v for t, v in zip(nodes, Yp[:, 0])]),
-        *_plus_data(d, nodes, Yp[:, 0], lambda t, v: fc(t) - pc(t) * v),
-    )
+    homo = _hermite(d, nodes, Yh[:, 0], lambda t, v: -pc(t) * v)
+    part = _hermite(d, nodes, Yp[:, 0], lambda t, v: fc(t) - pc(t) * v)
 
     M = Yh[-1, 0]
     bterm = Yp[-1, 0]
@@ -375,11 +325,12 @@ def solve_periodic_first_order(
     return PeriodicFirstOrderSolution(d, pc, fc, u0, homo, part, unique)
 
 
-def _plus_data(d, ts, values, slope_fn):
+def _hermite(d, ts, values, slope_fn):
+    """Hermite curve through node values whose g-slopes are slope_fn(t, value)."""
     gaps = np.array([d.jump(t) for t in ts])
     slopes = np.array([slope_fn(t, v) for t, v in zip(ts, values)])
     values_plus = values + slopes * gaps
     slopes_plus = np.array(
         [slope_fn(t, v) for t, v in zip(ts, values_plus)]
     )
-    return values_plus, slopes_plus
+    return HermiteCurve(d, ts, values, slopes, values_plus, slopes_plus)

@@ -46,6 +46,14 @@ def _number(obj, path):
     return float(obj)
 
 
+def _count(obj, path):
+    """A non-negative integer; an integral JSON number such as 40.0 counts."""
+    integral = isinstance(obj, int) or (isinstance(obj, float) and obj.is_integer())
+    if not (_is_number(obj) and integral and obj >= 0):
+        raise SchemaError(f"{path} must be a non-negative integer, got {obj!r}")
+    return int(obj)
+
+
 def _scalar(obj, path):
     """A real number, or a [re, im] pair for a complex value."""
     if _is_number(obj):
@@ -174,18 +182,77 @@ def load_problem(obj):
     )
 
 
-def _parse_ivp(payload):
-    spec = {
-        "a0": _scalar(payload.get("a0", 0.0), "ivp.a0"),
-        "b0": _scalar(payload.get("b0", 0.0), "ivp.b0"),
-    }
-    modes = payload.get("modes", [])
-    if not isinstance(modes, list):
-        raise SchemaError("ivp.modes must be a list")
-    spec["modes"] = [
-        _term_triple(m, f"ivp.modes[{i}]") for i, m in enumerate(modes)
-    ]
-    return spec
+def _claim(obj, path):
+    m = _count(_field(obj, "m", path), f"{path}.m")
+    n = _count(_field(obj, "n", path), f"{path}.n")
+    return m, n, _scalar(_field(obj, "value", path), f"{path}.value")
+
+
+def mode_params(parsed):
+    """The mode payload as validated, typed values (a dict per mode).
+
+    The payload is read afresh on every call; solve and the CLI checks both
+    take their values from here.
+    """
+    mode, payload = parsed.mode, parsed.payload
+    if mode == "ivp":
+        modes = payload.get("modes", [])
+        if not isinstance(modes, list):
+            raise SchemaError("ivp.modes must be a list")
+        return {
+            "a0": _scalar(payload.get("a0", 0.0), "ivp.a0"),
+            "b0": _scalar(payload.get("b0", 0.0), "ivp.b0"),
+            "modes": [_term_triple(m, f"ivp.modes[{i}]") for i, m in enumerate(modes)],
+        }
+    if mode == "general":
+        terms = _field(payload, "terms", "general")
+        if not isinstance(terms, list) or not terms:
+            raise SchemaError("general.terms must be a nonempty list")
+        return {"terms": [_term_triple(t, f"general.terms[{i}]")
+                          for i, t in enumerate(terms)]}
+    if mode == "periodic":
+        return {"lam": _scalar(_field(payload, "lam", "periodic"), "periodic.lam")}
+    if mode in ("dirichlet", "neumann"):
+        coef = "a" if mode == "dirichlet" else "b"
+        return {
+            "lam": _number(_field(payload, "lam", mode), f"{mode}.lam"),
+            coef: _scalar(_field(payload, coef, mode), f"{mode}.{coef}"),
+            "N": _count(payload.get("N", 60), f"{mode}.N"),
+        }
+    if mode == "gpoly-series":
+        alpha = alpha_stream(_field(payload, "alpha", mode), f"{mode}.alpha")
+        N = _count(payload.get("N", 40), f"{mode}.N")
+        n_probe = payload.get("n_probe")
+        claims = payload.get("a_claims", [])
+        if not isinstance(claims, list):
+            raise SchemaError(f"{mode}.a_claims must be a list")
+        return {
+            "alpha": alpha,
+            "N": N,
+            "n_probe": (max(2 * N, 120) if n_probe is None
+                        else _count(n_probe, f"{mode}.n_probe")),
+            "a_claims": [_claim(c, f"{mode}.a_claims[{i}]") for i, c in enumerate(claims)],
+        }
+    if mode == "product-eigen":
+        return {
+            "lam": _number(_field(payload, "lam", mode), f"{mode}.lam"),
+            "v0": _scalar(payload.get("v0", 1.0), f"{mode}.v0"),
+            "dv0": _scalar(payload.get("dv0", 0.0), f"{mode}.dv0"),
+        }
+    raise SchemaError(f"unhandled mode {mode!r}")
+
+
+def scan_params(parsed):
+    """(lam_range, count) of the periodic eigenvalue scan, from the
+    "periodic" object of any separated spec.  The default range reaches
+    -(8.5 pi / L)^2, the default count is 8."""
+    payload = parsed.raw.get("periodic", {})
+    if not isinstance(payload, dict):
+        raise SchemaError("periodic must be an object")
+    rng = payload.get("lam_range", [-((8.5 * math.pi / parsed.L) ** 2), 0.0])
+    if not (isinstance(rng, list) and len(rng) == 2 and all(_is_number(v) for v in rng)):
+        raise SchemaError("periodic.lam_range must be [lo, hi]")
+    return tuple(rng), _count(payload.get("count", 8), "periodic.count")
 
 
 def solve(parsed, tol=None):
@@ -194,45 +261,25 @@ def solve(parsed, tol=None):
     Returns (solution, info) where info carries mode-specific reports
     (currently the gate report of "gpoly-series").
     """
-    mode, payload = parsed.mode, parsed.payload
+    mode, p, problem = parsed.mode, mode_params(parsed), parsed.problem
+    kw = {} if tol is None else {"tol": tol}
     if mode == "ivp":
-        return solve_ivp(parsed.problem, _parse_ivp(payload)), {}
+        return solve_ivp(problem, p), {}
     if mode == "general":
-        terms = _field(payload, "terms", "general")
-        if not isinstance(terms, list) or not terms:
-            raise SchemaError("general.terms must be a nonempty list")
-        triples = [_term_triple(t, f"general.terms[{i}]") for i, t in enumerate(terms)]
-        return general_solution(parsed.problem, triples), {}
+        return general_solution(problem, p["terms"]), {}
     if mode == "periodic":
-        lam = _scalar(_field(payload, "lam", "periodic"), "periodic.lam")
-        kw = {} if tol is None else {"tol": tol}
-        return periodic_solution(parsed.problem, lam, **kw), {}
+        return periodic_solution(problem, p["lam"], **kw), {}
     if mode == "dirichlet":
-        lam = _number(_field(payload, "lam", "dirichlet"), "dirichlet.lam")
-        a = _scalar(_field(payload, "a", "dirichlet"), "dirichlet.a")
-        N = int(payload.get("N", 60))
-        return dirichlet_solution(parsed.problem, lam, a, N=N), {}
+        return dirichlet_solution(problem, p["lam"], p["a"], N=p["N"]), {}
     if mode == "neumann":
-        lam = _number(_field(payload, "lam", "neumann"), "neumann.lam")
-        b = _scalar(_field(payload, "b", "neumann"), "neumann.b")
-        N = int(payload.get("N", 60))
-        return neumann_solution(parsed.problem, lam, b, N=N), {}
+        return neumann_solution(problem, p["lam"], p["b"], N=p["N"]), {}
     if mode == "gpoly-series":
-        alpha = alpha_stream(_field(payload, "alpha", "gpoly-series"), "gpoly-series.alpha")
-        N = int(payload.get("N", 40))
-        n_probe = payload.get("n_probe")
         sol, gate = gpoly_series_solution(
-            parsed.G, alpha, parsed.c, parsed.T, parsed.L, N,
-            n_probe=None if n_probe is None else int(n_probe),
+            parsed.G, p["alpha"], parsed.c, parsed.T, parsed.L, p["N"],
+            n_probe=p["n_probe"],
         )
         return sol, {"gate": gate}
-    if mode == "product-eigen":
-        lam = _number(_field(payload, "lam", "product-eigen"), "product-eigen.lam")
-        v_at_0 = _scalar(payload.get("v0", 1.0), "product-eigen.v0")
-        dv_at_0 = _scalar(payload.get("dv0", 0.0), "product-eigen.dv0")
-        kw = {} if tol is None else {"tol": tol}
-        sol = solve_product_case(
-            parsed.G, lam, parsed.c, v_at_0, dv_at_0, parsed.T, parsed.L, **kw
-        )
-        return sol, {}
-    raise SchemaError(f"unhandled mode {mode!r}")
+    sol = solve_product_case(
+        parsed.G, p["lam"], parsed.c, p["v0"], p["dv0"], parsed.T, parsed.L, **kw
+    )
+    return sol, {}

@@ -10,15 +10,12 @@ error enters, which is what lets series tails be certified at high order.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .derivators import Derivator
 from .errors import DomainError, GateError
 from .lsintegral import Integrand, integrate
 
@@ -102,8 +99,7 @@ def classify_regressivity(d, p, a, b):
 def gsin_gcos(d, b, t, a=0.0):
     """(sin, cos) pair for real rate b: imaginary and real parts of the
     exponential at rate i*b."""
-    rate = _rate(b)
-    z = gexp(d, lambda s: 1j * rate(s), a, t)
+    z = gexp(d, (lambda s: 1j * b(s)) if callable(b) else 1j * b, a, t)
     return z.imag, z.real
 
 
@@ -222,11 +218,17 @@ class MonomialTable:
         return self._polys[n].eval(x)
 
 
-_TABLES: "weakref.WeakKeyDictionary[Derivator, dict]" = weakref.WeakKeyDictionary()
+# Tables are shared by structurally equal derivators.  Each table holds its
+# derivator alive, so only the 8 newest structures keep theirs.
+_TABLES = {}  # derivator -> {center: MonomialTable}, oldest first
 
 
 def monomial_table(d, x0=0.0):
-    per = _TABLES.setdefault(d, {})
+    per = _TABLES.get(d)
+    if per is None:
+        per = _TABLES[d] = {}
+        if len(_TABLES) > 8:
+            del _TABLES[next(iter(_TABLES))]
     key = float(x0)
     if key not in per:
         per[key] = MonomialTable(d, key)

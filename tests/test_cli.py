@@ -66,6 +66,13 @@ def gpoly_spec(T=0.2, claims=None):
     return spec
 
 
+def complex_ivp_spec():
+    # a complex mode coefficient, written as an [re, im] pair
+    spec = jumpy_ivp_spec()
+    spec["ivp"]["modes"][0]["a"] = [2.0, 0.5]
+    return spec
+
+
 def periodic_spec():
     return {
         "g": ident_json(1.0),
@@ -133,15 +140,17 @@ def test_eval_header_and_first_row(capsys, spec_file):
 
 
 def test_eval_emit_diagnostics_fills_residual(capsys, spec_file):
-    rc, out, _ = run(
-        capsys,
-        ["eval", spec_file(jumpy_ivp_spec()), "--grid", "4x4", "--emit-diagnostics"],
-    )
-    assert rc == 0
-    rows = list(csv.reader(io.StringIO(out)))[1:]
-    for r in rows:
-        u = complex(float(r[2]), float(r[3]))
-        assert abs(float(r[4])) < 1e-4 * (1.0 + abs(u))
+    for spec in (jumpy_ivp_spec(), complex_ivp_spec()):
+        rc, out, _ = run(
+            capsys,
+            ["eval", spec_file(spec), "--grid", "4x4", "--emit-diagnostics"],
+        )
+        assert rc == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        for r in rows:
+            u = complex(float(r[2]), float(r[3]))
+            assert abs(float(r[4])) < 1e-4 * (1.0 + abs(u))
+            assert float(r[4]) >= 0.0  # the column holds |residual|
 
 
 def test_eval_is_deterministic(capsys, spec_file):
@@ -203,21 +212,22 @@ def test_eval_rejects_bad_tol(capsys, spec_file):
 
 
 def test_check_jumpy_spec_all_pass(capsys, spec_file):
-    rc, out, _ = run(capsys, ["check", spec_file(jumpy_ivp_spec())])
-    assert rc == 0
-    lines = [ln for ln in out.splitlines() if ln]
-    assert lines[-1].startswith("all ") and lines[-1].endswith("checks passed")
-    for ln in lines[:-1]:
-        assert ln.startswith("PASS")
-    names = out.split()
-    for expected in (
-        "ftc-derivative-of-integral(g)",
-        "ftc-integral-of-derivative(h)",
-        "gexp-ode(g)",
-        "pde-residual",
-        "initial-values",
-    ):
-        assert expected in names
+    for spec in (jumpy_ivp_spec(), complex_ivp_spec()):
+        rc, out, _ = run(capsys, ["check", spec_file(spec)])
+        assert rc == 0
+        lines = [ln for ln in out.splitlines() if ln]
+        assert lines[-1].startswith("all ") and lines[-1].endswith("checks passed")
+        for ln in lines[:-1]:
+            assert ln.startswith("PASS")
+        names = out.split()
+        for expected in (
+            "ftc-derivative-of-integral(g)",
+            "ftc-integral-of-derivative(h)",
+            "gexp-ode(g)",
+            "pde-residual",
+            "initial-values",
+        ):
+            assert expected in names
 
 
 def test_check_flags_broken_claim(capsys, spec_file):
@@ -278,6 +288,24 @@ def test_numeric_failure_exits_4(capsys, spec_file):
     )
     assert rc == 4
     assert err.startswith("numeric failure:")
+    # float overflow: exp_g at a huge rate, and ratio**n in the radius probe
+    steep = jumpy_ivp_spec()
+    steep["ivp"]["modes"][0]["lam"] = 1e6
+    wide = gpoly_spec()
+    wide["gpoly-series"].update(alpha={"kind": "geometric", "ratio": 10}, n_probe=400)
+    for cmd, spec in (("eval", steep), ("radius", wide), ("eval", wide)):
+        rc, _, err = run(capsys, [cmd, spec_file(spec), "--grid", "3x3"])
+        assert rc == 4
+        assert err.startswith("numeric failure:")
+
+
+def test_non_integer_count_exits_3(capsys, spec_file):
+    spec = gpoly_spec()
+    spec["gpoly-series"]["N"] = "forty"
+    for cmd in ("check", "radius", "eval"):
+        rc, _, err = run(capsys, [cmd, spec_file(spec)])
+        assert rc == 3
+        assert err.startswith("spec error:") and "N" in err
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from stieltjes_heat import (
@@ -118,3 +119,28 @@ def test_heat_residual_vanishes_on_true_solution(prob_jumpy):
         for x in regular_points(h, 0.0, 2.0, 4):
             r = heat_residual(u, t, x, g, h, c)
             assert abs(r) < 1e-6 * (1 + abs(u(t, x)))
+
+
+def test_neville_kernel_scalar_and_array_limits():
+    from stieltjes_heat.gderiv import _extrapolate
+
+    f = lambda h: 2.0 + 3.0 * h - 5.0 * h * h + h**3
+    pairs = [(0.1 * 0.5**k, f(0.1 * 0.5**k)) for k in range(8)]
+    assert _extrapolate(iter(pairs), 1e-10, 3) == pytest.approx(2.0, abs=1e-12)
+
+    vec = lambda h: np.array([f(h), -1.0 + h * h, 4.0j + h])
+    pairs = ((0.1 * 0.5**k, vec(0.1 * 0.5**k)) for k in range(8))
+    got = _extrapolate(pairs, 1e-10, 3)
+    assert isinstance(got, np.ndarray) and got.shape == (3,)
+    assert np.max(np.abs(got - np.array([2.0, -1.0, 4.0j]))) < 1e-12
+
+
+def test_neville_kernel_refuses_a_diverging_sequence():
+    from stieltjes_heat.errors import NonConvergenceError
+    from stieltjes_heat.gderiv import _extrapolate
+
+    pairs = ((0.5**k, (-1.0) ** k * 2.0**k) for k in range(6))
+    with pytest.raises(NonConvergenceError) as info:
+        _extrapolate(pairs, 1e-10, 3)
+    prev, last = info.value.estimates
+    assert prev is not None and last is not None and prev != last
