@@ -253,7 +253,13 @@ def _check_mode(sol, info, parsed, rows, args):
         rows.append(("radius-gate", gate.ok,
                      f"g(T)={gate.g_T!r} vs sigma_gate/c^2="
                      f"{gate.sigma_gate / parsed.c**2!r} ({gate.trend})"))
+        # the truncation must not cost more than the residual tolerance
+        cap = 1e-5 * (1.0 + abs(sol(parsed.T, parsed.L)))
+        rows.append(("tail-bound", gate.tail_bound <= cap,
+                     f"tail {gate.tail_bound:.3g} at N={gate.truncation} vs "
+                     f"1e-5 (1 + |u(T, L)|) = {cap:.3g}"))
         _check_residual(sol, parsed, rows, 1e-5)
+        _check_atom_jumps(sol, parsed, rows)
         ok = True
         for m in range(4):
             for n in range(5):

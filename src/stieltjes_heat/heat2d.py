@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DivergenceError, DomainError, GateError
-from .gderiv import HeatResidual, gderiv, gderiv2
+from .gderiv import HeatResidual, _atom_gap, gderiv, gderiv2
 from .lsintegral import integrate
 from .ode import build_grid, solve_second_order
 from .special import classify_regressivity, gexp, monomial_table
@@ -146,11 +146,7 @@ def G_mn(m, n, t, x, G, method="product", mesh=1e-3):
         raise DomainError(f"monomial degrees must be >= 0, got ({m}, {n})")
     _require(G, "sum", "G_mn")
     if method == "product":
-        tg = monomial_table(G.g, 0.0)
-        th = monomial_table(G.h, 0.0)
-        tg.extend(m)
-        th.extend(n)
-        return tg.eval(m, t) * th.eval(n, x)
+        return monomial_table(G.g, 0.0).eval(m, t) * monomial_table(G.h, 0.0).eval(n, x)
     if method != "recursion":
         raise DomainError(f"unknown method {method!r}")
     gm = 1.0 if m == 0 else _monomials_numeric(G.g, float(t), m, mesh)[-1]
@@ -173,56 +169,50 @@ class GPolyContext:
             raise DomainError(f"diffusion constant must be positive, got {self.c}")
 
 
-def _binom_factor(n, k):
-    # n! / ((n - 2k)! k!) is an integer: C(n, 2k) * (2k)! / k!
-    return math.factorial(n) // (math.factorial(n - 2 * k) * math.factorial(k))
+def _ladder_terms(n, c, alpha, w):
+    """The terms c^(2k) n!/((n-2k)! k!) alpha w_k, k = 0..n//2, of alpha
+    v_n^G, where w_k = g_k(t) h_{n-2k}(x); w = 1 gives the row of weights.
 
-
-def _gpoly_term(n, k, c, gk, hn2k):
-    if gk == 0.0 or hn2k == 0.0:
-        return 0.0
-    fac = _binom_factor(n, k)
-    if fac.bit_length() <= 900:
-        return fac * c ** (2 * k) * gk * hn2k
-    # the integer factor no longer fits a float; assemble the term in log space
-    sign = 1.0
-    if gk < 0.0:
-        sign, gk = -sign, -gk
-    if hn2k < 0.0:
-        sign, hn2k = -sign, -hn2k
-    logt = (
-        math.lgamma(n + 1)
-        - math.lgamma(n - 2 * k + 1)
-        - math.lgamma(k + 1)
-        + 2 * k * math.log(c)
-        + math.log(gk)
-        + math.log(hn2k)
-    )
-    if logt > 709.0:
-        return sign * math.inf
-    return sign * math.exp(logt)
+    The integer factor is exact while it fits 900 bits; past that the term
+    is assembled in log space, so a huge factor times a tiny c^(2k) alpha
+    w_k stays finite.  A vanishing alpha or w_k gives a zero term.
+    """
+    out = np.zeros(n // 2 + 1, dtype=complex if isinstance(alpha, complex) else float)
+    if alpha == 0:
+        return out
+    phase = alpha / abs(alpha)
+    fac = 1  # n! / ((n - 2k)! k!), stepped exactly in k
+    for k in range(n // 2 + 1):
+        if k:
+            fac = fac * (n - 2 * k + 2) * (n - 2 * k + 1) // k
+        wk = float(w[k])
+        if wk == 0.0:
+            continue
+        if fac.bit_length() <= 900:
+            out[k] = fac * c ** (2 * k) * alpha * wk
+            continue
+        logt = (math.lgamma(n + 1) - math.lgamma(n - 2 * k + 1) - math.lgamma(k + 1)
+                + 2 * k * math.log(c) + math.log(abs(alpha)) + math.log(abs(wk)))
+        mag = math.inf if logt > 709.0 else math.exp(logt)
+        out[k] = mag * math.copysign(1.0, wk) * phase
+    return out
 
 
 def heat_gpoly(n, t, x, ctx):
     """Heat G-polynomial v_n^G(t,x) = sum_k n! c^(2k)/((n-2k)! k!) g_k(t) h_{n-2k}(x)."""
     if n < 0:
         raise DomainError(f"degree must be >= 0, got {n}")
-    G, c = ctx.G, ctx.c
-    tg = monomial_table(G.g, 0.0)
-    th = monomial_table(G.h, 0.0)
-    tg.extend(n // 2)
-    th.extend(n)
-    total = 0.0
-    for k in range(n // 2 + 1):
-        total += _gpoly_term(n, k, c, tg.eval(k, t), th.eval(n - 2 * k, x))
-    return total
+    G = ctx.G
+    w = (monomial_table(G.g, 0.0).values(n // 2, t)
+         * monomial_table(G.h, 0.0).values(n, x)[n::-2])
+    return float(_ladder_terms(n, ctx.c, 1.0, w).sum())
 
 
 def classical_heat_polynomial(n, tau, xi):
     """Textbook heat polynomial v_n(tau, xi) = sum_k n!/((n-2k)! k!) tau^k xi^(n-2k)."""
-    return sum(
-        _binom_factor(n, k) * tau**k * xi ** (n - 2 * k) for k in range(n // 2 + 1)
-    )
+    f = math.factorial
+    return sum(f(n) // (f(n - 2 * k) * f(k)) * tau**k * xi ** (n - 2 * k)
+               for k in range(n // 2 + 1))
 
 
 def iterated_integral(H, t, x, G, order="IK", tol=1e-10):
@@ -327,12 +317,15 @@ class GateReport:
 class GPolySolution(HeatResidual):
     """Truncated series sum_{n<=N} alpha_n v_n^G with closed-form G-derivatives.
 
-    The t/x G-derivatives use the polynomial ladders d_Gx v_n = n v_{n-1} and
-    d_Gt v_n = c^2 n (n-1) v_{n-2}; term by term the heat residual vanishes.
-    Sum-case G-derivatives reduce to the one-variable ones of g and h, which
-    is what the numeric residual differentiates along.
-    a_mn exposes the full rational coefficient grid a_{m,n} =
-    c^(2m) (n+2m)!/(n! m!) alpha_{n+2m}.
+    The series is the bilinear form g(t)^T A h(x): g(t) = (g_0(t), ...,
+    g_{N/2}(t)) and h(x) = (h_0(x), ..., h_N(x)) are monomial vectors and
+    A[m, n] = a_{m,n} = c^(2m) (n+2m)!/(n! m!) alpha_{n+2m} is the
+    coefficient grid, built once as floats.  The ladders are shifted copies
+    of A: d_Gx h_n = n h_{n-1} shifts columns, d_Gt g_m = m g_{m-1} shifts
+    rows, and by the coefficient law the row shift is c^2 times the d_Gx^2
+    grid, so the rule residual vanishes.  Sum-case G-derivatives reduce to
+    the one-variable ones of g and h, which is what the numeric residual
+    differentiates along.  a_mn gives the exact rational a_{m,n}.
     """
 
     def __init__(self, ctx, alpha, N, radius, tail_bound):
@@ -342,47 +335,60 @@ class GPolySolution(HeatResidual):
         self.N = N
         self.radius = radius
         self.tail_bound = tail_bound
-        self._a = [complex(_stream(alpha, n)) for n in range(N + 1)]
-        if any(not math.isfinite(z.real) or not math.isfinite(z.imag) for z in self._a):
+        a = [complex(_stream(alpha, n)) for n in range(N + 1)]
+        if any(not math.isfinite(z.real) or not math.isfinite(z.imag) for z in a):
             raise DivergenceError("series coefficients are non-finite")
-        self._real = all(z.imag == 0.0 for z in self._a)
+        real = all(z.imag == 0.0 for z in a)
+        self.A = np.zeros((N // 2 + 1, N + 1), dtype=float if real else complex)
+        for n, z in enumerate(a):
+            k = np.arange(n // 2 + 1)
+            z = z.real if real else z
+            self.A[k, n - 2 * k] = _ladder_terms(n, self.c, z, np.ones(k.size))
+        deg = np.arange(N + 1)
+        self._Ax = self.A[:, 1:] * deg[1:]
+        self._Axx = self.A[:, 2:] * (deg[2:] * deg[1:-1])
+        self._tg = monomial_table(self.g, 0.0)
+        self._th = monomial_table(self.h, 0.0)
 
-    def _coef(self, n):
-        if n < 0 or n > self.N:
-            return 0.0
-        z = self._a[n]
-        return z.real if self._real else z
+    def _gv(self, t, right=False):
+        return self._tg.values(self.N // 2, t, right=right)
 
-    def _sum(self, weight):
-        total = 0.0
-        for n in range(self.N + 1):
-            a = self._coef(n)
-            if a != 0.0:
-                total += weight(n) * a
-        return total
+    def _hv(self, x, right=False):
+        return self._th.values(self.N, x, right=right)
+
+    @staticmethod
+    def _form(gv, grid, hv):
+        return (gv @ grid @ hv[: grid.shape[1]]).item()
 
     def __call__(self, t, x):
-        return self._sum(lambda n: heat_gpoly(n, t, x, self.ctx))
+        return self._form(self._gv(t), self.A, self._hv(x))
 
     def dgt_rule(self, t, x):
-        c2 = self.ctx.c**2
-        return self._sum(
-            lambda n: c2 * n * (n - 1) * heat_gpoly(n - 2, t, x, self.ctx)
-            if n >= 2
-            else 0.0
-        )
+        # the row shift (m + 1) a_{m+1,n} equals c^2 (n+2)(n+1) a_{m,n+2}
+        return self.c**2 * self.dhx2_rule(t, x)
 
     def dhx_rule(self, t, x):
-        return self._sum(
-            lambda n: n * heat_gpoly(n - 1, t, x, self.ctx) if n >= 1 else 0.0
-        )
+        return self._form(self._gv(t), self._Ax, self._hv(x))
 
     def dhx2_rule(self, t, x):
-        return self._sum(
-            lambda n: n * (n - 1) * heat_gpoly(n - 2, t, x, self.ctx)
-            if n >= 2
-            else 0.0
-        )
+        return self._form(self._gv(t), self._Axx, self._hv(x))
+
+    def jump_residual_t(self, t, x):
+        """Exact atom-row residual in time: the jump quotient of u, taken on
+        the monomial vector g(t), minus c^2 d_h^2 u."""
+        gap = _atom_gap(self.g, t, "t")
+        dg = self._gv(t, right=True) - self._gv(t)
+        quot = self._form(dg, self.A, self._hv(x)) / gap
+        return quot - self.c**2 * self.dhx2_rule(t, x)
+
+    def jump_residual_x(self, t, x):
+        """Exact atom-row residual in space: d_g u minus c^2 times the jump
+        quotient of d_h u, whose right limit comes from the monomial vector
+        h(x+)."""
+        gap = _atom_gap(self.h, x, "x")
+        dplus = self._form(self._gv(t), self._Ax, self._hv(x, right=True))
+        quot = (dplus - self.dhx_rule(t, x)) / gap
+        return self.dgt_rule(t, x) - self.c**2 * quot
 
     def a_mn(self, m, n):
         """Exact rational coefficient a_{m,n} of G_{m,n} in the double series."""

@@ -114,6 +114,14 @@ def gsinh_gcosh(d, b, t, a=0.0):
 # monomials: exact piecewise polynomials
 
 
+def _horner(c, u):
+    """Polynomial with ascending-power coefficients c, evaluated at u."""
+    acc = 0.0
+    for a in reversed(c):
+        acc = acc * u + a
+    return acc
+
+
 class PiecewisePoly:
     """Polynomial per segment of a derivator, in the local variable
     u = t - segment.lo.  Value at an internal breakpoint comes from the left
@@ -127,21 +135,12 @@ class PiecewisePoly:
         d = self.d
         t = d._check_domain(float(t))
         i = d._seg_index(t)
-        u = t - d.segments[i].lo
-        c = self.coeffs[i]
-        acc = 0.0
-        for a in reversed(c):
-            acc = acc * u + a
-        return acc
+        return _horner(self.coeffs[i], t - d.segments[i].lo)
 
     def end_value(self, i):
         """Value at the right end of segment i."""
         seg = self.d.segments[i]
-        u = seg.hi - seg.lo
-        acc = 0.0
-        for a in reversed(self.coeffs[i]):
-            acc = acc * u + a
-        return acc
+        return _horner(self.coeffs[i], seg.hi - seg.lo)
 
 
 def _cumint(p: PiecewisePoly, x0: float) -> PiecewisePoly:
@@ -162,20 +161,11 @@ def _cumint(p: PiecewisePoly, x0: float) -> PiecewisePoly:
             A.append(a)
 
     def a_end(i):
-        seg = segs[i]
-        u = seg.hi - seg.lo
-        acc = 0.0
-        for v in reversed(A[i]):
-            acc = acc * u + v
-        return acc
+        return _horner(A[i], segs[i].hi - segs[i].lo)
 
     C = [0.0] * n
     k0 = d._seg_index(x0)
-    u0 = x0 - segs[k0].lo
-    acc = 0.0
-    for v in reversed(A[k0]):
-        acc = acc * u0 + v
-    C[k0] = -acc
+    C[k0] = -_horner(A[k0], x0 - segs[k0].lo)
     # rightward: crossing the boundary at segs[k].hi picks up the atom there
     for k in range(k0, n - 1):
         b = segs[k].hi
@@ -197,7 +187,15 @@ def _cumint(p: PiecewisePoly, x0: float) -> PiecewisePoly:
 
 
 class MonomialTable:
-    """Lazy cache of the monomials g_{x0,n} for one (derivator, center)."""
+    """Lazy cache of the monomials g_{x0,n} for one (derivator, center).
+
+    `values` reads all orders at once from a per-segment coefficient block:
+    row j holds the coefficients of g_j in s = (x - seg.lo) / (seg.hi -
+    seg.lo), so the powers of s stay in [0, 1] at any order (the scale
+    factors (seg.hi - seg.lo)^k leave the float range past order
+    709 / log(seg.hi - seg.lo) on segments longer than 1).  The block is
+    rebuilt at twice its order when a caller asks past it.
+    """
 
     def __init__(self, d, x0):
         d._check_domain(float(x0))
@@ -205,6 +203,7 @@ class MonomialTable:
         self.x0 = float(x0)
         one = PiecewisePoly(d, [np.ones(1) for _ in d.segments])
         self._polys = [one]
+        self._blocks = []  # per segment, (order+1) x (order+1)
 
     def extend(self, order):
         while len(self._polys) <= order:
@@ -216,6 +215,33 @@ class MonomialTable:
     def eval(self, n, x):
         self.extend(n)
         return self._polys[n].eval(x)
+
+    def values(self, order, x, right=False):
+        """g_0(x), ..., g_order(x) as one array; right=True gives the right
+        limits g_j(x+), which differ from the values at atoms only."""
+        have = len(self._blocks[0]) - 1 if self._blocks else -1
+        if order > have:
+            self._build(max(order, 2 * have))
+        d = self.d
+        x = d._check_domain(float(x))
+        i = d._seg_index(x)
+        if right and i + 1 < len(d.segments) and x == d.segments[i].hi:
+            i += 1
+        seg = d.segments[i]
+        s = (x - seg.lo) / (seg.hi - seg.lo)
+        return self._blocks[i][: order + 1, : order + 1] @ s ** np.arange(order + 1)
+
+    def _build(self, order):
+        self.extend(order)
+        blocks = []
+        for i, seg in enumerate(self.d.segments):
+            scale = (seg.hi - seg.lo) ** np.arange(order + 1)
+            block = np.zeros((order + 1, order + 1))
+            for j, poly in enumerate(self._polys[: order + 1]):
+                c = poly.coeffs[i]
+                block[j, : len(c)] = c * scale[: len(c)]
+            blocks.append(block)
+        self._blocks = blocks
 
 
 # Tables are shared by structurally equal derivators.  Each table holds its

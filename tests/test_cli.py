@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -241,6 +242,25 @@ def test_check_flags_broken_claim(capsys, spec_file):
     assert rows["coefficient-claim(m=1,n=2)"] == "PASS"
     assert rows["coefficient-claim(m=2,n=1)"] == "FAIL"
     assert "FAILED" in out.splitlines()[-1]
+
+
+def test_check_gpoly_enforces_tail_bound(capsys, spec_file):
+    # N = 24 leaves a tail of about 3.8e3 against u(T, L) of about 5.5e3
+    rc, out, _ = run(capsys, ["check", spec_file(gpoly_spec())])
+    assert rc == 1
+    rows = {ln.split()[1]: ln.split()[0] for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))}
+    assert rows["tail-bound"] == "FAIL"
+    assert rows["pde-residual"] == "PASS"
+    assert rows["atom-jump(x)"] == "PASS"
+
+
+def test_check_gpoly_demo_spec_passes_every_row(capsys):
+    spec = pathlib.Path(__file__).resolve().parent.parent / "demos" / "specs" / "gpoly_gate.json"
+    rc, out, _ = run(capsys, ["check", str(spec)])
+    rows = [ln.split() for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
+    assert rc == 0
+    assert all(r[0] == "PASS" for r in rows)
+    assert {"tail-bound", "atom-jump(x)", "pde-residual"} <= {r[1] for r in rows}
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stieltjes_heat import (
     DivergenceError,
     DomainError,
     G_mn,
     GateError,
+    GPolySolution,
+    MonomialTable,
     ProductDerivator,
     SumDerivator,
     classical_heat_polynomial,
@@ -341,6 +345,94 @@ def test_finite_alpha_list_is_polynomial(jump_g, plateau_h):
     for t, x in ((0.4, 0.9), (1.1, 2.2)):
         want = 2.0 + heat_gpoly(2, t, x, ctx)
         assert sol(t, x) == pytest.approx(want, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the bilinear form g(t)^T A h(x)
+
+ALPHAS = {
+    "list": [0.5, -1.0, 2.0, 0.0, 0.25, -0.125, 1.5],
+    "inv-factorial": lambda n: math.exp(-math.lgamma(n + 1)),
+    "complex": lambda n: (1.0 - 0.5j) * math.exp(-math.lgamma(n + 1)),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(sorted(ALPHAS)),
+    st.sampled_from([1.0, 0.7]),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=2.0),
+)
+def test_bilinear_form_is_the_classical_series_on_identity_drivers(kind, c, t, x):
+    # g = t, h = x: v_n^G(t, x) is the textbook v_n(c^2 t, x)
+    alpha = ALPHAS[kind]
+    G = SumDerivator(identity(0.0, 1.0), identity(0.0, 2.0))
+    sol, _ = gpoly_series_solution(G, alpha, c=c, T=1.0, L=2.0, N=14)
+    coef = alpha if isinstance(alpha, list) else [alpha(n) for n in range(15)]
+    terms = [a * classical_heat_polynomial(n, c * c * t, x) for n, a in enumerate(coef)]
+    want = sum(terms)
+    assert abs(sol(t, x) - want) <= 1e-12 * (1.0 + sum(abs(z) for z in terms))
+
+
+@pytest.mark.parametrize("c", [1.0, 0.7])
+def test_coefficient_grid_is_the_exact_law_rounded(jump_g, plateau_h, c):
+    G = SumDerivator(jump_g, plateau_h)
+    for alpha in (INV_SQRT_FACT, ALPHAS["complex"]):
+        sol, _ = gpoly_series_solution(G, alpha, c=c, T=0.2, L=2.3, N=40)
+        for m in range(21):
+            for n in range(41 - 2 * m):
+                want = complex(sol.a_mn(m, n))
+                assert abs(sol.A[m, n] - want) <= 4e-16 * abs(want)
+
+
+def test_series_past_the_log_space_cutover(jump_g, plateau_h):
+    # at N = 300 the factors (n+2m)!/(n! m!) pass 900 bits; the grid entries
+    # must stay finite and the form must match a per-term sum built here
+    G = SumDerivator(jump_g, plateau_h)
+    N, t, x = 300, 0.15, 2.2
+    sol, gate = gpoly_series_solution(G, INV_SQRT_FACT, c=1.0, T=0.2, L=2.3, N=N)
+    assert np.all(np.isfinite(sol.A)) and math.isfinite(gate.tail_bound)
+    logspace = [(m, n) for m in range(0, N // 2 + 1, 7) for n in range(0, N - 2 * m + 1, 11)
+                if (math.factorial(n + 2 * m) // (math.factorial(n) * math.factorial(m))
+                    ).bit_length() > 900]
+    assert len(logspace) > 20
+    for m, n in logspace:
+        want = float(sol.a_mn(m, n))
+        assert abs(sol.A[m, n] - want) <= 1e-11 * want
+    tg, th = MonomialTable(G.g, 0.0), MonomialTable(G.h, 0.0)
+    gk = [tg.eval(m, t) for m in range(N // 2 + 1)]
+    hj = [th.eval(j, x) for j in range(N + 1)]
+    terms = []
+    for m in range(1, N // 2 + 1):
+        for n in range(N - 2 * m + 1):
+            # a_{m,n} g_m h_n in log space: lgamma, not the exact integers
+            log_a = (math.lgamma(n + 2 * m + 1) - math.lgamma(n + 1) - math.lgamma(m + 1)
+                     - 0.5 * math.lgamma(n + 2 * m + 1))
+            terms.append(math.exp(log_a + math.log(gk[m]) + math.log(hj[n])))
+    terms.extend(INV_SQRT_FACT(n) * hj[n] for n in range(N + 1))
+    u = sol(t, x)
+    assert math.isfinite(u)
+    assert u == pytest.approx(math.fsum(terms), rel=1e-11)
+
+
+def test_gpoly_atom_rows_use_exact_jump_quotients(jump_g, plateau_h):
+    G = SumDerivator(jump_g, plateau_h)
+    alpha = ALPHAS["inv-factorial"]
+    sol, _ = gpoly_series_solution(G, alpha, c=0.5, T=1.0, L=2.3, N=20)
+    for x in (0.4, 1.5, 2.2):
+        assert abs(sol.jump_residual_t(0.5, x)) <= 1e-12 * (1.0 + abs(sol(0.5, x)))
+    for t in (0.0, 0.5, 0.9):
+        assert abs(sol.jump_residual_x(t, 1.5)) <= 1e-12 * (1.0 + abs(sol(t, 1.5)))
+
+    class OffFlux(GPolySolution):
+        def dhx_rule(self, t, x):
+            return super().dhx_rule(t, x) + 1e-3
+
+    off = OffFlux(sol.ctx, alpha, sol.N, sol.radius, sol.tail_bound)
+    assert off(0.9, 1.5) == sol(0.9, 1.5)
+    # the jump quotient of d_h u picks up the wrong left value: c^2 1e-3 / gap
+    assert off.jump_residual_x(0.9, 1.5) == pytest.approx(0.25 * 1e-3 / 1.0, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stieltjes_heat import (
+    Derivator,
     DomainError,
+    MonomialTable,
     classify_regressivity,
     g_monomial,
     gcos_series,
@@ -190,6 +192,48 @@ def test_monomial_bound(jump_g, x, n):
     v = g_monomial(jump_g, n, 0.0, x)
     gbar = jump_g.eval(x) - jump_g.eval(0.0)
     assert -1e-12 <= v <= gbar**n + 1e-12
+
+
+@st.composite
+def segment_chains(draw):
+    """Random derivators: 1-4 affine or flat segments, an atom or none at
+    each internal breakpoint, the domain starting at or left of the anchor 0."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    lengths = [draw(st.floats(min_value=0.2, max_value=1.0)) for _ in range(n)]
+    lo = -draw(st.floats(min_value=0.0, max_value=0.6)) * sum(lengths)
+    pieces, level = [], 0.0
+    for i, length in enumerate(lengths):
+        if i:
+            level += draw(st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0]))
+        hi = lo + length
+        if draw(st.booleans()):
+            pieces.append(("flat", lo, hi, level))
+        else:
+            slope = draw(st.floats(min_value=0.1, max_value=1.0))
+            pieces.append(("affine", lo, hi, slope, level - slope * lo))
+            level += slope * length
+        lo = hi
+    return Derivator.from_pieces(pieces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(segment_chains(), st.data())
+def test_monomial_values_match_scalar_eval(d, data):
+    # the one-matvec vector of all orders against the per-order Horner path
+    table = MonomialTable(d, 0.0)
+    points = [d.lo, d.hi] + [s.lo for s in d.segments[1:]]
+    points.append(data.draw(st.floats(min_value=d.lo, max_value=d.hi)))
+    for order in (data.draw(st.integers(0, 4)), data.draw(st.integers(0, 8))):
+        for x in points:
+            vals = table.values(order, x)
+            right = table.values(order, x, right=True)
+            assert vals.shape == (order + 1,)
+            for j in range(order + 1):
+                want = table.eval(j, x)
+                assert abs(vals[j] - want) <= 1e-12 * (1.0 + abs(want))
+                # right limits: g_j(x+) - g_j(x) = j g_{j-1}(x) gap(x)
+                step = j * vals[j - 1] * d.jump(x) if j else 0.0
+                assert abs(right[j] - (want + step)) <= 1e-12 * (1.0 + abs(want) + abs(step))
 
 
 def test_monomial_rejects_negative_order(jump_g):
