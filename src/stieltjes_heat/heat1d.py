@@ -289,7 +289,11 @@ class SeriesDiagnostics:
 
 
 def _stream(s, n):
-    return s(n) if callable(s) else s[n]
+    """Term n of a coefficient stream: a callable, or a finite sequence that
+    is zero beyond its end (finite support)."""
+    if callable(s):
+        return s(n)
+    return s[n] if n < len(s) else 0.0
 
 
 def series_solution(problem, a_stream, b_stream, lam_stream, N, probe=(7, 7)):

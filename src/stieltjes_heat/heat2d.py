@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, GateError
 from .gderiv import HeatResidual, _atom_gap, gderiv, gderiv2
+from .heat1d import _stream
 from .lsintegral import integrate
 from .ode import build_grid, solve_second_order
 from .special import classify_regressivity, gexp, monomial_table
@@ -250,13 +251,6 @@ class RadiusReport:
     trend: str
     n_probe: int
     r_tail: tuple
-
-
-def _stream(s, n):
-    # finite sequences mean finite support: zero beyond the end
-    if callable(s):
-        return s(n)
-    return s[n] if n < len(s) else 0.0
 
 
 def radius_sigma(alpha, n_probe=200):

@@ -6,6 +6,8 @@ the exponential at imaginary rate.  Monomials (iterated anchored integrals of
 1) are computed exactly: affine/flat segments are closed under the anchored
 integral operator, so each monomial is a piecewise polynomial; no quadrature
 error enters, which is what lets series tails be certified at high order.
+The series partial sums dot one vector of monomial values with weights
+rate^m / m! stepped in floats.
 """
 
 from __future__ import annotations
@@ -114,134 +116,78 @@ def gsinh_gcosh(d, b, t, a=0.0):
 # monomials: exact piecewise polynomials
 
 
-def _horner(c, u):
-    """Polynomial with ascending-power coefficients c, evaluated at u."""
-    acc = 0.0
-    for a in reversed(c):
-        acc = acc * u + a
-    return acc
-
-
-class PiecewisePoly:
-    """Polynomial per segment of a derivator, in the local variable
-    u = t - segment.lo.  Value at an internal breakpoint comes from the left
-    segment (left continuity), matching the derivator's own convention."""
-
-    def __init__(self, d, coeffs):
-        self.d = d
-        self.coeffs = coeffs  # list of ascending-power float arrays
-
-    def eval(self, t):
-        d = self.d
-        t = d._check_domain(float(t))
-        i = d._seg_index(t)
-        return _horner(self.coeffs[i], t - d.segments[i].lo)
-
-    def end_value(self, i):
-        """Value at the right end of segment i."""
-        seg = self.d.segments[i]
-        return _horner(self.coeffs[i], seg.hi - seg.lo)
-
-
-def _cumint(p: PiecewisePoly, x0: float) -> PiecewisePoly:
-    """Anchored integral F(x) = integral_{x0}^{x} p dmu_g (signed convention),
-    exact on the piecewise-polynomial class."""
-    d = p.d
-    segs = d.segments
-    n = len(segs)
-    # antiderivative of the continuous part, per segment, with A(0) = 0
-    A = []
-    for i, seg in enumerate(segs):
-        if seg.kind == "flat":
-            A.append(np.zeros(1))
-        else:
-            c = p.coeffs[i]
-            a = np.zeros(len(c) + 1)
-            a[1:] = seg.slope * c / np.arange(1, len(c) + 1)
-            A.append(a)
-
-    def a_end(i):
-        return _horner(A[i], segs[i].hi - segs[i].lo)
-
-    C = [0.0] * n
-    k0 = d._seg_index(x0)
-    C[k0] = -_horner(A[k0], x0 - segs[k0].lo)
-    # rightward: crossing the boundary at segs[k].hi picks up the atom there
-    for k in range(k0, n - 1):
-        b = segs[k].hi
-        Fb = C[k] + a_end(k)
-        C[k + 1] = Fb + p.end_value(k) * d.jump(b)
-    # leftward: undo the atom and the segment's own growth
-    for k in range(k0 - 1, -1, -1):
-        b = segs[k].hi
-        Fb_plus = C[k + 1]  # right limit at b
-        Fb = Fb_plus - p.end_value(k) * d.jump(b)
-        C[k] = Fb - a_end(k)
-
-    coeffs = []
-    for i in range(n):
-        c = A[i].copy()
-        c[0] += C[i]
-        coeffs.append(c)
-    return PiecewisePoly(d, coeffs)
-
-
 class MonomialTable:
-    """Lazy cache of the monomials g_{x0,n} for one (derivator, center).
+    """The monomials g_{x0,0}, g_{x0,1}, ... of one (derivator, center).
 
-    `values` reads all orders at once from a per-segment coefficient block:
-    row j holds the coefficients of g_j in s = (x - seg.lo) / (seg.hi -
-    seg.lo), so the powers of s stay in [0, 1] at any order (the scale
-    factors (seg.hi - seg.lo)^k leave the float range past order
-    709 / log(seg.hi - seg.lo) on segments longer than 1).  The block is
-    rebuilt at twice its order when a caller asks past it.
+    One coefficient block per segment is the only store: row j holds the
+    coefficients of g_j in s = (x - seg.lo) / (seg.hi - seg.lo), so the
+    powers of s stay in [0, 1] at any order (the coefficients carry the
+    scale factors (seg.hi - seg.lo)^k, which leave the float range past
+    order 709 / log(seg.hi - seg.lo) on segments longer than 1).  The value
+    at an internal breakpoint comes from the left segment (left continuity).
     """
 
     def __init__(self, d, x0):
         d._check_domain(float(x0))
         self.d = d
         self.x0 = float(x0)
-        one = PiecewisePoly(d, [np.ones(1) for _ in d.segments])
-        self._polys = [one]
-        self._blocks = []  # per segment, (order+1) x (order+1)
+        self._anchor = self._locate(self.x0)
+        # density of mu_g in s per segment (0 on flat ones), gap at each
+        # internal boundary
+        self._density = np.array([s.slope * (s.hi - s.lo) for s in d.segments])
+        self._gaps = np.array([d.jump(s.hi) for s in d.segments[:-1]])
+        self._coef = np.ones((len(d.segments), 1, 1))  # g_0 = 1
 
     def extend(self, order):
-        while len(self._polys) <= order:
-            n = len(self._polys)
-            nxt = _cumint(self._polys[n - 1], self.x0)
-            nxt.coeffs = [n * c for c in nxt.coeffs]
-            self._polys.append(nxt)
+        """Build the rows through `order`; a growing block gains at least a
+        quarter, so callers that step the order one by one copy it rarely."""
+        have = self._coef.shape[1]
+        if order < have:
+            return
+        rows = max(order + 1, have + have // 4)
+        coef = np.zeros((len(self._density), rows, rows))
+        coef[:, :have, :have] = self._coef
+        k0, s0 = self._anchor
+        k = np.arange(1, rows)
+        s0k = s0**k
+        walk = np.zeros(len(self._density))
+        for n in range(have, rows):
+            # g_n = n * integral_{x0}^{x} g_{n-1} dmu_g: termwise in s, then
+            # one walk from the anchor's segment that crosses each boundary b
+            # with the segment's growth plus n g_{n-1}(b) gap(b); the sums run
+            # outward from the anchor, so the two sides never cancel
+            prev = coef[:, n - 1, :n]
+            grow = coef[:, n, 1 : n + 1]
+            grow[...] = (n * self._density)[:, None] * prev / k[:n]
+            steps = grow.sum(axis=1)[:-1] + n * prev.sum(axis=1)[:-1] * self._gaps
+            walk[k0 + 1 :] = steps[k0:].cumsum()
+            walk[:k0] = -steps[:k0][::-1].cumsum()[::-1]
+            coef[:, n, 0] = walk - grow[k0] @ s0k[:n]
+        self._coef = coef
 
-    def eval(self, n, x):
-        self.extend(n)
-        return self._polys[n].eval(x)
-
-    def values(self, order, x, right=False):
-        """g_0(x), ..., g_order(x) as one array; right=True gives the right
-        limits g_j(x+), which differ from the values at atoms only."""
-        have = len(self._blocks[0]) - 1 if self._blocks else -1
-        if order > have:
-            self._build(max(order, 2 * have))
+    def _locate(self, x, right=False):
+        """(segment index, s) of x; right=True reads a breakpoint from the
+        segment on its right."""
         d = self.d
         x = d._check_domain(float(x))
         i = d._seg_index(x)
         if right and i + 1 < len(d.segments) and x == d.segments[i].hi:
             i += 1
         seg = d.segments[i]
-        s = (x - seg.lo) / (seg.hi - seg.lo)
-        return self._blocks[i][: order + 1, : order + 1] @ s ** np.arange(order + 1)
+        return i, (x - seg.lo) / (seg.hi - seg.lo)
 
-    def _build(self, order):
+    def eval(self, n, x):
+        """g_n(x) from row n of the block."""
+        self.extend(n)
+        i, s = self._locate(x)
+        return float(self._coef[i, n, : n + 1] @ s ** np.arange(n + 1))
+
+    def values(self, order, x, right=False):
+        """g_0(x), ..., g_order(x) as one array; right=True gives the right
+        limits g_j(x+), which differ from the values at atoms only."""
         self.extend(order)
-        blocks = []
-        for i, seg in enumerate(self.d.segments):
-            scale = (seg.hi - seg.lo) ** np.arange(order + 1)
-            block = np.zeros((order + 1, order + 1))
-            for j, poly in enumerate(self._polys[: order + 1]):
-                c = poly.coeffs[i]
-                block[j, : len(c)] = c * scale[: len(c)]
-            blocks.append(block)
-        self._blocks = blocks
+        i, s = self._locate(x, right)
+        return self._coef[i, : order + 1, : order + 1] @ s ** np.arange(order + 1)
 
 
 # Tables are shared by structurally equal derivators.  Each table holds its
@@ -298,28 +244,23 @@ def _exp_tail(r, start):
     return acc * (1.0 + 1e-12)
 
 
-def _series_context(d, x, center):
+def _series_terms(d, rate, x, top, center):
+    """The summands rate^m g_m(x) / m!, m = 0..top, with the weights stepped
+    in floats (m! itself leaves the float range at m = 171), and the
+    monomial bound gbar = g(x) - g(center)."""
     x, center = float(x), float(center)
     if x < center:
         raise DomainError("series identities need x >= center")
-    table = monomial_table(d, center)
+    weights = np.cumprod(np.concatenate(([1.0], rate / np.arange(1, top + 1))))
     gbar = d.eval(x) - d.eval(center)
-    return table, gbar
+    return weights * monomial_table(d, center).values(top, x), gbar
 
 
 def gexp_series(d, lam, x, order, center=0.0):
     """Partial sum of sum_n lam^n g_n(x)/n! with a certified tail bound
     (monomial bound 0 <= g_n(x) <= gbar(x)^n)."""
-    table, gbar = _series_context(d, x, center)
-    table.extend(order)
-    value = 0.0
-    coef = 1.0  # lam^n / n!
-    for n in range(order + 1):
-        if n > 0:
-            coef = coef * lam / n
-        value = value + coef * table.eval(n, x)
-    tail = _exp_tail(abs(lam) * gbar, order + 1)
-    return value, tail
+    terms, gbar = _series_terms(d, lam, x, order, center)
+    return terms.sum().item(), _exp_tail(abs(lam) * gbar, order + 1)
 
 
 def _alternating_series(d, rate, x, order, center, parity, signed):
@@ -328,18 +269,12 @@ def _alternating_series(d, rate, x, order, center, parity, signed):
     parity 1: orders 1, 3, 5, ...; parity 0: orders 0, 2, 4, ...
     signed=True alternates signs (trigonometric case).
     """
-    table, gbar = _series_context(d, x, center)
     top = 2 * order + parity
-    table.extend(top)
-    value = 0.0
-    for k in range(order + 1):
-        m = 2 * k + parity
-        coef = rate**m / math.factorial(m)
-        if signed and (k % 2 == 1):
-            coef = -coef
-        value = value + coef * table.eval(m, x)
-    tail = _exp_tail(abs(rate) * gbar, top + 2)
-    return value, tail
+    terms, gbar = _series_terms(d, rate, x, top, center)
+    terms = terms[parity::2]
+    if signed:
+        terms[1::2] *= -1.0
+    return terms.sum().item(), _exp_tail(abs(rate) * gbar, top + 2)
 
 
 def gsin_series(d, b, x, order, center=0.0):

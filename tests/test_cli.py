@@ -90,6 +90,18 @@ def periodic_spec():
     }
 
 
+def dirichlet_spec(lam=-(math.pi**2), N=60):
+    return {
+        "g": ident_json(1.0),
+        "h": ident_json(1.0),
+        "c": 1.0,
+        "T": 1.0,
+        "L": 1.0,
+        "mode": "dirichlet",
+        "dirichlet": {"lam": lam, "a": 1.0, "N": N},
+    }
+
+
 def product_spec():
     one_plus = {
         "segments": [
@@ -267,11 +279,23 @@ def test_check_gpoly_demo_spec_passes_every_row(capsys):
 # exit codes
 
 
+def test_check_dirichlet_spec_past_order_170(capsys, spec_file):
+    # the sine gate at N = 100 sums orders up to 201, past where m! fits a float
+    rc, out, _ = run(capsys, ["check", spec_file(dirichlet_spec(N=100))])
+    assert rc == 0
+    assert out.splitlines()[-1].startswith("all ")
+
+
 def test_gate_violation_exits_2(capsys, spec_file):
-    rc, _, err = run(capsys, ["eval", spec_file(gpoly_spec(T=1.4))])
-    assert rc == 2
-    assert err.startswith("gate error:")
-    assert "sigma" in err
+    for spec, word in (
+        (gpoly_spec(T=1.4), "sigma"),
+        (dirichlet_spec(lam=-1.1 * math.pi**2), "sine series"),
+    ):
+        rc, _, err = run(capsys, ["eval", spec_file(spec)])
+        assert rc == 2
+        assert err.startswith("gate error:")
+        assert word in err
+        assert "np.float64" not in err
 
 
 def test_malformed_json_exits_3(capsys, tmp_path):

@@ -155,6 +155,24 @@ def test_series_divergent_coefficients_raise(prob_jumpy):
         series_solution(prob_jumpy, a, lambda n: 0.0, lambda n: -float(n), N=6)
 
 
+def test_series_of_list_streams_is_the_sum_of_its_terms(prob_jumpy):
+    # index 0 is the affine term a0 + b0 h(x), index n a mode of eigenvalue lam[n]
+    g, h, c2 = prob_jumpy.g, prob_jumpy.h, prob_jumpy.c**2
+    a, b, lam = [1.0, 0.5, -0.05], [0.3, 0.2, 0.0], [0.0, -1.5, 0.4]
+    sol, diag = series_solution(prob_jumpy, a, b, lam, N=2)
+    assert diag.truncation == 2
+    for t, x in ((0.0, 0.0), (0.3, 0.7), (0.5, 1.5), (1.0, 2.0)):
+        want = a[0] + b[0] * h.eval(x)
+        for n in (1, 2):
+            s = cmath.sqrt(lam[n])
+            v = a[n] * gexp(h, s, 0.0, x) + b[n] * gexp(h, -s, 0.0, x)
+            want += gexp(g, lam[n] * c2, 0.0, t) * v
+        assert abs(sol(t, x) - want) <= 1e-13 * (1.0 + abs(want))
+    # a list shorter than N + 1 is zero past its end, and eigenvalue 0 is refused
+    with pytest.raises(DomainError, match="lam_stream"):
+        series_solution(prob_jumpy, a, b, lam, N=3)
+
+
 def test_series_rejects_zero_eigenvalue(prob_jumpy):
     with pytest.raises(DomainError):
         series_solution(prob_jumpy, lambda n: 1.0, lambda n: 0.0, lambda n: 0.0, N=3)
@@ -210,20 +228,23 @@ def test_periodic_lam_zero_is_constant(prob_classical):
 
 
 def test_sin_condition_classical_cases(prob_classical):
+    # N = 100 sums orders past 170, where m! no longer fits a float
     h, L = prob_classical.h, prob_classical.L
-    for k in (1, 2, 3):
-        _, _, ok = check_sin_condition(h, -((k * math.pi / L) ** 2), L)
-        assert ok
-    _, _, ok = check_sin_condition(h, -2.0, L)
-    assert not ok
+    for N in (60, 100):
+        for k in (1, 2, 3):
+            _, _, ok = check_sin_condition(h, -((k * math.pi / L) ** 2), L, N)
+            assert ok
+        _, _, ok = check_sin_condition(h, -2.0, L, N)
+        assert not ok
 
 
 def test_cos_condition_classical_cases(prob_classical):
     h, L = prob_classical.h, prob_classical.L
-    _, _, ok = check_cos_condition(h, -((2 * math.pi / L) ** 2), L)
-    assert ok
-    _, _, ok = check_cos_condition(h, -(math.pi**2), L)
-    assert not ok
+    for N in (60, 100):
+        _, _, ok = check_cos_condition(h, -((2 * math.pi / L) ** 2), L, N)
+        assert ok
+        _, _, ok = check_cos_condition(h, -(math.pi**2), L, N)
+        assert not ok
 
 
 def test_dirichlet_classical_collapse(prob_classical):

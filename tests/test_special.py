@@ -25,6 +25,7 @@ from stieltjes_heat import (
     gsinh_series,
     identity,
     integrate,
+    integrate_signed,
     regular_points,
 )
 
@@ -234,6 +235,22 @@ def test_monomial_values_match_scalar_eval(d, data):
                 # right limits: g_j(x+) - g_j(x) = j g_{j-1}(x) gap(x)
                 step = j * vals[j - 1] * d.jump(x) if j else 0.0
                 assert abs(right[j] - (want + step)) <= 1e-12 * (1.0 + abs(want) + abs(step))
+
+
+@settings(max_examples=30, deadline=None)
+@given(segment_chains(), st.data())
+def test_monomial_recursion_against_quadrature(d, data):
+    # g_j(x) = j * integral_0^x g_{j-1} dmu_g, the integral taken by
+    # lsintegral (atoms termwise, affine pieces by quadrature), on both sides
+    # of the anchor 0
+    table = MonomialTable(d, 0.0)
+    points = [d.lo, d.hi] + [s.lo for s in d.segments[1:]]
+    points.append(data.draw(st.floats(min_value=d.lo, max_value=d.hi)))
+    for j in range(1, 7):
+        prev = lambda s, k=j - 1: table.eval(k, s)
+        for x in points:
+            want = j * integrate_signed(prev, 0.0, x, d, tol=1e-12)
+            assert abs(table.eval(j, x) - want) <= 1e-9 * (1.0 + abs(want))
 
 
 def test_monomial_rejects_negative_order(jump_g):
