@@ -58,7 +58,8 @@ def _parser():
         s.add_argument("--out", default=None, metavar="PATH",
                        help="write output to PATH instead of stdout")
         s.add_argument("--tol", type=float, default=None, metavar="X",
-                       help="solver tolerance override")
+                       help="tolerance of the product-eigen ODE solve "
+                       "(the other modes are closed forms)")
         s.add_argument("--include-atoms", action="store_true",
                        help="append rows at atom coordinates (exact jump laws)")
         s.add_argument("--emit-diagnostics", action="store_true",
@@ -232,6 +233,7 @@ def _check_mode(sol, info, parsed, rows, args):
         rows.append(("boundary-periodicity", dev < 1e-6,
                      f"max value/flux mismatch {dev:.3g}"))
         _check_residual(sol, parsed, rows, 1e-6)
+        _check_atom_jumps(sol, parsed, rows)
     elif mode == "dirichlet":
         _value, _tail, ok = check_sin_condition(parsed.h, p["lam"], parsed.L, N=p["N"])
         rows.append(("sine-gate", ok, "series value within its tail bound"))

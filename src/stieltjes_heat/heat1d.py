@@ -18,7 +18,6 @@ import numpy as np
 from .derivators import Derivator, regular_points
 from .errors import DivergenceError, DomainError, GateError, InvariantError
 from .gderiv import HeatResidual, _atom_gap
-from .ode import solve_periodic_first_order
 from .special import (
     gcos_series,
     gexp,
@@ -32,7 +31,6 @@ __all__ = [
     "SeparatedTerm",
     "HeatSolution",
     "SeriesDiagnostics",
-    "PeriodicSolution",
     "general_solution",
     "solve_ivp",
     "series_solution",
@@ -411,43 +409,22 @@ def find_periodic_eigenvalues(problem, lam_range, count=8):
     return out[:count]
 
 
-class PeriodicSolution(HeatResidual):
-    """u(t, x) = w(t) v(x) with v periodic on [0, L].
-
-    v comes from the first-order splitting: u1 = exp_h(-sqrt(lam); 0, .)
-    solves v'_h + sqrt(lam) v = 0 with v(0) = v(L), and v solves
-    v'_h - sqrt(lam) v = u1 periodically, whence v''_h = lam v.
-    """
-
-    def __init__(self, problem, lam, v):
-        self.problem = problem
-        self.g, self.h, self.c = problem.g, problem.h, problem.c
-        self.lam = lam
-        self.rate = lam * problem.c**2
-        self.v = v
-
-    def w(self, t):
-        return gexp(self.problem.g, self.rate, 0.0, t)
-
-    def __call__(self, t, x):
-        return self.w(t) * self.v(x)
-
-    def dgt_rule(self, t, x):
-        return self.rate * self(t, x)
-
-    def dhx_rule(self, t, x):
-        return self.w(t) * self.v.derivative(x)
-
-    def dhx2_rule(self, t, x):
-        return self.lam * self(t, x)
-
-
-def periodic_solution(problem, lam, tol=1e-10):
+def periodic_solution(problem, lam):
     """Separated solution of the periodic problem for eigenvalue lam <= 0.
 
-    Requires |exp_h(-sqrt(lam); 0, L) - 1| < 1e-9 (gate).  Builds v by the
-    two-stage first-order splitting and verifies u(t,0) = u(t,L) and
-    d_h u(t,0) = d_h u(t,L) within 1e-6 at 11 regular times.
+    Closed form: u = exp_g(lam c^2; 0, t) v(x) with v = sin_h(s; 0, x) / s
+    = (exp_h(is; 0, x) - exp_h(-is; 0, x)) / (2is), s = sqrt(-lam); lam = 0
+    gives the constant 1.  v''_h = lam v holds everywhere, atoms included.
+
+    Gate: |exp_h(-is; 0, L) - 1| < 1e-9.  Since |exp_h(-is; 0, L)| is the
+    product of (1 + s^2 gap^2)^(1/2) over the atoms of h in [0, L), the gate
+    admits no atom there with s gap above 5e-5; and exp_h(is; 0, L) is the
+    conjugate of exp_h(-is; 0, L), so it equals 1 as well.  Hence v(L) = 0 = v(0) and
+    v'_h(L) = (exp_h(is) + exp_h(-is)) / 2 = 1 = v'_h(0).  This v is the
+    u0 = 0 representative that ode.solve_periodic_first_order returns for
+    v'_h - is v = exp_h(-is; 0, .), whose homogeneous multiplier is then 1.
+    u(t,0) = u(t,L) and d_h u(t,0) = d_h u(t,L) are re-verified within 1e-6
+    at 11 regular times.
     """
     if isinstance(lam, complex) or lam > 0:
         raise DomainError(f"periodic eigenvalues are real and <= 0, got {lam!r}")
@@ -461,13 +438,8 @@ def periodic_solution(problem, lam, tol=1e-10):
             f"exp_h(-sqrt(lam); 0, L) = {gate!r} is not 1 (defect "
             f"{abs(gate - 1.0):.3e}); lam = {lam} is not a periodic eigenvalue"
         )
-    sq = complex(0.0, s)  # sqrt(lam), principal branch
-
-    def u1(x):
-        return gexp(h, -sq, 0.0, x)
-
-    v = solve_periodic_first_order(h, -sq, u1, L, tol=tol)
-    sol = PeriodicSolution(problem, lam, v)
+    # sin_h(s) / s = (exp_h(is) - exp_h(-is)) / (2is)
+    sol = HeatSolution(problem, [(lam, -0.5j / s, 0.5j / s)])
 
     dev_u = dev_du = 0.0
     for t in regular_points(problem.g, 0.0, problem.T, 11):

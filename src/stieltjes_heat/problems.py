@@ -259,16 +259,17 @@ def solve(parsed, tol=None):
     """Solve per mode.
 
     Returns (solution, info) where info carries mode-specific reports
-    (currently the gate report of "gpoly-series").
+    (currently the gate report of "gpoly-series").  tol tunes the ODE solve
+    of "product-eigen", the one mode without a closed form; the other modes
+    ignore it.
     """
     mode, p, problem = parsed.mode, mode_params(parsed), parsed.problem
-    kw = {} if tol is None else {"tol": tol}
     if mode == "ivp":
         return solve_ivp(problem, p), {}
     if mode == "general":
         return general_solution(problem, p["terms"]), {}
     if mode == "periodic":
-        return periodic_solution(problem, p["lam"], **kw), {}
+        return periodic_solution(problem, p["lam"]), {}
     if mode == "dirichlet":
         return dirichlet_solution(problem, p["lam"], p["a"], N=p["N"]), {}
     if mode == "neumann":
@@ -279,6 +280,7 @@ def solve(parsed, tol=None):
             n_probe=p["n_probe"],
         )
         return sol, {"gate": gate}
+    kw = {} if tol is None else {"tol": tol}
     sol = solve_product_case(
         parsed.G, p["lam"], parsed.c, p["v0"], p["dv0"], parsed.T, parsed.L, **kw
     )

@@ -3,9 +3,11 @@
 `jump_g`/`plateau_h` are the canonical worked-example drivers (one interior
 atom each, `plateau_h` also has a flat stretch).  `staircase` and `flatstep`
 satisfy the translation condition exactly; `mixed` stacks every segment kind.
+`segment_chains` is the hypothesis strategy for random derivators.
 """
 
 import pytest
+from hypothesis import strategies as st
 
 from stieltjes_heat import Derivator, HeatProblem, identity
 
@@ -84,3 +86,26 @@ def prob_jumpy(jump_g, plateau_h):
 @pytest.fixture(scope="session")
 def prob_classical():
     return HeatProblem(identity(0.0, 2.0), identity(0.0, 2.0), 1.0, 1.0, 1.0)
+
+
+@st.composite
+def segment_chains(draw, atoms=True):
+    """Random derivators: 1-4 affine or flat segments, an atom or none at
+    each internal breakpoint (none at all when atoms is false), the domain
+    starting at or left of the anchor 0."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    lengths = [draw(st.floats(min_value=0.2, max_value=1.0)) for _ in range(n)]
+    lo = -draw(st.floats(min_value=0.0, max_value=0.6)) * sum(lengths)
+    pieces, level = [], 0.0
+    for i, length in enumerate(lengths):
+        if i and atoms:
+            level += draw(st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0]))
+        hi = lo + length
+        if draw(st.booleans()):
+            pieces.append(("flat", lo, hi, level))
+        else:
+            slope = draw(st.floats(min_value=0.1, max_value=1.0))
+            pieces.append(("affine", lo, hi, slope, level - slope * lo))
+            level += slope * length
+        lo = hi
+    return Derivator.from_pieces(pieces)

@@ -8,7 +8,9 @@ import pathlib
 
 import pytest
 
-from stieltjes_heat import cli
+from stieltjes_heat import HeatSolution, cli
+
+SPECS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "specs"
 
 
 def jump_g_json():
@@ -190,6 +192,18 @@ def test_eval_atom_rows(capsys, spec_file):
         assert abs(float(r[4])) < 1e-9
 
 
+def test_periodic_emit_diagnostics_has_no_fallback_zeros(capsys):
+    # every grid row gets its numeric residual, none a substituted 0.0
+    path = str(SPECS / "periodic_classical.json")
+    rc, out, _ = run(capsys, ["eval", path, "--grid", "21x21", "--emit-diagnostics"])
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == 441
+    for r in rows:
+        u = complex(float(r[2]), float(r[3]))
+        assert 0.0 < float(r[4]) <= 1e-6 * (1.0 + abs(u))
+
+
 def test_eval_writes_out_file(capsys, spec_file, tmp_path):
     path = spec_file(jumpy_ivp_spec())
     dest = tmp_path / "u.csv"
@@ -267,12 +281,38 @@ def test_check_gpoly_enforces_tail_bound(capsys, spec_file):
 
 
 def test_check_gpoly_demo_spec_passes_every_row(capsys):
-    spec = pathlib.Path(__file__).resolve().parent.parent / "demos" / "specs" / "gpoly_gate.json"
-    rc, out, _ = run(capsys, ["check", str(spec)])
+    rc, out, _ = run(capsys, ["check", str(SPECS / "gpoly_gate.json")])
     rows = [ln.split() for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
     assert rc == 0
     assert all(r[0] == "PASS" for r in rows)
     assert {"tail-bound", "atom-jump(x)", "pde-residual"} <= {r[1] for r in rows}
+
+
+def test_check_periodic_runs_atom_jump_rows(capsys, spec_file, monkeypatch):
+    spec = periodic_spec()
+    spec["g"], spec["c"] = jump_g_json(), 0.1
+    path = spec_file(spec)
+    rc, out, _ = run(capsys, ["check", path])
+    rows = {ln.split()[1]: ln.split()[0] for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))}
+    assert rc == 0
+    assert rows["atom-jump(t)"] == "PASS"
+
+    class OffCurvature(HeatSolution):
+        def dhx2_rule(self, t, x):
+            return super().dhx2_rule(t, x) + 1e-3
+
+    solve = cli.solve
+
+    def off_solve(parsed, tol=None):
+        sol, info = solve(parsed, tol)
+        return OffCurvature(sol.problem, sol.terms), info
+
+    monkeypatch.setattr(cli, "solve", off_solve)
+    rc, out, _ = run(capsys, ["check", path])
+    rows = {ln.split()[1]: ln.split()[0] for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))}
+    assert rc == 1
+    assert rows["atom-jump(t)"] == "FAIL"
+    assert rows["pde-residual"] == "PASS"
 
 
 # ---------------------------------------------------------------------------

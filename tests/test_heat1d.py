@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import segment_chains
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from stieltjes_heat import (
     DivergenceError,
@@ -24,6 +27,7 @@ from stieltjes_heat import (
     regular_points,
     series_solution,
     solve_ivp,
+    solve_periodic_first_order,
 )
 
 IVP_SPEC = {"a0": 1.0, "b0": -1.0, "modes": [(0.6, 2.0, 0.0)]}
@@ -221,6 +225,46 @@ def test_periodic_solution_gates_non_eigenvalue(prob_classical):
 def test_periodic_lam_zero_is_constant(prob_classical):
     sol = periodic_solution(prob_classical, 0.0)
     assert sol(0.3, 0.7) == 1.0
+
+
+def test_periodic_numeric_residual_rows_all_succeed(prob_classical):
+    # the numeric quotients step past x = L; the closed form is defined on
+    # the whole driver domain, so every row of the 7x7 grid answers
+    sol = periodic_solution(prob_classical, -((2 * math.pi) ** 2))
+    ts = regular_points(prob_classical.g, 0.0, prob_classical.T, 7)
+    xs = regular_points(prob_classical.h, 0.0, prob_classical.L, 7)
+    worst = max(
+        abs(sol.residual_numeric(t, x)) / (1.0 + abs(sol(t, x))) for t in ts for x in xs
+    )
+    assert worst <= 1e-6
+
+
+# at s = 2 pi k / mu_h([0, L)) the Euler path of the oracle needs mu well
+# away from 0 (about 1e-6 at mu = 0.07), hence the floor of 0.5
+@settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(segment_chains(atoms=False), st.sampled_from([1, 2]), st.data())
+def test_periodic_closed_form_matches_the_ode_oracle(h, k, data):
+    L = h.hi
+    mu = h.measure(0.0, L)
+    assume(mu >= 0.5)
+    s = 2 * math.pi * k / mu
+    prob = HeatProblem(identity(0.0, 1.0), h, 1.0, 1.0, L)
+    sol = periodic_solution(prob, -s * s)
+    # v'_h - is v = exp_h(-is; 0, .), the forcing written out for an
+    # atom-free h so that the oracle shares no code with special.gexp
+    h0 = h.eval(0.0)
+    oracle = solve_periodic_first_order(
+        h, -1j * s, lambda x: cmath.exp(-1j * s * (h.eval(x) - h0)), L
+    )
+    xs = [0.0, L, data.draw(st.floats(min_value=0.0, max_value=L))]
+    xs += [seg.lo for seg in h.segments if 0.0 < seg.lo < L]
+    for x in xs:
+        want = oracle(x)
+        assert abs(sol(0.0, x) - want) <= 1e-8 * (1.0 + abs(want))
+        want = oracle.derivative(x)
+        assert abs(sol.dhx_rule(0.0, x) - want) <= 1e-8 * (1.0 + abs(want))
 
 
 # ---------------------------------------------------------------------------

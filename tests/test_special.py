@@ -4,11 +4,11 @@ import cmath
 import math
 
 import pytest
+from conftest import segment_chains
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stieltjes_heat import (
-    Derivator,
     DomainError,
     MonomialTable,
     classify_regressivity,
@@ -193,28 +193,6 @@ def test_monomial_bound(jump_g, x, n):
     v = g_monomial(jump_g, n, 0.0, x)
     gbar = jump_g.eval(x) - jump_g.eval(0.0)
     assert -1e-12 <= v <= gbar**n + 1e-12
-
-
-@st.composite
-def segment_chains(draw):
-    """Random derivators: 1-4 affine or flat segments, an atom or none at
-    each internal breakpoint, the domain starting at or left of the anchor 0."""
-    n = draw(st.integers(min_value=1, max_value=4))
-    lengths = [draw(st.floats(min_value=0.2, max_value=1.0)) for _ in range(n)]
-    lo = -draw(st.floats(min_value=0.0, max_value=0.6)) * sum(lengths)
-    pieces, level = [], 0.0
-    for i, length in enumerate(lengths):
-        if i:
-            level += draw(st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0]))
-        hi = lo + length
-        if draw(st.booleans()):
-            pieces.append(("flat", lo, hi, level))
-        else:
-            slope = draw(st.floats(min_value=0.1, max_value=1.0))
-            pieces.append(("affine", lo, hi, slope, level - slope * lo))
-            level += slope * length
-        lo = hi
-    return Derivator.from_pieces(pieces)
 
 
 @settings(max_examples=60, deadline=None)
