@@ -26,7 +26,7 @@ from .errors import (
 )
 from .gderiv import gderiv
 from .heat1d import check_cos_condition, check_sin_condition, find_periodic_eigenvalues
-from .heat2d import radius_sigma
+from .heat2d import _gate_verdict, radius_sigma
 from .lsintegral import indefinite, integrate_gauss
 from .ode import solve_second_order
 from .problems import load_problem, mode_params, scan_params, solve
@@ -190,16 +190,20 @@ def _check_residual(sol, parsed, rows, tol):
 
 
 def _check_atom_jumps(sol, parsed, rows):
+    """Exact jump-quotient residuals at the atoms, scaled like pde-residual:
+    |res| <= 1e-9 (1 + |u(t, x)|)."""
     g_atoms = parsed.g.atoms_in(0.0, parsed.T)
     h_atoms = parsed.h.atoms_in(0.0, parsed.L)
     if g_atoms:
         xs = regular_points(parsed.h, 0.0, parsed.L, 3)
-        dev = max(abs(sol.jump_residual_t(tau, x)) for tau, _ in g_atoms for x in xs)
-        rows.append(("atom-jump(t)", dev < 1e-9, f"max |residual| {dev:.3g}"))
+        dev = max(abs(sol.jump_residual_t(tau, x)) / (1.0 + abs(sol(tau, x)))
+                  for tau, _ in g_atoms for x in xs)
+        rows.append(("atom-jump(t)", dev < 1e-9, f"max relative residual {dev:.3g}"))
     if h_atoms:
         ts = regular_points(parsed.g, 0.0, parsed.T, 3)
-        dev = max(abs(sol.jump_residual_x(t, xi)) for xi, _ in h_atoms for t in ts)
-        rows.append(("atom-jump(x)", dev < 1e-9, f"max |residual| {dev:.3g}"))
+        dev = max(abs(sol.jump_residual_x(t, xi)) / (1.0 + abs(sol(t, xi)))
+                  for xi, _ in h_atoms for t in ts)
+        rows.append(("atom-jump(x)", dev < 1e-9, f"max relative residual {dev:.3g}"))
 
 
 def _ivp_initial(h, spec, x):
@@ -282,6 +286,7 @@ def _check_mode(sol, info, parsed, rows, args):
                          f"claimed {got}, law gives {want}"))
     elif mode == "product-eigen":
         _check_residual(sol, parsed, rows, 1e-5)
+        _check_atom_jumps(sol, parsed, rows)
         lam = p["lam"]
         h = parsed.h
         Q = lambda x: -lam / h.eval(x)
@@ -334,14 +339,13 @@ def cmd_radius(args, parsed):
         f"g(T) = {g_T!r}",
         f"sigma_gate/c^2 = {rep.sigma_gate / parsed.c**2!r}",
     ]
-    if math.isnan(rep.sigma_gate):
+    verdict = _gate_verdict(rep, g_T, parsed.c)
+    if verdict == "refused":
         lines.append("gate = refused (no sigma claim for an oscillating trend)")
-    elif g_T < rep.sigma_gate / parsed.c**2:
-        lines.append("gate = pass")
     else:
-        lines.append("gate = fail")
+        lines.append(f"gate = {verdict}")
     _emit(lines, args.out)
-    return 0
+    return 2 if verdict == "refused" else 0
 
 
 # -- eigs --------------------------------------------------------------------

@@ -221,23 +221,21 @@ def gderiv(f, t, d, cfg=None):
     raise DomainError(f"no measure room around t={t} for a difference quotient")
 
 
-def gderiv2(f, t, d, cfg=None, inner_cfg=None):
+def gderiv2(f, t, d):
     """Second Stieltjes derivative: the derivative machinery applied to
     s -> gderiv(f, s).  At atoms this is the exact jump quotient of the
     first-derivative function."""
-    cfg = cfg or DEFAULT_OUTER
-    inner = inner_cfg or DEFAULT_INNER
 
     def D(s):
-        return gderiv(f, s, d, inner)
+        return gderiv(f, s, d, DEFAULT_INNER)
 
-    return gderiv(D, t, d, cfg)
+    return gderiv(D, t, d, DEFAULT_OUTER)
 
 
-def heat_residual(u, t, x, g, h, c, cfg=None, cfg2=None, inner_cfg=None):
+def heat_residual(u, t, x, g, h, c):
     """Pointwise residual d_g u - c^2 d_h^2 u from raw difference quotients."""
-    du = gderiv(lambda s: u(s, x), t, g, cfg)
-    d2 = gderiv2(lambda y: u(t, y), x, h, cfg2, inner_cfg)
+    du = gderiv(lambda s: u(s, x), t, g)
+    d2 = gderiv2(lambda y: u(t, y), x, h)
     return du - c * c * d2
 
 
@@ -261,8 +259,8 @@ class HeatResidual:
     def residual_rule(self, t, x):
         return self.dgt_rule(t, x) - self.c**2 * self.dhx2_rule(t, x)
 
-    def residual_numeric(self, t, x, **kw):
-        return heat_residual(self, t, x, self.g, self.h, self.c, **kw)
+    def residual_numeric(self, t, x):
+        return heat_residual(self, t, x, self.g, self.h, self.c)
 
     def residual(self, t, x, mode="rule"):
         if mode == "rule":
@@ -280,8 +278,3 @@ class HeatResidual:
         """Residual at an atom x of the space derivator."""
         _atom_gap(self.h, x, "x")
         return self.residual_rule(t, x)
-
-
-def make_config(**kw):
-    """Tweaked copy of the default configuration."""
-    return replace(DEFAULT, **kw)

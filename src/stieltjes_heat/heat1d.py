@@ -18,13 +18,7 @@ import numpy as np
 from .derivators import Derivator, regular_points
 from .errors import DivergenceError, DomainError, GateError, InvariantError
 from .gderiv import HeatResidual, _atom_gap
-from .special import (
-    gcos_series,
-    gexp,
-    gexp_right_limit,
-    gsin_gcos,
-    gsin_series,
-)
+from .special import gcos_series, gexp, gexp_right_limit, gsin_series
 
 __all__ = [
     "HeatProblem",
@@ -86,11 +80,14 @@ class HeatProblem:
 class SeparatedTerm:
     """One closed-form product solution w(t) * v(x).
 
-    For lam != 0, v = a exp_h(sqrt(lam)) + b exp_h(-sqrt(lam)); for lam = 0,
-    v = a + b h(x).  Real negative lam is routed through sin_h/cos_h so that
-    conjugate coefficient pairs produce exactly real values.  The derivative
-    rules w'_g = lam c^2 w and v''_h = lam v hold pointwise everywhere,
-    including at atoms, where they coincide with the jump quotients.
+    For lam != 0, v = a exp_h(s; 0, x) + b exp_h(-s; 0, x) with s = sqrt(lam);
+    for lam = 0, v = a + b h(x).  For real lam < 0, s = i sqrt(-lam) and
+    exp_h(-s) is the conjugate of exp_h(s): the closed form
+    prod(1 + p gap) exp(p mu_c) conjugates factor by factor, atoms included,
+    so one exponential serves both and conjugate coefficient pairs give
+    exactly real values.  The derivative rules w'_g = lam c^2 w and
+    v''_h = lam v hold pointwise everywhere, including at atoms, where they
+    coincide with the jump quotients.
     """
 
     def __init__(self, problem: HeatProblem, lam, a, b):
@@ -100,97 +97,38 @@ class SeparatedTerm:
         self.b = b
         self.rate = lam * problem.c**2
         z = complex(lam)
-        if z == 0:
-            self._kind = "affine"
-            self._s = 0.0
-        elif z.imag == 0.0 and z.real < 0.0:
-            self._kind = "osc"
-            self._s = math.sqrt(-z.real)
+        self._conj = z.imag == 0.0 and z.real < 0.0
+        if self._conj:
+            self._s = 1j * math.sqrt(-z.real)
         else:
-            self._kind = "exp"
             self._s = math.sqrt(z.real) if z.imag == 0.0 else cmath.sqrt(z)
 
-    # -- time factor ---------------------------------------------------------
-
-    def w(self, t):
+    def w(self, t, right=False):
+        """Time factor exp_g(lam c^2; 0, t), or its right limit at t."""
         if self.lam == 0:
             return 1.0
-        return gexp(self.problem.g, self.rate, 0.0, t)
+        exp = gexp_right_limit if right else gexp
+        return exp(self.problem.g, self.rate, 0.0, t)
 
-    def w_right(self, t):
-        if self.lam == 0:
-            return 1.0
-        return gexp_right_limit(self.problem.g, self.rate, 0.0, t)
-
-    # -- space factor ----------------------------------------------------------
-
-    def _osc_parts(self, x, shifted=False):
-        h = self.problem.h
-        s = self._s
-        if shifted:
-            sn, cs = gsin_gcos(h, s, x)
-            gap = h.jump(x)
-            sn, cs = sn + s * gap * cs, cs - s * gap * sn
-        else:
-            sn, cs = gsin_gcos(h, s, x)
-        return sn, cs
+    def _pair(self, x, right):
+        """(exp_h(s; 0, x), exp_h(-s; 0, x)), or their right limits at x."""
+        h, s = self.problem.h, self._s
+        exp = gexp_right_limit if right else gexp
+        ep = exp(h, s, 0.0, x)
+        return ep, (ep.conjugate() if self._conj else exp(h, -s, 0.0, x))
 
     def v(self, x):
-        h = self.problem.h
-        if self._kind == "affine":
-            return _tidy(self.a + self.b * h.eval(x))
-        if self._kind == "osc":
-            sn, cs = self._osc_parts(x)
-            return _tidy((self.a + self.b) * cs + 1j * (self.a - self.b) * sn)
-        ep = gexp(h, self._s, 0.0, x)
-        em = gexp(h, -self._s, 0.0, x)
-        return _tidy(self.a * ep + self.b * em)
+        if self.lam == 0:
+            return self.a + self.b * self.problem.h.eval(x)
+        ep, em = self._pair(x, False)
+        return self.a * ep + self.b * em
 
-    def dv(self, x):
-        h = self.problem.h
-        if self._kind == "affine":
+    def dv(self, x, right=False):
+        """d_h v at x, or its right limit (they differ only at atoms of h)."""
+        if self.lam == 0:
             return self.b
-        if self._kind == "osc":
-            s = self._s
-            sn, cs = self._osc_parts(x)
-            return _tidy(s * (1j * (self.a - self.b) * cs - (self.a + self.b) * sn))
-        ep = gexp(h, self._s, 0.0, x)
-        em = gexp(h, -self._s, 0.0, x)
-        return _tidy(self._s * (self.a * ep - self.b * em))
-
-    def dv_right(self, x):
-        """Right limit of dv at x (differs from dv only at atoms of h)."""
-        h = self.problem.h
-        if self._kind == "affine":
-            return self.b
-        if self._kind == "osc":
-            s = self._s
-            sn, cs = self._osc_parts(x, shifted=True)
-            return _tidy(s * (1j * (self.a - self.b) * cs - (self.a + self.b) * sn))
-        ep = gexp_right_limit(h, self._s, 0.0, x)
-        em = gexp_right_limit(h, -self._s, 0.0, x)
-        return _tidy(self._s * (self.a * ep - self.b * em))
-
-    def d2v(self, x):
-        if self._kind == "affine":
-            return 0.0
-        return _tidy(self.lam * self.v(x))
-
-    # -- assembled values ------------------------------------------------------
-
-    def u(self, t, x):
-        return _tidy(self.w(t) * self.v(x))
-
-    def dgt(self, t, x):
-        return _tidy(self.rate * self.w(t) * self.v(x))
-
-    def dhx(self, t, x):
-        return _tidy(self.w(t) * self.dv(x))
-
-    def dhx2(self, t, x):
-        if self._kind == "affine":
-            return 0.0
-        return _tidy(self.lam * self.w(t) * self.v(x))
+        ep, em = self._pair(x, right)
+        return self._s * (self.a * ep - self.b * em)
 
 
 def _as_term(problem, term):
@@ -209,24 +147,24 @@ class HeatSolution(HeatResidual):
         self.terms = tuple(_as_term(problem, tm) for tm in terms)
 
     def __call__(self, t, x):
-        return _tidy(sum((tm.u(t, x) for tm in self.terms), 0.0))
+        return _tidy(sum((tm.w(t) * tm.v(x) for tm in self.terms), 0.0))
 
     def initial(self, x):
         return self(0.0, x)
 
     def dgt_rule(self, t, x):
-        return _tidy(sum((tm.dgt(t, x) for tm in self.terms), 0.0))
+        return _tidy(sum((tm.rate * tm.w(t) * tm.v(x) for tm in self.terms), 0.0))
 
     def dhx_rule(self, t, x):
-        return _tidy(sum((tm.dhx(t, x) for tm in self.terms), 0.0))
+        return _tidy(sum((tm.w(t) * tm.dv(x) for tm in self.terms), 0.0))
 
     def dhx2_rule(self, t, x):
-        return _tidy(sum((tm.dhx2(t, x) for tm in self.terms), 0.0))
+        return _tidy(sum((tm.lam * tm.w(t) * tm.v(x) for tm in self.terms), 0.0))
 
     def jump_residual_t(self, t, x):
         """Exact atom-row residual in time: jump quotient minus c^2 d_h^2 u."""
         gap = _atom_gap(self.g, t, "t")
-        up = sum((tm.w_right(t) * tm.v(x) for tm in self.terms), 0.0)
+        up = sum((tm.w(t, right=True) * tm.v(x) for tm in self.terms), 0.0)
         quot = (up - self(t, x)) / gap
         return _tidy(quot - self.c**2 * self.dhx2_rule(t, x))
 
@@ -234,7 +172,7 @@ class HeatSolution(HeatResidual):
         """Exact atom-row residual in space: d_g u minus c^2 times the jump
         quotient of the first h-derivative."""
         gap = _atom_gap(self.h, x, "x")
-        dplus = sum((tm.w(t) * tm.dv_right(x) for tm in self.terms), 0.0)
+        dplus = sum((tm.w(t) * tm.dv(x, right=True) for tm in self.terms), 0.0)
         quot = (dplus - self.dhx_rule(t, x)) / gap
         return _tidy(self.dgt_rule(t, x) - self.c**2 * quot)
 

@@ -20,7 +20,7 @@ from .gderiv import HeatResidual, _atom_gap, gderiv, gderiv2
 from .heat1d import _stream
 from .lsintegral import integrate
 from .ode import build_grid, solve_second_order
-from .special import classify_regressivity, gexp, monomial_table
+from .special import classify_regressivity, gexp, gexp_right_limit, monomial_table
 
 __all__ = [
     "SumDerivator",
@@ -294,6 +294,14 @@ def radius_sigma(alpha, n_probe=200):
     return RadiusReport(sigma, sigma_gate, trend, n_probe, tuple(tail))
 
 
+def _gate_verdict(report, g_T, c):
+    """The admissibility rule g(T) < sigma_gate/c^2: "refused" when the ratio
+    trend oscillates (no sigma claim), else "pass" or "fail"."""
+    if report.trend == "oscillating":
+        return "refused"
+    return "pass" if g_T < report.sigma_gate / c**2 else "fail"
+
+
 @dataclass(frozen=True)
 class GateReport:
     """Outcome of the g(T) < sigma/c^2 admissibility gate for a G-poly series."""
@@ -416,17 +424,17 @@ def gpoly_series_solution(G, alpha, c, T, L, N, n_probe=None):
         raise DomainError(f"truncation must be >= 0, got {N}")
     report = radius_sigma(alpha, n_probe=n_probe or max(2 * N, 120))
     g_T = G.g.measure(0.0, T)
-    if report.trend == "oscillating":
+    verdict = _gate_verdict(report, g_T, c)
+    if verdict == "refused":
         raise GateError(
             "radius ratio sequence oscillates through depth "
             f"{report.n_probe}; no sigma claim is possible, so the gate "
             f"g(T) < sigma/c^2 cannot be certified"
         )
-    bound = report.sigma_gate / c**2
-    if not g_T < bound:
+    if verdict == "fail":
         raise GateError(
             f"series gate violated: g(T) = {g_T} is not below sigma/c^2 = "
-            f"{report.sigma_gate}/{c}^2 = {bound}"
+            f"{report.sigma_gate}/{c}^2 = {report.sigma_gate / c**2}"
         )
     tail = _tail_bound(ctx, alpha, N, T, L)
     sol = GPolySolution(ctx, alpha, N, report, tail)
@@ -540,6 +548,24 @@ class ProductCaseSolution(HeatResidual):
         # quotients along the G-slices, which rescale g by h(x) and h by g(t)
         dt, dxx = self.partials(t, x, mode="numeric")
         return dt - self.c**2 * dxx
+
+    def jump_residual_t(self, t, x):
+        """Exact atom-row residual in time: the jump quotient of u along the
+        slice t -> g(t) h(x), whose gap is gap h(x), minus c^2 dhx2_rule."""
+        gap = _atom_gap(self.g, t, "t")
+        w = self.w
+        wplus = gexp_right_limit(w.d, w.rate, 0.0, t, tol=w.tol)
+        quot = (wplus - w(t)) * self.v(x) / (gap * self.h.eval(x))
+        return quot - self.c**2 * self.dhx2_rule(t, x)
+
+    def jump_residual_x(self, t, x):
+        """Exact atom-row residual in space: dgt_rule minus c^2 times the
+        jump quotient of w(t) v'_h(x) / g(t) along the slice x -> g(t) h(x),
+        whose gap is g(t) gap; v'_h(x+) is the ODE solution's node data."""
+        gap = _atom_gap(self.h, x, "x")
+        dv = self.v.derivative(x, right=True) - self.v.derivative(x)
+        quot = self.w(t) * dv / (gap * self.g.eval(t) ** 2)
+        return self.dgt_rule(t, x) - self.c**2 * quot
 
 
 def solve_product_case(G, lam, c, x0, v0, T, L, tol=1e-8):

@@ -206,6 +206,14 @@ class HermiteCurve:
             + (s3 - s2) * L * m1
         )
 
+    def right_limit(self, x):
+        """The value at x+: the node's right value at a node (every atom is
+        one), the value itself elsewhere."""
+        k = np.searchsorted(self.ts, float(x))
+        if k < len(self.ts) and self.ts[k] == x:
+            return self.values_plus[k]
+        return self(x)
+
 
 class Ode2Solution:
     """Result of solve_second_order: v and v'_g as callables, with the
@@ -230,8 +238,9 @@ class Ode2Solution:
     def __call__(self, x):
         return self._v(x)
 
-    def derivative(self, x):
-        return self._w(x)
+    def derivative(self, x, right=False):
+        """v'_g at x, or its right limit (they differ only at atoms)."""
+        return self._w.right_limit(x) if right else self._w(x)
 
     def second_derivative(self, x):
         return self._rhs(float(x), self._v(x), self._w(x))

@@ -8,7 +8,8 @@ import pathlib
 
 import pytest
 
-from stieltjes_heat import HeatSolution, cli
+from stieltjes_heat import HeatSolution, ProductCaseSolution, cli
+from stieltjes_heat.problems import load_problem, solve
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "specs"
 
@@ -69,6 +70,16 @@ def gpoly_spec(T=0.2, claims=None):
     return spec
 
 
+def scaled_ivp_spec():
+    # u of order 1e9: rounding alone leaves atom residuals near 1e-7
+    spec = jumpy_ivp_spec()
+    ivp = spec["ivp"]
+    ivp["a0"], ivp["b0"] = 1e9 * ivp["a0"], 1e9 * ivp["b0"]
+    for mode in ivp["modes"]:
+        mode["a"], mode["b"] = 1e9 * mode["a"], 1e9 * mode["b"]
+    return spec
+
+
 def complex_ivp_spec():
     # a complex mode coefficient, written as an [re, im] pair
     spec = jumpy_ivp_spec()
@@ -121,6 +132,26 @@ def product_spec():
     }
 
 
+def one_plus_json(atom=None):
+    """1 + x on [0, 2], with a gap-0.5 atom at `atom` when given."""
+    if atom is None:
+        return product_spec()["G"]["g"]
+    return {
+        "segments": [
+            {"from": 0.0, "to": atom, "kind": "affine", "slope": 1.0, "intercept": 1.0},
+            {"from": atom, "to": 2.0, "kind": "affine", "slope": 1.0, "intercept": 1.5},
+        ],
+        "atoms": [{"t": atom, "gap": 0.5}],
+    }
+
+
+def product_atom_spec(g_atom=None, h_atom=0.5, lam=1.0):
+    spec = product_spec()
+    spec["G"] = {"kind": "product", "g": one_plus_json(g_atom), "h": one_plus_json(h_atom)}
+    spec["product-eigen"]["lam"] = lam
+    return spec
+
+
 @pytest.fixture()
 def spec_file(tmp_path):
     def write(spec, name="spec.json"):
@@ -135,6 +166,11 @@ def run(capsys, argv):
     rc = cli.main(argv)
     cap = capsys.readouterr()
     return rc, cap.out, cap.err
+
+
+def check_rows(out):
+    """{row name: "PASS" | "FAIL"} of a check report."""
+    return {ln.split()[1]: ln.split()[0] for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))}
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +275,7 @@ def test_eval_rejects_bad_tol(capsys, spec_file):
 
 
 def test_check_jumpy_spec_all_pass(capsys, spec_file):
-    for spec in (jumpy_ivp_spec(), complex_ivp_spec()):
+    for spec in (jumpy_ivp_spec(), complex_ivp_spec(), scaled_ivp_spec()):
         rc, out, _ = run(capsys, ["check", spec_file(spec)])
         assert rc == 0
         lines = [ln for ln in out.splitlines() if ln]
@@ -313,6 +349,53 @@ def test_check_periodic_runs_atom_jump_rows(capsys, spec_file, monkeypatch):
     assert rc == 1
     assert rows["atom-jump(t)"] == "FAIL"
     assert rows["pde-residual"] == "PASS"
+
+
+def test_product_atom_rows_are_jump_quotients(capsys, spec_file):
+    # an atom of h only: the atom rows of eval and check
+    path = spec_file(product_atom_spec())
+    rc, out, _ = run(capsys, ["eval", path, "--grid", "3x3", "--include-atoms",
+                              "--emit-diagnostics"])
+    atom_rows = list(csv.DictReader(io.StringIO(out)))[9:]  # after the 3x3 grid
+    assert rc == 0 and [float(r["x"]) for r in atom_rows] == [0.5] * 3
+    assert all(float(r["residual"]) <= 1e-15 for r in atom_rows)
+    rc, out, _ = run(capsys, ["check", path])
+    assert rc == 0 and check_rows(out)["atom-jump(x)"] == "PASS"
+
+    # atoms in both drivers, both signs of lam
+    for lam in (1.0, -1.5):
+        sol, _ = solve(load_problem(json.dumps(product_atom_spec(0.5, 0.7, lam))))
+        for t, x in ((0.5, 0.2), (0.5, 0.9), (0.0, 0.7), (0.8, 0.7)):
+            res = sol.jump_residual_t(t, x) if t == 0.5 else sol.jump_residual_x(t, x)
+            assert abs(res) <= 1e-15 * (1.0 + abs(sol(t, x)))
+
+
+def test_product_atom_rows_read_the_solution(capsys, spec_file, monkeypatch):
+    # the space row is d_g u minus the jump quotient of d_h u, so an offset
+    # in d_h^2 u leaves it alone; the time row subtracts d_h^2 u itself
+    class Off(ProductCaseSolution):
+        def dgt_rule(self, t, x):
+            return super().dgt_rule(t, x) + self.off_t
+
+        def dhx2_rule(self, t, x):
+            return super().dhx2_rule(t, x) + self.off_xx
+
+    def check_off(spec, off_t, off_xx):
+        def off_solve(parsed, tol=None):
+            sol, info = solve(parsed, tol)
+            off = Off(sol.G, sol.lam, sol.c, sol.w, sol.v, sol.regressivity,
+                      sol.independence)
+            off.off_t, off.off_xx = off_t, off_xx
+            return off, info
+
+        monkeypatch.setattr(cli, "solve", off_solve)
+        rows = check_rows(run(capsys, ["check", spec_file(spec)])[1])
+        assert rows["pde-residual"] == "PASS"
+        return rows
+
+    assert check_off(product_atom_spec(), 0.0, 1e-3)["atom-jump(x)"] == "PASS"
+    assert check_off(product_atom_spec(), 1e-3, 0.0)["atom-jump(x)"] == "FAIL"
+    assert check_off(product_atom_spec(0.5, 0.7), 0.0, 1e-3)["atom-jump(t)"] == "FAIL"
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +497,21 @@ def test_radius_report_fail_without_error(capsys, spec_file):
     rc, out, _ = run(capsys, ["radius", spec_file(gpoly_spec(T=1.4))])
     assert rc == 0
     assert "gate = fail" in out
+
+
+def test_radius_refuses_an_oscillating_trend(capsys, spec_file):
+    # odd coefficients carry an extra 1.5^n, so the ratio sequence alternates
+    spec = json.loads((SPECS / "gpoly_gate.json").read_text())
+    values = [math.exp(n * math.log(1.5 if n % 2 else 1.0) - 0.5 * math.lgamma(n + 1))
+              for n in range(200)]
+    spec["gpoly-series"] = {"alpha": {"kind": "list", "values": values}, "N": 40}
+    path = spec_file(spec)
+    rc, out, _ = run(capsys, ["radius", path])
+    assert rc == 2
+    assert "trend = oscillating" in out
+    assert out.splitlines()[-1].startswith("gate = refused")
+    rc, _, err = run(capsys, ["eval", path])
+    assert rc == 2 and "oscillates" in err
 
 
 def test_radius_requires_gpoly_mode(capsys, spec_file):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,36 @@ def test_negative_eigenvalue_stays_real(prob_jumpy):
     w = gexp(prob_jumpy.g, -1.3 * 0.25, 0.0, 0.7)
     one = general_solution(prob_jumpy, [(-1.3, 0.7, 0.7)])
     assert one(0.7, 0.9) == pytest.approx(w * 1.4 * cs, rel=1e-12)
+
+
+# a term with lam < 0 takes exp_h(-i sigma) as the conjugate of exp_h(i sigma);
+# here the two are separate exponentials, at a random x and at every atom
+@settings(max_examples=60, deadline=None)
+@given(
+    segment_chains(),
+    st.floats(min_value=-30.0, max_value=-0.05, exclude_max=True),
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False),
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False),
+    st.data(),
+)
+def test_oscillatory_term_is_the_exponential_pair(h, lam, a, b, data):
+    g = identity(0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # L = h.hi may end a flat stretch
+        prob = HeatProblem(g, h, 0.7, 1.0, h.hi)
+    sol = general_solution(prob, [(lam, a, b)])
+    s = math.sqrt(-lam)
+    t = data.draw(st.floats(min_value=0.0, max_value=1.0))
+    w = gexp(g, lam * 0.49, 0.0, t)
+    atoms = [x for x, _gap in h.atoms_in(0.0, h.hi)]
+    for x in [data.draw(st.floats(min_value=0.0, max_value=h.hi))] + atoms:
+        ep, em = gexp(h, 1j * s, 0.0, x), gexp(h, -1j * s, 0.0, x)
+        want = w * (a * ep + b * em)
+        assert abs(sol(t, x) - want) <= 1e-12 * (1.0 + abs(want))
+        want = w * 1j * s * (a * ep - b * em)
+        assert abs(sol.dhx_rule(t, x) - want) <= 1e-12 * (1.0 + abs(want))
+    for x in atoms:
+        assert abs(sol.jump_residual_x(t, x)) <= 1e-9 * (1.0 + abs(sol(t, x)))
 
 
 def test_complex_eigenvalue_mode(prob_jumpy):
