@@ -3,20 +3,25 @@
 The measure splits exactly along the stored structure: atoms contribute
 f(t) * gap termwise, each affine segment contributes an ordinary weighted
 integral (density = slope), flat segments contribute nothing.  Only the
-smooth per-segment part needs quadrature.
+smooth per-segment part needs quadrature, which `quad` does with an adaptive
+Gauss-Kronrod 10/21 rule.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
+import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, EvaluationError, NonConvergenceError
 
 DEFAULT_TOL = 1e-10
+_EPS = sys.float_info.epsilon
 
 
 @dataclass
@@ -48,14 +53,92 @@ def _checked(f):
     return wrapped
 
 
-def _quad_real(f, lo, hi, eps):
-    out = quad(f, lo, hi, epsabs=eps, epsrel=1e-12, limit=200, full_output=1)
-    val, abserr = out[0], out[1]
-    if len(out) > 3 and abserr > max(10 * eps, 1e-13 * (1 + abs(val))):
-        raise NonConvergenceError(
-            f"quadrature on [{lo}, {hi}] did not reach tolerance: {out[3]}"
-        )
-    return val
+# QUADPACK's qk21 (Piessens et al., 1983): the 21-point Kronrod abscissae on
+# [0, 1] in decreasing order, the last one 0; the 10-point Gauss rule uses
+# every second one, starting from the second.
+_XGK = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+)
+_WGK = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077208980102141,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+# the rule on [-1, 1]: nodes -x_1 .. -x_10, 0, x_10 .. x_1, so that the Gauss
+# nodes sit at the odd positions
+_NODES = tuple(-x for x in _XGK[:10]) + _XGK[10::-1]
+_KRONROD = _WGK[:10] + _WGK[10::-1]
+_GAUSS = _WG + _WG[::-1]
+_MAX_PANELS = 200
+
+
+def _gk21(f, lo, hi):
+    """(Kronrod value, QUADPACK error estimate) of f on [lo, hi]."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fv = [f(mid + half * x) for x in _NODES]
+    resk = sum(map(operator.mul, _KRONROD, fv))
+    err = abs((resk - sum(map(operator.mul, _GAUSS, fv[1::2]))) * half)
+    mean = 0.5 * resk
+    resasc = abs(half) * sum([w * abs(v - mean) for w, v in zip(_KRONROD, fv)])
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    return resk * half, err
+
+
+def quad(f, lo, hi, eps):
+    """Adaptive Gauss-Kronrod 10/21 integral of f over [lo, hi].
+
+    f returns real or complex scalars.  The panel with the largest error
+    estimate is bisected until the summed estimate is at most
+    max(eps, 1e-12 |integral|); 200 panels, or a panel too narrow to split
+    in floating point, raise NonConvergenceError.
+    """
+    val, err = _gk21(f, lo, hi)
+    panels = [(-err, lo, hi, val)]  # a heap: the worst panel first
+    total, errsum = val, err
+    while errsum > max(eps, 1e-12 * abs(total)):
+        a, b = panels[0][1:3]
+        # the halves of a narrower panel would round their outer nodes onto
+        # their ends
+        if len(panels) >= _MAX_PANELS or b - a <= 1e4 * _EPS * max(abs(a), abs(b)):
+            raise NonConvergenceError(
+                f"quadrature on [{lo}, {hi}] did not reach tolerance: error "
+                f"estimate {errsum:.3g} > {max(eps, 1e-12 * abs(total)):.3g} after "
+                f"{len(panels)} panels (worst panel [{a}, {b}])"
+            )
+        heapq.heappop(panels)
+        m = 0.5 * (a + b)
+        for x, y in ((a, m), (m, b)):
+            v, e = _gk21(f, x, y)
+            heapq.heappush(panels, (-e, x, y, v))
+        total = sum(p[3] for p in panels)
+        errsum = sum(-p[0] for p in panels)
+    return total
 
 
 def _affine_spans(d, a, b):
@@ -89,18 +172,16 @@ def integrate(f, a, b, d, tol=DEFAULT_TOL):
             total += func(t) * gap
 
     spans = _affine_spans(d, a, b)
-    if spans:
-        eps = tol / len(spans)
-        probe = func(0.5 * (spans[0][0] + spans[0][1]))
-        if isinstance(probe, complex) or isinstance(total, complex):
-            for lo, hi, slope in spans:
-                re = _quad_real(lambda s: func(s).real, lo, hi, eps)
-                im = _quad_real(lambda s: func(s).imag, lo, hi, eps)
-                total += slope * complex(re, im)
-        else:
-            for lo, hi, slope in spans:
-                total += slope * _quad_real(func, lo, hi, eps)
+    for lo, hi, slope in spans:
+        total += slope * quad(func, lo, hi, tol / len(spans))
     return total
+
+
+@functools.cache
+def _gauss_legendre_64():
+    """The 64-point Gauss-Legendre (node, weight) pairs on [-1, 1]."""
+    z, w = np.polynomial.legendre.leggauss(64)
+    return tuple(zip(z, w))
 
 
 def integrate_gauss(f, a, b, d):
@@ -110,11 +191,11 @@ def integrate_gauss(f, a, b, d):
     noise that adaptive subdivision chases forever.  Atoms contribute their
     left value times the gap.
     """
-    z, w = np.polynomial.legendre.leggauss(64)
+    rule = _gauss_legendre_64()
     total = 0.0
     for lo, hi, slope in _affine_spans(d, a, b):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        total += slope * half * sum(wi * f(mid + half * zi) for zi, wi in zip(z, w))
+        total += slope * half * sum(wi * f(mid + half * zi) for zi, wi in rule)
     for t, gap in d.atoms_in(a, b):
         total += f(t) * gap
     return total

@@ -466,6 +466,42 @@ def test_numeric_failure_exits_4(capsys, spec_file):
         assert err.startswith("numeric failure:")
 
 
+def test_singular_time_rate_exits_4(capsys, spec_file, monkeypatch):
+    # a product-case time factor whose rate 1/(s - lo) has no integral on the
+    # first affine piece: the quadrature does not converge
+    from stieltjes_heat import heat2d
+
+    class Singular(heat2d.ExpFactor):
+        def __init__(self, d, rate, tol=1e-10):
+            super().__init__(d, lambda s: 1.0 / (s - d.lo), tol)
+
+    monkeypatch.setattr(heat2d, "ExpFactor", Singular)
+    rc, out, err = run(capsys, ["eval", spec_file(product_spec()), "--grid", "3x3"])
+    assert rc == 4 and out == ""
+    assert err.startswith("numeric failure: quadrature on [0.0, ")
+    assert "did not reach tolerance" in err
+
+
+def test_check_ftc_stall_is_a_fail_row(capsys, spec_file, monkeypatch):
+    # gderiv stalls on the two FTC rows only (a ladder capped below its
+    # minimum length); check reports them as FAIL rows and exits 1, not 4
+    from stieltjes_heat.gderiv import DiffConfig, gderiv
+
+    def stalling(f, t, d, cfg=None):
+        if f.__qualname__.startswith(("indefinite.", "_check_ftc.")):
+            cfg = DiffConfig(max_levels=2, min_levels=3)
+        return gderiv(f, t, d, cfg)
+
+    monkeypatch.setattr(cli, "gderiv", stalling)
+    rc, out, _ = run(capsys, ["check", spec_file(jumpy_ivp_spec())])
+    assert rc == 1
+    rows = check_rows(out)
+    ftc = [name for name in rows if name.startswith("ftc-")]
+    assert len(ftc) == 4 and all(rows[name] == "FAIL" for name in ftc)
+    assert all(v == "PASS" for k, v in rows.items() if k not in ftc)
+    assert out.count("extrapolation to step 0 stalled") == 4
+
+
 def test_non_integer_count_exits_3(capsys, spec_file):
     spec = gpoly_spec()
     spec["gpoly-series"]["N"] = "forty"

@@ -1,0 +1,136 @@
+"""The adaptive Gauss-Kronrod rule behind `integrate`, held against QUADPACK.
+
+tests/data/qags_reference.json freezes 200 Stieltjes integrals computed with
+QAGS (see tests/data/make_qags_reference.py, the only file that writes it);
+`integrate` must reproduce each within 1e-12 (1 + |ref|).  When scipy is
+installed, the same comparison also runs live on random `segment_chains()`.
+"""
+
+import importlib.util
+import json
+import math
+import os
+import pathlib
+import random
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from conftest import segment_chains
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stieltjes_heat import Derivator, Integrand, identity, integrate, lsintegral
+from stieltjes_heat.errors import NonConvergenceError
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+_spec = importlib.util.spec_from_file_location("make_qags_reference",
+                                               DATA / "make_qags_reference.py")
+ref = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ref)
+
+
+def _gap(got, want):
+    return abs(got - want) / (1.0 + abs(want))
+
+
+def test_integrate_matches_frozen_qags():
+    cases = json.loads((DATA / "qags_reference.json").read_text())["cases"]
+    assert len(cases) == 200
+    bad = []
+    for i, c in enumerate(cases):
+        f = ref.FAMILIES[c["family"]](c["params"])
+        got = integrate(Integrand(f, c["exclude_atoms"]), c["a"], c["b"],
+                        Derivator.from_pieces(c["pieces"]))
+        want = complex(*c["ref"]) if isinstance(c["ref"], list) else c["ref"]
+        if not _gap(got, want) <= 1e-12:
+            bad.append((i, c["family"], got, want))
+    assert not bad
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=segment_chains(), seed=st.integers(0, 2**32 - 1), exclude=st.booleans())
+def test_integrate_matches_live_qags(d, seed, exclude):
+    pytest.importorskip("scipy.integrate")
+    rng = random.Random(seed)
+    a, b = ref.random_interval(rng, d)
+    family, params = ref.random_integrand(rng, d)
+    f = ref.FAMILIES[family](params)
+    want = ref.qags_stieltjes(f, a, b, d, exclude)
+    assert _gap(integrate(Integrand(f, exclude), a, b, d), want) <= 1e-12
+
+
+def test_rule_is_exact_on_polynomials():
+    # Kronrod 21 integrates degree <= 31 exactly, its Gauss 10 degree <= 19
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        xs = np.array(lsintegral._NODES)
+        assert abs(np.dot(lsintegral._KRONROD, xs**k) - exact) < 1e-15
+        if k < 20:
+            assert abs(np.dot(lsintegral._GAUSS, xs[1::2] ** k) - exact) < 1e-15
+
+
+@pytest.mark.parametrize("f, lo, hi, calls", [
+    (lambda s: math.sin(s) + 0.25 * s, 0.0, 2.0, 21),
+    (lambda s: math.cos(9 * s) * math.exp(-s), 0.0, 3.0, 147),
+    (lambda s: math.cos(40 * s), 0.0, 3.0, 651),
+    (lambda s: 1.0 / (1.0 + s) ** 2, 0.0, 5.0, 105),
+])
+def test_panels_match_qags(f, lo, hi, calls):
+    # QAGS (epsabs 1e-10, epsrel 1e-12) spends the same number of integrand
+    # calls on these: the error estimate and the stop rule are QUADPACK's
+    seen = []
+    lsintegral.quad(lambda s: seen.append(s) or f(s), lo, hi, 1e-10)
+    assert len(seen) == calls
+
+
+def test_complex_integrand_is_one_pass():
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return complex(np.cos(3 * s), np.sin(3 * s))
+
+    got = lsintegral.quad(f, 0.0, 1.0, 1e-10)
+    assert abs(got - (np.exp(3j) - 1) / 3j) < 1e-14
+    assert len(calls) == 21  # one panel, real and imaginary parts together
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 0.7), (1.3, 2.0), (-0.9, 0.4)])
+def test_singular_integrand_does_not_converge(lo, hi):
+    # 1/(s - lo) has no integral on an affine piece starting at lo: the panel
+    # cap (lo = 0) or the narrowest splittable panel (lo != 0) ends the search
+    d = identity(-1.0, 3.0)
+    with pytest.raises(NonConvergenceError) as e:
+        integrate(lambda s: 1.0 / (s - lo), lo, hi, d)
+    assert f"quadrature on [{lo}, {hi}]" in str(e.value)
+    assert "panels" in str(e.value)
+
+
+def test_gauss_legendre_table_is_built_once(monkeypatch, jump_g):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: calls.append(n) or leggauss(n))
+    lsintegral._gauss_legendre_64.cache_clear()
+    first = lsintegral.integrate_gauss(np.cos, 0.0, 1.5, jump_g)
+    assert lsintegral.integrate_gauss(np.cos, 0.0, 1.5, jump_g) == first
+    assert calls == [64]
+
+
+def test_cli_never_imports_scipy():
+    code = (
+        "import sys\n"
+        "from stieltjes_heat import cli\n"
+        "rcs = [cli.main([cmd, spec, *extra]) for spec in sys.argv[1:]\n"
+        "       for cmd, extra in (('eval', ['--grid', '5x5']), ('check', []))]\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'], rcs)\n"
+    )
+    specs = sorted(str(p) for p in (ROOT / "demos" / "specs").glob("*.json"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code, *specs], capture_output=True,
+                         text=True, env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[] " + str([0] * 2 * len(specs))
