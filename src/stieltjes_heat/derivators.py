@@ -68,11 +68,13 @@ class Derivator:
         self.lo = segments[0].lo
         self.hi = segments[-1].hi
 
-        # lookup tables
+        # lookup tables: numpy arrays for eval_array, lists for scalar queries
         self._bk = np.array([s.lo for s in segments[1:]])  # internal breakpoints
         self._bk_list = [s.lo for s in segments[1:]]
         self._slope = np.array([s.slope for s in segments])
         self._icept = np.array([s.intercept for s in segments])
+        self._slope_list = [s.slope for s in segments]
+        self._icept_list = [s.intercept for s in segments]
         self._atom_t = [t for t, _ in self.atoms]
         self._atom_gap = {t: gap for t, gap in self.atoms}
         self._runs = self._constancy_runs(segments, set(self._atom_t))
@@ -169,6 +171,8 @@ class Derivator:
     # -- basic queries -----------------------------------------------------
 
     def _check_domain(self, t):
+        if self.lo <= t <= self.hi:
+            return t
         fuzz = 1e-9 * (1.0 + abs(self.lo) + abs(self.hi))
         if t < self.lo - fuzz or t > self.hi + fuzz:
             raise DomainError(f"t={t} outside derivator domain [{self.lo}, {self.hi}]")
@@ -184,7 +188,7 @@ class Derivator:
     def eval(self, t):
         t = self._check_domain(float(t))
         i = self._seg_index(t)
-        return float(self._slope[i] * t + self._icept[i])
+        return self._slope_list[i] * t + self._icept_list[i]
 
     def eval_array(self, ts):
         ts = np.asarray(ts, dtype=float)
@@ -221,12 +225,18 @@ class Derivator:
             raise DomainError(f"measure needs a <= b, got [{a}, {b})")
         return self.eval(b) - self.eval(a)
 
+    def exp_data(self, a, b):
+        """(atoms in [a, b), continuous measure of [a, b)): all that an
+        exponential at a constant rate reads of the derivator."""
+        atoms = self.atoms_in(a, b)
+        m = self.measure(a, b)
+        for _, gap in atoms:
+            m -= gap
+        return atoms, max(m, 0.0)
+
     def continuous_measure(self, a, b):
         """Measure of [a, b) with the atom masses removed."""
-        m = self.measure(a, b)
-        for _, gap in self.atoms_in(a, b):
-            m -= gap
-        return max(m, 0.0)
+        return self.exp_data(a, b)[1]
 
     def constancy_run(self, t):
         """The open interval (a, b) of the constancy set containing t, or None."""

@@ -18,7 +18,7 @@ import numpy as np
 from .derivators import Derivator, regular_points
 from .errors import DivergenceError, DomainError, GateError, InvariantError
 from .gderiv import HeatResidual, _atom_gap
-from .special import gcos_series, gexp, gexp_right_limit, gsin_series
+from .special import exp_walk, gcos_series, gsin_series
 
 __all__ = [
     "HeatProblem",
@@ -103,31 +103,31 @@ class SeparatedTerm:
         else:
             self._s = math.sqrt(z.real) if z.imag == 0.0 else cmath.sqrt(z)
 
-    def w(self, t, right=False):
-        """Time factor exp_g(lam c^2; 0, t), or its right limit at t."""
+    def w(self, tw, gap=0.0):
+        """exp_g(lam c^2; 0, t) from tw = g.exp_data(0, t), or its right limit
+        at t when gap = g.jump(t) > 0."""
         if self.lam == 0:
             return 1.0
-        exp = gexp_right_limit if right else gexp
-        return exp(self.problem.g, self.rate, 0.0, t)
+        return exp_walk(self.rate, tw, gap)
 
-    def _pair(self, x, right):
+    def _pair(self, xw, gap):
         """(exp_h(s; 0, x), exp_h(-s; 0, x)), or their right limits at x."""
-        h, s = self.problem.h, self._s
-        exp = gexp_right_limit if right else gexp
-        ep = exp(h, s, 0.0, x)
-        return ep, (ep.conjugate() if self._conj else exp(h, -s, 0.0, x))
+        s = self._s
+        ep = exp_walk(s, xw, gap)
+        return ep, (ep.conjugate() if self._conj else exp_walk(-s, xw, gap))
 
-    def v(self, x):
+    def v(self, x, xw):
+        """v(x) from xw = h.exp_data(0, x); a lam = 0 term reads h(x) instead."""
         if self.lam == 0:
             return self.a + self.b * self.problem.h.eval(x)
-        ep, em = self._pair(x, False)
+        ep, em = self._pair(xw, 0.0)
         return self.a * ep + self.b * em
 
-    def dv(self, x, right=False):
-        """d_h v at x, or its right limit (they differ only at atoms of h)."""
+    def dv(self, xw, gap=0.0):
+        """d_h v at x, or its right limit when gap = h.jump(x) > 0."""
         if self.lam == 0:
             return self.b
-        ep, em = self._pair(x, right)
+        ep, em = self._pair(xw, gap)
         return self._s * (self.a * ep - self.b * em)
 
 
@@ -145,26 +145,38 @@ class HeatSolution(HeatResidual):
         self.problem = problem
         self.g, self.h, self.c = problem.g, problem.h, problem.c
         self.terms = tuple(_as_term(problem, tm) for tm in terms)
+        self._walks_needed = any(tm.lam != 0 for tm in self.terms)
+
+    def _walks(self, t, x):
+        """g walked to t and h to x once for all terms (lam = 0 reads none)."""
+        if not self._walks_needed:
+            return None, None
+        return self.g.exp_data(0.0, t), self.h.exp_data(0.0, x)
 
     def __call__(self, t, x):
-        return _tidy(sum((tm.w(t) * tm.v(x) for tm in self.terms), 0.0))
+        tw, xw = self._walks(t, x)
+        return _tidy(sum((tm.w(tw) * tm.v(x, xw) for tm in self.terms), 0.0))
 
     def initial(self, x):
         return self(0.0, x)
 
     def dgt_rule(self, t, x):
-        return _tidy(sum((tm.rate * tm.w(t) * tm.v(x) for tm in self.terms), 0.0))
+        tw, xw = self._walks(t, x)
+        return _tidy(sum((tm.rate * tm.w(tw) * tm.v(x, xw) for tm in self.terms), 0.0))
 
     def dhx_rule(self, t, x):
-        return _tidy(sum((tm.w(t) * tm.dv(x) for tm in self.terms), 0.0))
+        tw, xw = self._walks(t, x)
+        return _tidy(sum((tm.w(tw) * tm.dv(xw) for tm in self.terms), 0.0))
 
     def dhx2_rule(self, t, x):
-        return _tidy(sum((tm.lam * tm.w(t) * tm.v(x) for tm in self.terms), 0.0))
+        tw, xw = self._walks(t, x)
+        return _tidy(sum((tm.lam * tm.w(tw) * tm.v(x, xw) for tm in self.terms), 0.0))
 
     def jump_residual_t(self, t, x):
         """Exact atom-row residual in time: jump quotient minus c^2 d_h^2 u."""
         gap = _atom_gap(self.g, t, "t")
-        up = sum((tm.w(t, right=True) * tm.v(x) for tm in self.terms), 0.0)
+        tw, xw = self._walks(t, x)
+        up = sum((tm.w(tw, gap) * tm.v(x, xw) for tm in self.terms), 0.0)
         quot = (up - self(t, x)) / gap
         return _tidy(quot - self.c**2 * self.dhx2_rule(t, x))
 
@@ -172,7 +184,8 @@ class HeatSolution(HeatResidual):
         """Exact atom-row residual in space: d_g u minus c^2 times the jump
         quotient of the first h-derivative."""
         gap = _atom_gap(self.h, x, "x")
-        dplus = sum((tm.w(t) * tm.dv(x, right=True) for tm in self.terms), 0.0)
+        tw, xw = self._walks(t, x)
+        dplus = sum((tm.w(tw) * tm.dv(xw, gap) for tm in self.terms), 0.0)
         quot = (dplus - self.dhx_rule(t, x)) / gap
         return _tidy(self.dgt_rule(t, x) - self.c**2 * quot)
 
@@ -256,10 +269,12 @@ def series_solution(problem, a_stream, b_stream, lam_stream, N, probe=(7, 7)):
     ts = [0.0] + regular_points(problem.g, 0.0, problem.T, nt)
     xs = [0.0] + regular_points(problem.h, 0.0, problem.L, nx)
     sup_value, sup_dgt, sup_dhx, sup_dhx2 = [], [], [], []
+    tws = [problem.g.exp_data(0.0, t) for t in ts]
+    xws = [(x, problem.h.exp_data(0.0, x)) for x in xs]
     for tm in terms:
-        wmax = max(abs(tm.w(t)) for t in ts)
-        vmax = max(abs(tm.v(x)) for x in xs)
-        dvmax = max(abs(tm.dv(x)) for x in xs)
+        wmax = max(abs(tm.w(tw)) for tw in tws)
+        vmax = max(abs(tm.v(x, xw)) for x, xw in xws)
+        dvmax = max(abs(tm.dv(xw)) for _, xw in xws)
         sup_value.append(wmax * vmax)
         sup_dgt.append(abs(tm.rate) * wmax * vmax)
         sup_dhx.append(wmax * dvmax)
@@ -291,8 +306,9 @@ def series_solution(problem, a_stream, b_stream, lam_stream, N, probe=(7, 7)):
 # -- periodic boundary machinery -----------------------------------------------
 
 
-def _periodic_gate(h, s, L):
-    return gexp(h, complex(0.0, -s), 0.0, L)
+def _periodic_gate(walk, s):
+    """exp_h(-is; 0, L) from walk = h.exp_data(0, L), shared by every s."""
+    return exp_walk(complex(0.0, -s), walk)
 
 
 def find_periodic_eigenvalues(problem, lam_range, count=8):
@@ -315,7 +331,8 @@ def find_periodic_eigenvalues(problem, lam_range, count=8):
         out.append(0.0)
     s_max = math.sqrt(-lam_lo)
     s_min = math.sqrt(-lam_hi) if lam_hi < 0 else s_max * 1e-4
-    f = lambda s: _periodic_gate(h, s, L).imag
+    walk = h.exp_data(0.0, L)
+    f = lambda s: _periodic_gate(walk, s).imag
 
     def bisect(s1, s2, f1):
         while s2 - s1 > 1e-12:
@@ -341,7 +358,7 @@ def find_periodic_eigenvalues(problem, lam_range, count=8):
             root = s
         elif (prev_f < 0) != (fs < 0):
             root = bisect(prev_s, s, prev_f)
-        if root is not None and abs(_periodic_gate(h, root, L) - 1.0) < 1e-9:
+        if root is not None and abs(_periodic_gate(walk, root) - 1.0) < 1e-9:
             out.append(float(-root * root))
         prev_s, prev_f = s, fs
     return out[:count]
@@ -370,7 +387,7 @@ def periodic_solution(problem, lam):
         return HeatSolution(problem, [(0.0, 1.0, 0.0)])
     h, L = problem.h, problem.L
     s = math.sqrt(-lam)
-    gate = _periodic_gate(h, s, L)
+    gate = _periodic_gate(h.exp_data(0.0, L), s)
     if abs(gate - 1.0) >= 1e-9:
         raise GateError(
             f"exp_h(-sqrt(lam); 0, L) = {gate!r} is not 1 (defect "

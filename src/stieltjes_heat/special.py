@@ -32,6 +32,18 @@ def _rate(p):
     return lambda _t, _p=p: _p
 
 
+def exp_walk(p, walk, gap=0.0):
+    """exp_d(p; a, t) at a constant rate p from walk = d.exp_data(a, t), or
+    its right limit at t when gap = d.jump(t).  One walk serves every rate."""
+    atoms, cont = walk
+    prod = 1.0
+    for _s, g in atoms:
+        prod = prod * (1.0 + p * g)
+    cont = p * cont
+    val = prod * (cmath.exp(cont) if isinstance(cont, complex) else math.exp(cont))
+    return val * (1.0 + p * gap) if gap > 0.0 else val
+
+
 def gexp(d, p, a, t, tol=1e-10):
     """The Stieltjes exponential: product over atoms of (1 + p gap) times
     exp of the atom-free integral of p over [a, t).
@@ -41,19 +53,13 @@ def gexp(d, p, a, t, tol=1e-10):
     a, t = float(a), float(t)
     if t < a:
         raise DomainError(f"gexp needs t >= a, got a={a}, t={t}")
-    atoms = d.atoms_in(a, t)
-    if callable(p):
-        prod = 1.0
-        for s, gap in atoms:
-            prod = prod * (1.0 + p(s) * gap)
-        cont = integrate(Integrand(p, exclude_atoms=True), a, t, d, tol=tol)
-    else:
-        prod = 1.0
-        for _s, gap in atoms:
-            prod = prod * (1.0 + p * gap)
-        cont = p * d.continuous_measure(a, t)
-    e = cmath.exp(cont) if isinstance(cont, complex) else math.exp(cont)
-    return prod * e
+    if not callable(p):
+        return exp_walk(p, d.exp_data(a, t))
+    prod = 1.0
+    for s, gap in d.atoms_in(a, t):
+        prod = prod * (1.0 + p(s) * gap)
+    cont = integrate(Integrand(p, exclude_atoms=True), a, t, d, tol=tol)
+    return prod * (cmath.exp(cont) if isinstance(cont, complex) else math.exp(cont))
 
 
 def gexp_right_limit(d, p, a, t, tol=1e-10):

@@ -502,6 +502,24 @@ def test_check_ftc_stall_is_a_fail_row(capsys, spec_file, monkeypatch):
     assert out.count("extrapolation to step 0 stalled") == 4
 
 
+def test_check_residual_raise_is_a_fail_row(capsys, monkeypatch):
+    # the rule residual is 0 by construction: a numeric residual that raises
+    # must FAIL pde-residual, naming the point, not pass on a stand-in zero
+    from stieltjes_heat.errors import NonConvergenceError
+
+    def stalled(self, t, x):
+        raise NonConvergenceError("stalled on purpose")
+
+    monkeypatch.setattr(HeatSolution, "residual_numeric", stalled)
+    rc, out, _ = run(capsys, ["check", str(SPECS / "worked_ivp.json")])
+    assert rc == 1
+    rows = check_rows(out)
+    assert rows["pde-residual"] == "FAIL"
+    assert all(v == "PASS" for k, v in rows.items() if k != "pde-residual")
+    row = next(ln for ln in out.splitlines() if "pde-residual" in ln)
+    assert "numeric residual at (t, x) = (" in row and "stalled on purpose" in row
+
+
 def test_non_integer_count_exits_3(capsys, spec_file):
     spec = gpoly_spec()
     spec["gpoly-series"]["N"] = "forty"

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from conftest import segment_chains
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,10 +28,28 @@ def test_left_continuity_at_breakpoint_without_atom(plateau_h):
     assert plateau_h.right_limit(1.5) == 4.0
 
 
-def test_eval_array_matches_scalar(plateau_h):
+@settings(max_examples=60, deadline=None)
+@given(segment_chains())
+def test_eval_array_matches_scalar(plateau_h, d):
     ts = [0.0, 0.3, 1.0, 1.2, 1.5, 1.7, 2.5]
     out = plateau_h.eval_array(ts)
     assert list(out) == [plateau_h.eval(t) for t in ts]
+    # the list-based scalar path and the numpy path agree bit for bit at the
+    # breakpoints, the atoms and both domain ends pushed out by half the fuzz
+    fuzz = 1e-9 * (1.0 + abs(d.lo) + abs(d.hi))
+    ts = sorted({s.lo for s in d.segments} | {t for t, _ in d.atoms}
+                | {d.hi, d.lo - fuzz / 2, d.hi + fuzz / 2})
+    assert [float(v).hex() for v in d.eval_array(ts)] == [d.eval(t).hex() for t in ts]
+    # the walk's continuous measure subtracts the gaps from the measure in
+    # atom order, as continuous_measure always has
+    for i, a in enumerate(ts):
+        for b in ts[i:]:
+            m = d.measure(a, b)
+            for _, gap in d.atoms_in(a, b):
+                m -= gap
+            atoms, cont = d.exp_data(a, b)
+            assert atoms == d.atoms_in(a, b)
+            assert cont.hex() == max(m, 0.0).hex() == d.continuous_measure(a, b).hex()
 
 
 def test_domain_is_enforced(jump_g):

@@ -21,6 +21,7 @@ from stieltjes_heat import (
     find_periodic_eigenvalues,
     general_solution,
     gexp,
+    gexp_right_limit,
     gsin_gcos,
     identity,
     neumann_solution,
@@ -135,6 +136,100 @@ def test_oscillatory_term_is_the_exponential_pair(h, lam, a, b, data):
         assert abs(sol.dhx_rule(t, x) - want) <= 1e-12 * (1.0 + abs(want))
     for x in atoms:
         assert abs(sol.jump_residual_x(t, x)) <= 1e-9 * (1.0 + abs(sol(t, x)))
+
+
+@st.composite
+def separated_terms(draw):
+    """(lam, a, b) of each kind: lam > 0, real lam < 0 with conjugate
+    coefficients, complex lam, and lam = 0 (a + b h(x))."""
+    coef = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    kind = draw(st.sampled_from(["pos", "neg", "complex", "zero"]))
+    if kind == "zero":
+        return 0.0, draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    a = draw(coef)
+    if kind == "pos":
+        return draw(st.floats(0.05, 5.0)), a, draw(coef)
+    if kind == "neg":
+        return draw(st.floats(-5.0, -0.05)), a, a.conjugate()
+    im = draw(st.floats(0.1, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    return complex(draw(st.floats(-3.0, 3.0)), im), a, draw(coef)
+
+
+def _per_term_sums(prob, terms, t, x):
+    """The solution's values, rules and atom residuals summed term by term
+    from gexp and gexp_right_limit, each exponential on its own."""
+    g, h, c2 = prob.g, prob.h, prob.c**2
+
+    def tidy(z):
+        return z.real if isinstance(z, complex) and z.imag == 0.0 else z
+
+    def w(lam, right=False):
+        exp = gexp_right_limit if right else gexp
+        return 1.0 if lam == 0 else exp(g, lam * c2, 0.0, t)
+
+    def v_dv(lam, a, b, right=False):
+        if lam == 0:
+            return a + b * h.eval(x), b
+        z = complex(lam)
+        conj = z.imag == 0.0 and z.real < 0.0
+        s = 1j * math.sqrt(-z.real) if conj else (
+            math.sqrt(z.real) if z.imag == 0.0 else cmath.sqrt(z))
+        exp = gexp_right_limit if right else gexp
+        ep = exp(h, s, 0.0, x)
+        em = ep.conjugate() if conj else exp(h, -s, 0.0, x)
+        return a * ep + b * em, s * (a * ep - b * em)
+
+    out = {
+        "u": tidy(sum((w(lam) * v_dv(lam, a, b)[0] for lam, a, b in terms), 0.0)),
+        "dgt": tidy(sum((lam * c2 * w(lam) * v_dv(lam, a, b)[0]
+                         for lam, a, b in terms), 0.0)),
+        "dhx": tidy(sum((w(lam) * v_dv(lam, a, b)[1] for lam, a, b in terms), 0.0)),
+        "dhx2": tidy(sum((lam * w(lam) * v_dv(lam, a, b)[0]
+                          for lam, a, b in terms), 0.0)),
+    }
+    gap = g.jump(t)
+    if gap > 0.0:
+        up = sum((w(lam, True) * v_dv(lam, a, b)[0] for lam, a, b in terms), 0.0)
+        out["jump_t"] = tidy((up - out["u"]) / gap - c2 * out["dhx2"])
+    gap = h.jump(x)
+    if gap > 0.0:
+        dplus = sum((w(lam) * v_dv(lam, a, b, True)[1] for lam, a, b in terms), 0.0)
+        out["jump_x"] = tidy(out["dgt"] - c2 * ((dplus - out["dhx"]) / gap))
+    return out
+
+
+# every term reads one shared walk of g and of h; the sums must not move by
+# a single bit from the term-by-term exponentials
+@settings(max_examples=40, deadline=None)
+@given(
+    segment_chains(),
+    segment_chains(),
+    st.lists(separated_terms(), min_size=1, max_size=4),
+    st.floats(min_value=0.2, max_value=1.5),
+    st.data(),
+)
+def test_shared_walks_are_bit_identical_to_per_term_exponentials(g, h, terms, c, data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # T, L may end a flat stretch
+        prob = HeatProblem(g, h, c, g.hi, h.hi)
+    sol = general_solution(prob, terms)
+
+    def points(d):
+        breaks = {s.lo for s in d.segments} | {d.hi}
+        pts = sorted(p for p in breaks | {t for t, _ in d.atoms} if p >= 0.0)
+        return [data.draw(st.floats(min_value=0.0, max_value=d.hi))] + pts
+
+    for t in points(g):
+        for x in points(h):
+            want = _per_term_sums(prob, terms, t, x)
+            got = {"u": sol(t, x), "dgt": sol.dgt_rule(t, x),
+                   "dhx": sol.dhx_rule(t, x), "dhx2": sol.dhx2_rule(t, x)}
+            if "jump_t" in want:
+                got["jump_t"] = sol.jump_residual_t(t, x)
+            if "jump_x" in want:
+                got["jump_x"] = sol.jump_residual_x(t, x)
+            assert {k: repr(z) for k, z in got.items()} == {
+                k: repr(z) for k, z in want.items()}, (t, x)
 
 
 def test_complex_eigenvalue_mode(prob_jumpy):
