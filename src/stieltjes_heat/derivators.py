@@ -13,6 +13,7 @@ import bisect
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -75,6 +76,11 @@ class Derivator:
         self._icept = np.array([s.intercept for s in segments])
         self._slope_list = [s.slope for s in segments]
         self._icept_list = [s.intercept for s in segments]
+        # for advance_to_value: upper end values, and suffix minima of the lower
+        # ones, sorted even where a breakpoint value dips within _GAP_RTOL
+        self._hi_end = [s.value(s.hi) for s in segments]
+        lo_end = [s.value(s.lo) for s in reversed(segments)]
+        self._lo_min = list(accumulate(lo_end, min))[::-1]
         self._atom_t = [t for t, _ in self.atoms]
         self._atom_gap = {t: gap for t, gap in self.atoms}
         self._runs = self._constancy_runs(segments, set(self._atom_t))
@@ -273,19 +279,22 @@ class Derivator:
         gap are not attained.
         """
         tol = 1e-12 * (1.0 + abs(y))
-        for s in reversed(self.segments):
-            vlo, vhi = s.value(s.lo), s.value(s.hi)
-            if y > vhi + tol:
-                return None  # y sits in a jump gap (or above the range)
-            if y >= vlo - tol:
-                if s.kind == "flat":
-                    return s.hi
-                hit = min(max((y - s.intercept) / s.slope, s.lo), s.hi)
-                if hit <= s.lo and s.lo in self._atom_gap:
-                    # the segment's lower value is only a right limit there
-                    return None
-                return hit
-        return None
+        # scanning down, the first segment with y >= value(lo) - tol holds y,
+        # unless y > value(hi) + tol there (a jump gap, or above the range);
+        # bisect past every segment the scan could stop at, then step down
+        i = bisect.bisect_right(self._lo_min, y + 2.0 * tol) - 1
+        while i >= 0 and self._lo_min[i] - tol > y:
+            i -= 1
+        if i < 0 or self._hi_end[i] + tol < y:
+            return None
+        s = self.segments[i]
+        if s.kind == "flat":
+            return s.hi
+        hit = min(max((y - s.intercept) / s.slope, s.lo), s.hi)
+        if hit <= s.lo and s.lo in self._atom_gap:
+            # the segment's lower value is only a right limit there
+            return None
+        return hit
 
     # -- structure-level checks ---------------------------------------------
 

@@ -99,21 +99,18 @@ def right_limit_of(f, t, d, cfg=None):
     return _extrapolate(pairs(), cfg.tol, cfg.min_levels)
 
 
-def _room_forward(d, base, gb):
-    na = d.next_atom(base)
-    cap = d.eval(na) if na is not None else d.eval(d.hi)
-    return cap - gb
+def _rooms(d, base, gb):
+    """(forward, backward, backward cap) measure room around base, taken once
+    per quotient: up to the next atom or the top, down to the bottom or to the
+    open floor g(a+) of an atom a below, which the cap keeps clear of."""
+    na, pa = d.next_atom(base), d.prev_atom(base)
+    fwd = d.eval(d.hi if na is None else na) - gb
+    bwd = gb - (d.eval(d.lo) if pa is None else d.eval(pa) + d.jump(pa))
+    return fwd, bwd, bwd if pa is None else 0.95 * bwd
 
 
-def _room_backward(d, base, gb):
-    pa = d.prev_atom(base)
-    if pa is not None:
-        return gb - (d.eval(pa) + d.jump(pa))  # open: that value is a right limit
-    return gb - d.eval(d.lo)
-
-
-def _forward_sample(d, base, gb, eta):
-    room = _room_forward(d, base, gb)
+def _forward_sample(d, base, gb, eta, rooms):
+    room = rooms[0]
     if room <= _TINY * (1.0 + abs(gb)):
         return None
     s = d.advance_to_value(gb + min(eta, room))
@@ -123,10 +120,9 @@ def _forward_sample(d, base, gb, eta):
     return (s, actual) if actual > 0.0 else None
 
 
-def _backward_sample(d, base, gb, eta):
-    room = _room_backward(d, base, gb)
-    # keep clear of an open floor left by an atom
-    e = min(eta, 0.95 * room if d.prev_atom(base) is not None else room)
+def _backward_sample(d, base, gb, eta, rooms):
+    _, room, cap = rooms
+    e = min(eta, cap)
     if room <= _TINY * (1.0 + abs(gb)) or e <= 0.0:
         return None
     s = d.advance_to_value(gb - e)
@@ -136,24 +132,22 @@ def _backward_sample(d, base, gb, eta):
     return (s, actual) if actual > 0.0 else None
 
 
-def _one_sided(f, base, d, cfg, side):
-    gb = d.eval(base)
+def _one_sided(f, base, d, cfg, side, gb, rooms):
     fb = f(base)
     sampler = _forward_sample if side > 0 else _backward_sample
-    probe = sampler(d, base, gb, cfg.step0)
+    probe = sampler(d, base, gb, cfg.step0, rooms)
     if probe is None:
         raise DomainError(
             f"no measure room on side {side:+d} of t={base} for a one-sided quotient"
         )
-    room = (_room_forward if side > 0 else _room_backward)(d, base, gb)
     # start below the room: clipped levels all land on the same sample and
     # poison the extrapolation table
-    eta0 = min(cfg.step0, 0.9 * room)
+    eta0 = min(cfg.step0, 0.9 * rooms[0 if side > 0 else 1])
 
     def pairs():
         eta = eta0
         for _ in range(cfg.max_levels):
-            got = sampler(d, base, gb, eta)
+            got = sampler(d, base, gb, eta, rooms)
             if got is not None:
                 s, actual = got
                 yield actual, (f(s) - fb) / (actual * side)
@@ -162,19 +156,14 @@ def _one_sided(f, base, d, cfg, side):
     return _extrapolate(pairs(), cfg.tol, cfg.min_levels)
 
 
-def _central(f, t, d, cfg):
-    gb = d.eval(t)
-    eta0 = min(
-        cfg.step0,
-        0.9 * _room_forward(d, t, gb),
-        0.9 * _room_backward(d, t, gb),
-    )
+def _central(f, t, d, cfg, gb, rooms):
+    eta0 = min(cfg.step0, 0.9 * rooms[0], 0.9 * rooms[1])
 
     def pairs():
         eta = eta0
         for _ in range(cfg.max_levels):
-            fwd = _forward_sample(d, t, gb, eta)
-            bwd = _backward_sample(d, t, gb, eta)
+            fwd = _forward_sample(d, t, gb, eta, rooms)
+            bwd = _backward_sample(d, t, gb, eta, rooms)
             if fwd is not None and bwd is not None:
                 sp, ap = fwd
                 sm, am = bwd
@@ -208,16 +197,18 @@ def gderiv(f, t, d, cfg=None):
             raise DomainError(
                 f"constancy run ending at the domain edge t={b} has no derivative data"
             )
-        return _one_sided(f, b, d, cfg, +1)
+        gb = d.eval(b)
+        return _one_sided(f, b, d, cfg, +1, gb, _rooms(d, b, gb))
     gb = d.eval(t)
-    has_fwd = _forward_sample(d, t, gb, cfg.step0) is not None
-    has_bwd = _backward_sample(d, t, gb, cfg.step0) is not None
+    rooms = _rooms(d, t, gb)
+    has_fwd = _forward_sample(d, t, gb, cfg.step0, rooms) is not None
+    has_bwd = _backward_sample(d, t, gb, cfg.step0, rooms) is not None
     if has_fwd and has_bwd:
-        return _central(f, t, d, cfg)
+        return _central(f, t, d, cfg, gb, rooms)
     if has_fwd:
-        return _one_sided(f, t, d, cfg, +1)
+        return _one_sided(f, t, d, cfg, +1, gb, rooms)
     if has_bwd:
-        return _one_sided(f, t, d, cfg, -1)
+        return _one_sided(f, t, d, cfg, -1, gb, rooms)
     raise DomainError(f"no measure room around t={t} for a difference quotient")
 
 
@@ -232,11 +223,17 @@ def gderiv2(f, t, d):
     return gderiv(D, t, d, DEFAULT_OUTER)
 
 
+def _residual(along_t, along_x, t, x, g, h, c):
+    """heat_residual on the slices along_t(x) = u(., x), along_x(t) = u(t, .)."""
+    du = gderiv(along_t(x), t, g)
+    d2 = gderiv2(along_x(t), x, h)
+    return du - c * c * d2
+
+
 def heat_residual(u, t, x, g, h, c):
     """Pointwise residual d_g u - c^2 d_h^2 u from raw difference quotients."""
-    du = gderiv(lambda s: u(s, x), t, g)
-    d2 = gderiv2(lambda y: u(t, y), x, h)
-    return du - c * c * d2
+    return _residual(lambda x: lambda s: u(s, x), lambda t: lambda y: u(t, y),
+                     t, x, g, h, c)
 
 
 def _atom_gap(d, s, name):
@@ -259,8 +256,16 @@ class HeatResidual:
     def residual_rule(self, t, x):
         return self.dgt_rule(t, x) - self.c**2 * self.dhx2_rule(t, x)
 
+    def along_t(self, x):
+        """s -> u(s, x), the slice the time quotients differentiate."""
+        return lambda s: self(s, x)
+
+    def along_x(self, t):
+        """y -> u(t, y), the slice the space quotients differentiate."""
+        return lambda y: self(t, y)
+
     def residual_numeric(self, t, x):
-        return heat_residual(self, t, x, self.g, self.h, self.c)
+        return _residual(self.along_t, self.along_x, t, x, self.g, self.h, self.c)
 
     def residual(self, t, x, mode="rule"):
         if mode == "rule":

@@ -145,17 +145,33 @@ class HeatSolution(HeatResidual):
         self.problem = problem
         self.g, self.h, self.c = problem.g, problem.h, problem.c
         self.terms = tuple(_as_term(problem, tm) for tm in terms)
-        self._walks_needed = any(tm.lam != 0 for tm in self.terms)
 
     def _walks(self, t, x):
-        """g walked to t and h to x once for all terms (lam = 0 reads none)."""
-        if not self._walks_needed:
-            return None, None
+        """g walked to t and h to x once for all terms.  lam = 0 terms read
+        neither, but the walks refuse the same points for every solution."""
         return self.g.exp_data(0.0, t), self.h.exp_data(0.0, x)
 
     def __call__(self, t, x):
         tw, xw = self._walks(t, x)
         return _tidy(sum((tm.w(tw) * tm.v(x, xw) for tm in self.terms), 0.0))
+
+    def _ws(self, t):
+        tw = self.g.exp_data(0.0, t)
+        return [tm.w(tw) for tm in self.terms]
+
+    def _vs(self, x):
+        xw = self.h.exp_data(0.0, x)
+        return [tm.v(x, xw) for tm in self.terms]
+
+    def along_t(self, x):
+        """s -> u(s, x) with every term's v(x) taken once."""
+        vs = self._vs(x)
+        return lambda s: _tidy(sum((w * v for w, v in zip(self._ws(s), vs)), 0.0))
+
+    def along_x(self, t):
+        """y -> u(t, y) with every term's w(t) taken once."""
+        ws = self._ws(t)
+        return lambda y: _tidy(sum((w * v for w, v in zip(ws, self._vs(y))), 0.0))
 
     def initial(self, x):
         return self(0.0, x)

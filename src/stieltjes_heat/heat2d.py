@@ -365,6 +365,11 @@ class GPolySolution(HeatResidual):
     def __call__(self, t, x):
         return self._form(self._gv(t), self.A, self._hv(x))
 
+    def along_x(self, t):
+        """y -> u(t, y) with g(t)^T A taken once, the first product _form makes."""
+        gA = self._gv(t) @ self.A
+        return lambda y: (gA @ self._hv(y)[: self.A.shape[1]]).item()
+
     def dgt_rule(self, t, x):
         # the row shift (m + 1) a_{m+1,n} equals c^2 (n+2)(n+1) a_{m,n+2}
         return self.c**2 * self.dhx2_rule(t, x)

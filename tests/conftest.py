@@ -3,13 +3,15 @@
 `jump_g`/`plateau_h` are the canonical worked-example drivers (one interior
 atom each, `plateau_h` also has a flat stretch).  `staircase` and `flatstep`
 satisfy the translation condition exactly; `mixed` stacks every segment kind.
-`segment_chains` is the hypothesis strategy for random derivators.
+`segment_chains` is the hypothesis strategy for random derivators, and
+`residual_both_routes` runs a numeric residual row through a solution's
+slices and through `heat_residual` on plain evaluations.
 """
 
 import pytest
 from hypothesis import strategies as st
 
-from stieltjes_heat import Derivator, HeatProblem, identity
+from stieltjes_heat import Derivator, HeatProblem, StieltjesError, heat_residual, identity
 
 
 @pytest.fixture(scope="session")
@@ -109,3 +111,41 @@ def segment_chains(draw, atoms=True):
             level += slope * length
         lo = hi
     return Derivator.from_pieces(pieces)
+
+
+def _outcome(fn):
+    try:
+        return repr(fn())
+    except StieltjesError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def residual_both_routes(sol, t, x):
+    """((outcome, u-evaluations) of sol.residual_numeric(t, x), the same of
+    heat_residual on the plain evaluation sol(s, y)).  An outcome is the repr
+    of the value, or the type and text of the error raised."""
+    n = [0, 0]
+
+    def counting(make):
+        def make_counted(v):
+            f = make(v)
+
+            def counted(z):
+                n[0] += 1
+                return f(z)
+
+            return counted
+
+        return make_counted
+
+    def plain_u(s, y):
+        n[1] += 1
+        return sol(s, y)
+
+    sol.along_t, sol.along_x = counting(sol.along_t), counting(sol.along_x)
+    try:
+        sliced = _outcome(lambda: sol.residual_numeric(t, x))
+    finally:
+        del sol.along_t, sol.along_x
+    plain = _outcome(lambda: heat_residual(plain_u, t, x, sol.g, sol.h, sol.c))
+    return (sliced, n[0]), (plain, n[1])

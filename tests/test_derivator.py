@@ -4,7 +4,7 @@ import math
 
 import pytest
 from conftest import segment_chains
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stieltjes_heat import Derivator, DomainError, SchemaError, identity, regular_points
@@ -103,6 +103,70 @@ def test_advance_to_value_inverts_eval(mixed):
     assert mixed.advance_to_value(1.1) is None
     # the flat level resolves to the right end of the rest
     assert mixed.advance_to_value(1.55) == 1.5
+
+
+def _scan_to_value(d, y):
+    """The reversed linear scan that advance_to_value replaced: the oracle."""
+    tol = 1e-12 * (1.0 + abs(y))
+    for s in reversed(d.segments):
+        vlo, vhi = s.value(s.lo), s.value(s.hi)
+        if y > vhi + tol:
+            return None
+        if y >= vlo - tol:
+            if s.kind == "flat":
+                return s.hi
+            hit = min(max((y - s.intercept) / s.slope, s.lo), s.hi)
+            if hit <= s.lo and s.lo in d._atom_gap:
+                return None
+            return hit
+    return None
+
+
+# a flat level, then a rise that starts 1.5e-11 below it: inside the
+# validation tolerance 1e-12 (1 + |left| + |right|), so no atom, but more than
+# tol(y) below, so the lower end values are out of order by more than a
+# bisection's margin covers unless it bisects their suffix minima
+_DIP = Derivator.from_pieces([("affine", 0.0, 1.0, 10.0, 0.0), ("flat", 1.0, 2.0, 10.0),
+                              ("affine", 2.0, 3.0, 1.0, 8.0 - 1.5e-11)])
+
+
+def _rise_to(level):
+    """A rise, then a flat level.  Just above 1 and just inside -1, y + tol(y)
+    and level - tol(y) round on different float spacings, so level <= y + tol
+    and the scan's level - tol <= y can disagree, either way round: a
+    bisection on y + tol without a margin misplaces y."""
+    return Derivator.from_pieces([("affine", 0.0, 1.0, 1.0, level - 1.0),
+                                  ("flat", 1.0, 2.0, level)])
+
+
+@settings(max_examples=150, deadline=None)
+@example(_DIP, 0.5)
+@example(_rise_to(1.0000000000007), 0.5)
+@example(_rise_to(-0.9999999999988939), 0.5)
+@given(segment_chains(), st.floats(min_value=0.0, max_value=1.0))
+def test_advance_to_value_matches_the_reversed_scan(d, frac):
+    ys = []
+    for s in d.segments:
+        for v in (s.value(s.lo), s.value(s.hi)):
+            # the end value, and nine floats around each y with y -/+ tol(y) = v
+            # for tol(y) = 1e-12 (1 + |y|), where the comparisons round
+            ys.append(v)
+            for k in (1e-12, -1e-12):
+                for y in ((v - k) / (1 + k), (v - k) / (1 - k)):
+                    for _ in range(4):
+                        y = math.nextafter(y, -math.inf)
+                    for _ in range(9):
+                        ys.append(y)
+                        y = math.nextafter(y, math.inf)
+        ys.append(s.value(s.lo + frac * (s.hi - s.lo)))  # inside; a flat level
+    for t, gap in d.atoms:
+        ys.append(d.eval(t) + frac * gap)  # strictly inside the jump gap, or its ends
+        ys.append(d.eval(t) + 0.5 * gap)
+    bottom, top = d.eval(d.lo), d.eval(d.hi)
+    ys += [bottom - 1.0, bottom - 1e-9, top + 1e-9, top + 1.0]
+    for y in ys:
+        got, want = d.advance_to_value(y), _scan_to_value(d, y)
+        assert repr(got) == repr(want), (y, got, want)
 
 
 def test_translation_condition(staircase, flatstep, jump_g, ident):

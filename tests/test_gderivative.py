@@ -82,6 +82,20 @@ def test_near_edge_points_still_converge(jump_g, mixed):
             assert abs(got - (-1.3 * math.sin(1.3 * t)) / slope) < 1e-6
 
 
+def test_point_just_right_of_an_atom_keeps_a_central_quotient(jump_g):
+    # at t = 0.52 the room down to the open floor g(0.5+) = 1.5 is 0.02 < step0;
+    # the backward probe stops 5% short of that floor and finds a sample, so
+    # the quotient stays two-sided (a probe onto the floor itself finds none)
+    seen = []
+
+    def f(s):
+        seen.append(s)
+        return math.sin(2.0 * s)
+
+    assert gderiv(f, 0.52, jump_g) == pytest.approx(2.0 * math.cos(1.04), abs=1e-8)
+    assert min(seen) < 0.52 and all(s > 0.5 for s in seen)
+
+
 def test_second_derivative(plateau_h):
     f = lambda x: gexp(plateau_h, 0.3, 0.0, x)
     for x in regular_points(plateau_h, 0.0, 2.5, 5):

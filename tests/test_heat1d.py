@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import segment_chains
+from conftest import residual_both_routes, segment_chains
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -230,6 +230,73 @@ def test_shared_walks_are_bit_identical_to_per_term_exponentials(g, h, terms, c,
                 got["jump_x"] = sol.jump_residual_x(t, x)
             assert {k: repr(z) for k, z in got.items()} == {
                 k: repr(z) for k, z in want.items()}, (t, x)
+
+
+# the slices the residual ladders differentiate take the fixed coordinate's
+# factors once; values, residual rows and u-evaluation counts must not move
+@settings(max_examples=25, deadline=None)
+@given(
+    segment_chains(),
+    segment_chains(),
+    st.lists(separated_terms(), min_size=1, max_size=4),
+    st.floats(min_value=0.2, max_value=1.5),
+    st.data(),
+)
+def test_slices_are_bit_identical_to_plain_evaluation(g, h, terms, c, data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # T, L may end a flat stretch
+        prob = HeatProblem(g, h, c, g.hi, h.hi)
+    sol = general_solution(prob, terms)
+
+    def points(d):
+        breaks = {s.lo for s in d.segments} | {d.hi}
+        return sorted(p for p in breaks | {t for t, _ in d.atoms} if p >= 0.0)
+
+    t = data.draw(st.floats(min_value=0.0, max_value=g.hi))
+    x = data.draw(st.floats(min_value=0.0, max_value=h.hi))
+    ux, ys = sol.along_x(t), points(h) + [x]
+    assert [repr(ux(y)) for y in ys] == [repr(sol(t, y)) for y in ys]
+    ut, ss = sol.along_t(x), points(g) + [t]
+    assert [repr(ut(s)) for s in ss] == [repr(sol(s, x)) for s in ss]
+    sliced, plain = residual_both_routes(sol, t, x)
+    assert sliced == plain
+
+
+def test_worked_example_residual_rows_match_the_plain_route(prob_jumpy):
+    sol = solve_ivp(prob_jumpy, IVP_SPEC)
+    for t in regular_points(prob_jumpy.g, 0.0, 1.0, 3):
+        for x in regular_points(prob_jumpy.h, 0.0, 2.0, 3):
+            sliced, plain = residual_both_routes(sol, t, x)
+            assert sliced == plain and sliced[1] > 100
+
+
+def test_lam0_only_solution_refuses_what_a_walk_refuses():
+    ident = identity(0.0, 1.0)
+    prob = HeatProblem(ident, ident, 1.0, 1.0, 1.0)
+    still = general_solution(prob, [(0.0, 1.0, 2.0)])
+    moving = general_solution(prob, [(0.0, 1.0, 2.0), (1.0, 1.0, 0.0)])
+    with pytest.raises(DomainError):
+        still(-7.0, 0.5)
+    with pytest.raises(DomainError):
+        still.dhx_rule(99.0, 42.0)
+
+    def refused(sol, t, x):
+        out = []
+        for f in (sol, sol.dgt_rule, sol.dhx_rule, sol.dhx2_rule,
+                  lambda t, x: sol.along_x(t)(x), lambda t, x: sol.along_t(x)(t)):
+            try:
+                f(t, x)
+                out.append(False)
+            except DomainError:
+                out.append(True)
+        return out
+
+    pts = [-7.0, -1e-12, -0.0, 0.0, 0.5, 1.0, 1.0 + 1e-10, 1.0 + 1e-6, 99.0]
+    for t in pts:
+        for x in pts:
+            want = refused(moving, t, x)
+            assert refused(still, t, x) == want, (t, x)
+            assert want == [not (0.0 <= t <= 1.0 + 1e-9 and 0.0 <= x <= 1.0 + 1e-9)] * 6
 
 
 def test_complex_eigenvalue_mode(prob_jumpy):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import residual_both_routes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -332,6 +333,24 @@ def test_complex_coefficients_supported(jump_g, plateau_h):
     assert a == pytest.approx(6.0 * alpha(3), rel=1e-12)  # (1+2)!/(1!1!) = 6
     u = sol(0.1, 0.5)
     assert isinstance(u, complex) and u.imag != 0.0
+
+
+@pytest.mark.parametrize("phase", [1.0, 1.0 + 0.5j])
+def test_gpoly_slices_are_bit_identical_to_plain_evaluation(jump_g, plateau_h, phase):
+    G = SumDerivator(jump_g, plateau_h)
+    sol, _ = gpoly_series_solution(G, lambda n: phase * INV_SQRT_FACT(n),
+                                   c=1.0, T=0.2, L=2.3, N=40)
+    ts = [0.0] + regular_points(jump_g, 0.0, 0.2, 3) + [0.2]
+    xs = [0.0] + regular_points(plateau_h, 0.0, 2.3, 3) + [1.5, 2.3]  # 1.5: an atom
+    for t in ts:
+        ux = sol.along_x(t)
+        assert [repr(ux(x)) for x in xs] == [repr(sol(t, x)) for x in xs]
+    for x in xs:
+        ut = sol.along_t(x)
+        assert [repr(ut(t)) for t in ts] == [repr(sol(t, x)) for t in ts]
+    for t, x in ((ts[1], xs[2]), (ts[3], xs[1])):
+        sliced, plain = residual_both_routes(sol, t, x)
+        assert sliced == plain and sliced[1] > 100
 
 
 def test_finite_alpha_list_is_polynomial(jump_g, plateau_h):
