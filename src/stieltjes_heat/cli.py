@@ -1,8 +1,8 @@
 """Command-line front end: solve problem specs, evaluate grids, emit CSV,
 and run the residual/invariant check suites.
 
-Exit codes are the machine contract: 0 success, 2 gate refusal, 3 parse or
-validation error, 4 numeric failure.  Stdout formats are documented but
+Exit codes are the machine contract: 0 success, 2 gate refusal, 3 usage,
+parse or validation error, 4 numeric failure.  Stdout formats are documented but
 advisory.
 """
 
@@ -26,9 +26,8 @@ from .errors import (
 )
 from .gderiv import gderiv
 from .heat1d import check_cos_condition, check_sin_condition, find_periodic_eigenvalues
-from .heat2d import _gate_verdict, radius_sigma
+from .heat2d import SpaceFactor, _gate_verdict, independence_determinant, radius_sigma
 from .lsintegral import indefinite, integrate_gauss
-from .ode import solve_second_order
 from .problems import load_problem, mode_params, scan_params, solve
 from .special import gexp, gsin_gcos
 
@@ -38,8 +37,15 @@ _NUMERIC_ERRORS = (NonConvergenceError, DivergenceError, NoSolutionError,
                    EvaluationError, OverflowError)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error instead of exiting 2, the gate-refusal code."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="stieltjes-heat",
         description="Heat equation with Stieltjes derivatives: solve problem "
         "specs, evaluate solution grids, scan eigenvalues, check invariants.",
@@ -57,9 +63,6 @@ def _parser():
                        help="evaluation grid resolution (default 21x21)")
         s.add_argument("--out", default=None, metavar="PATH",
                        help="write output to PATH instead of stdout")
-        s.add_argument("--tol", type=float, default=None, metavar="X",
-                       help="tolerance of the product-eigen ODE solve "
-                       "(the other modes are closed forms)")
         s.add_argument("--include-atoms", action="store_true",
                        help="append rows at atom coordinates (exact jump laws)")
         s.add_argument("--emit-diagnostics", action="store_true",
@@ -128,7 +131,7 @@ def _atom_rows(sol, parsed, ts, xs, emit):
 
 
 def cmd_eval(args, parsed):
-    sol, _info = solve(parsed, tol=args.tol)
+    sol, _info = solve(parsed)
     nt, nx = _parse_grid(args.grid)
     ts = [parsed.T * i / (nt - 1) for i in range(nt)]
     xs = [parsed.L * j / (nx - 1) for j in range(nx)]
@@ -230,7 +233,7 @@ def _ivp_initial(h, spec, x):
     return val
 
 
-def _check_mode(sol, info, parsed, rows, args):
+def _check_mode(sol, info, parsed, rows):
     mode, p = parsed.mode, mode_params(parsed)
     if mode == "ivp":
         xs = [parsed.L * j / 200 for j in range(201)]
@@ -302,28 +305,26 @@ def _check_mode(sol, info, parsed, rows, args):
     elif mode == "product-eigen":
         _check_residual(sol, parsed, rows, 1e-5)
         _check_atom_jumps(sol, parsed, rows)
-        lam = p["lam"]
-        h = parsed.h
-        Q = lambda x: -lam / h.eval(x)
-        kw = {} if args.tol is None else {"tol": args.tol}
-        v1 = solve_second_order(h, None, Q, None, 1.0, 0.0, (0.0, parsed.L), **kw)
-        v2 = solve_second_order(h, None, Q, None, 0.0, 1.0, (0.0, parsed.L), **kw)
-        det = float(v1(0.0) * v2.derivative(0.0) - v2(0.0) * v1.derivative(0.0))
-        rows.append(("independence-determinant", det == 1.0,
-                     f"canonical IC pair gives det {det!r} at x=0"))
+        # Abel's identity: with no v'_h term the Wronskian is 1 at x = 0, constant
+        # along pieces, and gains each atom matrix's determinant, its independence factor
+        v1, v2 = (SpaceFactor(parsed.h, p["lam"], *ic) for ic in ((1.0, 0.0), (0.0, 1.0)))
+        W = independence_determinant(v1, v2, x=parsed.L)
+        P = math.prod(f for _, f in sol.independence)
+        rows.append(("independence-determinant", abs(W - P) <= 1e-9 * (1.0 + abs(P)),
+                     f"canonical IC pair gives W(L) = {W!r}, atom factors {P!r}"))
         kind = sol.regressivity.kind
         rows.append(("regressivity", kind != "degenerate",
                      f"time-factor rate is {kind}"))
 
 
 def cmd_check(args, parsed):
-    sol, info = solve(parsed, tol=args.tol)
+    sol, info = solve(parsed)
     rows = []
     _check_ftc(parsed.g, "g", rows)
     _check_ftc(parsed.h, "h", rows)
     _check_special(parsed.g, "g", rows)
     _check_special(parsed.h, "h", rows)
-    _check_mode(sol, info, parsed, rows, args)
+    _check_mode(sol, info, parsed, rows)
     width = max(len(name) for name, _, _ in rows)
     lines = []
     for name, ok, detail in rows:
@@ -384,10 +385,12 @@ def _one_line(msg):
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
     try:
-        if args.tol is not None and not args.tol > 0:
-            raise SchemaError(f"--tol must be positive, got {args.tol}")
+        args = _parser().parse_args(argv)
+    except ValueError as e:
+        print(f"usage error: {_one_line(e)}", file=sys.stderr)
+        return 3
+    try:
         parsed = load_problem(_read_spec(args.spec))
         handler = {"eval": cmd_eval, "check": cmd_check,
                    "radius": cmd_radius, "eigs": cmd_eigs}[args.cmd]

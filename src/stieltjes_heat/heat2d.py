@@ -3,11 +3,14 @@
 Two shapes are supported.  The sum case G = g(t) + h(x) yields G-polynomials
 G_{m,n} = g_m(t) h_n(x), heat G-polynomials, and gated polynomial series
 solutions.  The product case G = g(t) h(x) (both strictly positive) yields
-separated solutions through modified one-factor eigenproblems.
+separated solutions through modified one-factor eigenproblems, in closed
+form: an exponential over the measure dg/g^2 in time and a Taylor-stepped
+Bessel-type factor in space.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -15,12 +18,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, GateError
+from .errors import DivergenceError, DomainError, GateError, NonConvergenceError
 from .gderiv import HeatResidual, _atom_gap, gderiv, gderiv2
 from .heat1d import _stream
 from .lsintegral import integrate
-from .ode import build_grid, solve_second_order
-from .special import classify_regressivity, gexp, gexp_right_limit, monomial_table
+from .ode import build_grid
+from .special import classify_regressivity, exp_walk, monomial_table
 
 __all__ = [
     "SumDerivator",
@@ -35,8 +38,7 @@ __all__ = [
     "GateReport",
     "GPolySolution",
     "gpoly_series_solution",
-    "ExpFactor",
-    "product_partials",
+    "SpaceFactor",
     "independence_determinant",
     "ProductCaseSolution",
     "solve_product_case",
@@ -477,46 +479,96 @@ def _tail_bound(ctx, alpha, N, T, L, cap=400, rtol=1e-16):
 # -- product case ------------------------------------------------------------------
 
 
-class ExpFactor:
-    """w = exp_g(p; 0, .) for a function-valued rate p, with w'_g = p w."""
-
-    def __init__(self, d, rate, tol=1e-10):
-        self.d = d
-        self.rate = rate
-        self.tol = tol
-        self._cache = {}
-
-    def __call__(self, t):
-        t = float(t)
-        if t not in self._cache:
-            self._cache[t] = gexp(self.d, self.rate, 0.0, t, tol=self.tol)
-        return self._cache[t]
-
-    def derivative(self, t):
-        return self.rate(float(t)) * self(t)
+def _inverse_square_walk(g, t):
+    """exp_data of the measure dg/g^2 on [0, t): the atoms (s, gap/g(s)^2),
+    and 1/g(0) - 1/g(t), its integral on affine pieces, less the drops
+    1/g(s) - 1/(g(s) + gap) across the atoms."""
+    m, g0 = g.measure(0.0, t), g.eval(0.0)  # measure refuses t outside [0, hi]
+    atoms = [(s, gap, g.eval(s)) for s, gap in g.atoms_in(0.0, t)]
+    cont = m / (g0 * (g0 + m)) - sum(gap / (gs * (gs + gap)) for _, gap, gs in atoms)
+    return [(s, gap / gs**2) for s, gap, gs in atoms], max(cont, 0.0)
 
 
-def product_partials(w, v, t, x, G, mode="rule"):
-    """(du/d_G t, d2u/d_G x2) for u = w(t) v(x) over a product derivator.
+def _taylor_step(lam, y0, v, dv, z):
+    """The coefficients a_n of y v_yy = lam v about y0 from (a_0, a_1) =
+    (v, v_h), cut after two successive terms n a_n z^n below
+    1e-17 (|v| + |z v_h|) at y0 + z, and the state (v, v_h) there.  A series
+    that does not settle to a finite state within 400 terms raises."""
+    a, val, der, zp, quiet = [v, dv], v + dv * z, dv, z, 0  # zp = z^(n-1)
+    for n in range(2, 400):
+        a.append((lam * a[n - 2] - (n - 1) * (n - 2) * a[n - 1]) / (y0 * n * (n - 1)))
+        val, der, zp = val + a[n] * zp * z, der + n * a[n] * zp, zp * z
+        small = abs(n * a[n] * zp) <= 1e-17 * (abs(val) + abs(z * der)) < math.inf
+        quiet = quiet + 1 if small else 0
+        if quiet == 2:
+            return a, (val, der)
+    raise NonConvergenceError(f"space-factor series about h = {y0} did not settle to a "
+                              f"finite state within 400 terms at step {z}")
 
-    rule mode evaluates the closed forms (v(x)/h(x)) w'_g(t) and
-    (w(t)/g(t)^2) v''_h(x); numeric mode forms the raw G-slice limit
-    quotients with the one-variable machinery (the slice t -> G(t,x) rescales
-    g by h(x), so its quotients are the g-quotients divided by h(x), and
-    likewise in x).
+
+class SpaceFactor:
+    """v on [0, h.hi] with v''_h = (lam/h) v, v(0) = v0 and v'_h(0) = dv0.
+
+    On an affine piece y = h(x) is linear and the equation is y v_yy = lam v,
+    of Bessel type (Abramowitz & Stegun, ch. 9).  y >= min h > 0, so its
+    Taylor series about a node y0 converges for |y - y0| < y0, with
+    y0 (n+2)(n+1) a_{n+2} = lam a_n - (n+1) n a_{n+1}.  Nodes sit at most
+    min(y0/2, sqrt(y0/|lam|)) apart.  Flat pieces hold (v, v_h); an atom at
+    xi applies [[1, gap], [lam gap/h(xi), 1]].  A value is one partial step
+    from the node on its left, so at an atom it reads the piece on its left;
+    its right limit reads the cell that starts there.
     """
-    _require(G, "product", "product_partials")
-    g, h = G.g, G.h
-    gt, hx = g.eval(t), h.eval(x)
-    if mode == "rule":
-        dt = (v(x) / hx) * w.derivative(t)
-        dxx = (w(t) / gt**2) * v.second_derivative(x)
-        return dt, dxx
-    if mode != "numeric":
-        raise DomainError(f"mode must be 'rule' or 'numeric', got {mode!r}")
-    dt = gderiv(lambda s: w(s) * v(x), t, g) / hx
-    dxx = gderiv2(lambda y: w(t) * v(y), x, h) / gt**2
-    return dt, dxx
+
+    def __init__(self, h, lam, v0, dv0):
+        self.h = h
+        # cells (start x, node value of h, coefficients); cell 0 is x = 0 itself
+        cells, state = [(0.0, h.eval(0.0), [v0, dv0])], (v0, dv0)
+        for seg in (s for s in h.segments if s.hi > 0.0):
+            x = max(seg.lo, 0.0)
+            if (gap := h.jump(x)) > 0.0:
+                state = self._atom(lam, gap, h.eval(x), *state)
+            y, top = seg.value(x), seg.value(seg.hi)
+            while True:
+                rem = top - y
+                bound = min(0.5 * y, math.sqrt(y / abs(lam)) if lam else math.inf)
+                # halve a remainder below two bounds: no sliver of a last step
+                step = rem if rem <= bound else min(bound, 0.5 * rem)
+                coef, state = _taylor_step(lam, y, *state, step)
+                cells.append((x, y, coef))
+                if step == rem:
+                    break
+                y += step
+                x = (y - seg.intercept) / seg.slope
+        self._xs, self._ys, self._coef = zip(*cells)
+
+    @staticmethod
+    def _atom(lam, gap, h_xi, v, dv):
+        """(v, v_h) across an atom: [[1, gap], [lam gap/h(xi), 1]] (v, v_h)."""
+        return v + gap * dv, dv + lam * gap / h_xi * v
+
+    def _cell(self, x, right):
+        y = self.h.eval(x) + (self.h.jump(x) if right else 0.0)  # refuses x past hi
+        if x < 0.0:
+            raise DomainError(f"x={x} is left of the space factor's anchor 0")
+        k = (bisect.bisect_right(self._xs, x) - 1 if right
+             else max(bisect.bisect_left(self._xs, x) - 1, 0))
+        return self._coef[k], y - self._ys[k]
+
+    def __call__(self, x, right=False):
+        """v(x), or its right limit."""
+        coef, z = self._cell(x, right)
+        out = 0.0
+        for a in reversed(coef):
+            out = out * z + a
+        return out
+
+    def derivative(self, x, right=False):
+        """v'_h(x), or its right limit."""
+        coef, z = self._cell(x, right)
+        out = 0.0
+        for n in range(len(coef) - 1, 0, -1):
+            out = out * z + n * coef[n]
+        return out
 
 
 def independence_determinant(v1, v2, x=0.0):
@@ -525,98 +577,91 @@ def independence_determinant(v1, v2, x=0.0):
 
 
 class ProductCaseSolution(HeatResidual):
-    """u(t, x) = w(t) v(x) with w'_g = (lam c^2/g^2) w and v''_h = (lam/h) v."""
+    """u(t, x) = w(t) v(x) with w'_g = (lam c^2/g^2) w and v''_h = (lam/h) v.
 
-    def __init__(self, G, lam, c, w, v, regressivity, independence):
-        self.G = G
-        self.g, self.h = G.g, G.h
-        self.lam = lam
-        self.c = c
-        self.w = w
-        self.v = v
-        self.regressivity = regressivity
-        self.independence = independence
+    w is exp_walk at rate lam c^2 over the measure dg/g^2 and v a SpaceFactor.
+    The G-slices rescale g by h(x) and h by g(t), which divides the partials
+    by h(x) and g(t)^2.
+    """
+
+    def __init__(self, G, lam, c, v, regressivity, independence):
+        self.G, self.g, self.h = G, G.g, G.h
+        self.lam, self.c, self.v = lam, c, v
+        self.regressivity, self.independence = regressivity, independence
+
+    def w(self, t, right=False):
+        """The time factor at t, or its right limit at an atom t."""
+        gap = self.g.jump(t) / self.g.eval(t) ** 2 if right else 0.0
+        return exp_walk(self.lam * self.c**2, _inverse_square_walk(self.g, t), gap)
 
     def __call__(self, t, x):
         return self.w(t) * self.v(x)
 
-    def partials(self, t, x, mode="rule"):
-        return product_partials(self.w, self.v, t, x, self.G, mode=mode)
+    def along_t(self, x):
+        """s -> u(s, x) with v(x) taken once."""
+        vx = self.v(x)
+        return lambda s: self.w(s) * vx
+
+    def along_x(self, t):
+        """y -> u(t, y) with w(t) taken once."""
+        wt = self.w(t)
+        return lambda y: wt * self.v(y)
+
+    def _scaled(self, t, x):
+        # u / (g(t)^2 h(x)): lam c^2 times it is d_G u in t, lam times it d_G^2 u in x
+        return self(t, x) / (self.g.eval(t) ** 2 * self.h.eval(x))
 
     def dgt_rule(self, t, x):
-        return self.partials(t, x)[0]
+        return self.lam * self.c**2 * self._scaled(t, x)
 
     def dhx2_rule(self, t, x):
-        return self.partials(t, x)[1]
+        return self.lam * self._scaled(t, x)
 
     def residual_numeric(self, t, x):
-        # quotients along the G-slices, which rescale g by h(x) and h by g(t)
-        dt, dxx = self.partials(t, x, mode="numeric")
+        dt = gderiv(self.along_t(x), t, self.g) / self.h.eval(x)
+        dxx = gderiv2(self.along_x(t), x, self.h) / self.g.eval(t) ** 2
         return dt - self.c**2 * dxx
 
     def jump_residual_t(self, t, x):
         """Exact atom-row residual in time: the jump quotient of u along the
         slice t -> g(t) h(x), whose gap is gap h(x), minus c^2 dhx2_rule."""
         gap = _atom_gap(self.g, t, "t")
-        w = self.w
-        wplus = gexp_right_limit(w.d, w.rate, 0.0, t, tol=w.tol)
-        quot = (wplus - w(t)) * self.v(x) / (gap * self.h.eval(x))
+        quot = (self.w(t, right=True) - self.w(t)) * self.v(x) / (gap * self.h.eval(x))
         return quot - self.c**2 * self.dhx2_rule(t, x)
 
     def jump_residual_x(self, t, x):
         """Exact atom-row residual in space: dgt_rule minus c^2 times the
         jump quotient of w(t) v'_h(x) / g(t) along the slice x -> g(t) h(x),
-        whose gap is g(t) gap; v'_h(x+) is the ODE solution's node data."""
+        whose gap is g(t) gap; v'_h(x+) comes from the atom matrix."""
         gap = _atom_gap(self.h, x, "x")
         dv = self.v.derivative(x, right=True) - self.v.derivative(x)
         quot = self.w(t) * dv / (gap * self.g.eval(t) ** 2)
         return self.dgt_rule(t, x) - self.c**2 * quot
 
 
-def solve_product_case(G, lam, c, x0, v0, T, L, tol=1e-8):
-    """Separated solution of the product-case heat equation.
+def solve_product_case(G, lam, c, x0, v0, T, L):
+    """Separated solution of the product-case heat equation, in closed form.
 
     w = exp_g(lam c^2 / g^2; 0, .) and v solves v''_h = (lam/h) v with
-    v(0) = x0, v'_h(0) = v0.  Degenerate regressivity of the w-rate at an
-    atom of g (1 + p gap = 0) is reported as a warning: the solution
-    vanishes from that atom onward.  The atom-wise independence factors
-    1 - (lam/h(x)) gap(x)^2 are evaluated and attached; a zero factor means
-    IC pairs may fail to span the solution space.
+    v(0) = x0, v'_h(0) = v0.  A degenerate w-rate at an atom of g
+    (1 + p gap = 0) warns: the solution vanishes from that atom onward.  The
+    atom-wise independence factors 1 - (lam/h(x)) gap(x)^2 are attached; a
+    zero factor means IC pairs may fail to span the solution space.
     """
     _require(G, "product", "solve_product_case")
     if not c > 0:
         raise DomainError(f"diffusion constant must be positive, got {c}")
     g, h = G.g, G.h
-
-    def p(t):
-        return lam * c**2 / g.eval(t) ** 2
-
-    reg = classify_regressivity(g, p, 0.0, T)
+    reg = classify_regressivity(g, lambda t: lam * c**2 / g.eval(t) ** 2, 0.0, T)
     if reg.kind == "degenerate":
-        warnings.warn(
-            f"1 + p gap vanishes at the atom t = {reg.witness}; the time "
-            "factor (and the solution) is 0 from there on",
-            UserWarning,
-            stacklevel=2,
-        )
-    w = ExpFactor(g, p)
-
-    def Q(x):
-        return -lam / h.eval(x)
-
-    # integrate v over the whole derivator domain, not just [0, L]: numeric
-    # difference quotients at x near L probe past it when the domain allows
-    v = solve_second_order(h, None, Q, None, x0, v0, (0.0, h.hi), tol=tol)
-
+        warnings.warn(f"1 + p gap vanishes at the atom t = {reg.witness}; the time "
+                      "factor (and the solution) is 0 from there on", UserWarning, stacklevel=2)
     independence = []
     for ax, gap in h.atoms_in(0.0, L):
         factor = 1.0 - (lam / h.eval(ax)) * gap**2
         independence.append((ax, factor))
         if factor == 0.0:
-            warnings.warn(
-                f"independence factor vanishes at the atom x = {ax}; "
-                "solutions with independent initial data may coincide there",
-                UserWarning,
-                stacklevel=2,
-            )
-    return ProductCaseSolution(G, lam, c, w, v, reg, independence)
+            warnings.warn(f"independence factor vanishes at the atom x = {ax}; solutions "
+                          "with independent initial data may coincide there", UserWarning,
+                          stacklevel=2)
+    return ProductCaseSolution(G, lam, c, SpaceFactor(h, lam, x0, v0), reg, independence)

@@ -40,51 +40,28 @@ class StieltjesGrid:
     a: float
     b: float
     mesh: float
-    panels: list  # (u, v, n_subdivisions)
     nodes: np.ndarray
-
-    @property
-    def is_atom(self):
-        return np.array([self.d.is_atom(t) for t in self.nodes])
 
 
 def build_grid(d, a, b, mesh=1e-3, factor=1):
     if not b > a:
         raise DomainError(f"grid needs a < b, got [{a}, {b}]")
     pts = _structural_points(d, a, b)
-    panels = []
     chunks = []
     for u, v in zip(pts, pts[1:]):
         cont = d.eval(v) - d.eval(u) - d.jump(u)
         n = max(1, math.ceil(cont / mesh)) * factor
-        panels.append((u, v, n))
         chunks.append(np.linspace(u, v, n + 1)[:-1])
     chunks.append(np.array([b]))
-    return StieltjesGrid(d, a, b, mesh, panels, np.concatenate(chunks))
+    return StieltjesGrid(d, a, b, mesh, np.concatenate(chunks))
 
 
 class Trajectory:
-    """Euler output on a grid; evaluation interpolates linearly in measure."""
+    """Euler output on a grid: the nodes and the state at each."""
 
-    def __init__(self, d, ts, states):
-        self.d = d
+    def __init__(self, ts, states):
         self.ts = np.asarray(ts)
         self.states = np.asarray(states)
-        self.gs = d.eval_array(self.ts)
-
-    def __call__(self, t):
-        t = float(t)
-        if t < self.ts[0] - 1e-12 or t > self.ts[-1] + 1e-12:
-            raise DomainError(f"t={t} outside trajectory range")
-        k = np.searchsorted(self.ts, t, side="right") - 1
-        k = min(max(k, 0), len(self.ts) - 2)
-        if t <= self.ts[k]:
-            return self.states[k]
-        den = self.gs[k + 1] - self.gs[k]
-        if den <= 0.0:
-            return self.states[k]
-        w = (self.d.eval(t) - self.gs[k]) / den
-        return (1.0 - w) * self.states[k] + w * self.states[k + 1]
 
     @property
     def final(self):
@@ -113,7 +90,7 @@ def euler_stieltjes(F, x0, grid):
             f"state became non-finite at t={ts[first]}",
             last_node=ts[max(first - 1, 0)],
         )
-    return Trajectory(d, ts, out)
+    return Trajectory(ts, out)
 
 
 # ---------------------------------------------------------------------------
@@ -206,48 +183,31 @@ class HermiteCurve:
             + (s3 - s2) * L * m1
         )
 
-    def right_limit(self, x):
-        """The value at x+: the node's right value at a node (every atom is
-        one), the value itself elsewhere."""
-        k = np.searchsorted(self.ts, float(x))
-        if k < len(self.ts) and self.ts[k] == x:
-            return self.values_plus[k]
-        return self(x)
-
 
 class Ode2Solution:
     """Result of solve_second_order: v and v'_g as callables, with the
     equation's right-hand side available for the second derivative."""
 
     def __init__(self, d, ts, V, W, rhs):
-        self.d = d
-        self.ts = np.asarray(ts)
-        self.V = V
-        self.W = W
         self._rhs = rhs
-        gaps = np.array([d.jump(t) for t in self.ts])
-        rhs_vals = np.array([rhs(t, v, w) for t, v, w in zip(self.ts, V, W)])
+        gaps = np.array([d.jump(t) for t in ts])
+        rhs_vals = np.array([rhs(t, v, w) for t, v, w in zip(ts, V, W)])
         V_plus = V + W * gaps
         W_plus = W + rhs_vals * gaps
-        rhs_plus = np.array(
-            [rhs(t, v, w) for t, v, w in zip(self.ts, V_plus, W_plus)]
-        )
+        # slopes past an atom read the coefficients at the next float, which act there
+        past = np.where(gaps > 0.0, np.nextafter(ts, np.inf), ts)
+        rhs_plus = np.array([rhs(t, v, w) for t, v, w in zip(past, V_plus, W_plus)])
         self._v = HermiteCurve(d, ts, V, W, V_plus, W_plus)
         self._w = HermiteCurve(d, ts, W, rhs_vals, W_plus, rhs_plus)
 
     def __call__(self, x):
         return self._v(x)
 
-    def derivative(self, x, right=False):
-        """v'_g at x, or its right limit (they differ only at atoms)."""
-        return self._w.right_limit(x) if right else self._w(x)
+    def derivative(self, x):
+        return self._w(x)
 
     def second_derivative(self, x):
         return self._rhs(float(x), self._v(x), self._w(x))
-
-    def __iter__(self):
-        yield lambda x: self._v(x)
-        yield lambda x: self._w(x)
 
 
 def solve_second_order(
@@ -339,7 +299,6 @@ def _hermite(d, ts, values, slope_fn):
     gaps = np.array([d.jump(t) for t in ts])
     slopes = np.array([slope_fn(t, v) for t, v in zip(ts, values)])
     values_plus = values + slopes * gaps
-    slopes_plus = np.array(
-        [slope_fn(t, v) for t, v in zip(ts, values_plus)]
-    )
+    past = np.where(gaps > 0.0, np.nextafter(ts, np.inf), ts)  # as in Ode2Solution
+    slopes_plus = np.array([slope_fn(t, v) for t, v in zip(past, values_plus)])
     return HermiteCurve(d, ts, values, slopes, values_plus, slopes_plus)

@@ -255,14 +255,8 @@ def scan_params(parsed):
     return tuple(rng), _count(payload.get("count", 8), "periodic.count")
 
 
-def solve(parsed, tol=None):
-    """Solve per mode.
-
-    Returns (solution, info) where info carries mode-specific reports
-    (currently the gate report of "gpoly-series").  tol tunes the ODE solve
-    of "product-eigen", the one mode without a closed form; the other modes
-    ignore it.
-    """
+def solve(parsed):
+    """Solve per mode: (solution, info), info holding the gpoly-series gate report."""
     mode, p, problem = parsed.mode, mode_params(parsed), parsed.problem
     if mode == "ivp":
         return solve_ivp(problem, p), {}
@@ -280,8 +274,7 @@ def solve(parsed, tol=None):
             n_probe=p["n_probe"],
         )
         return sol, {"gate": gate}
-    kw = {} if tol is None else {"tol": tol}
     sol = solve_product_case(
-        parsed.G, p["lam"], parsed.c, p["v0"], p["dv0"], parsed.T, parsed.L, **kw
+        parsed.G, p["lam"], parsed.c, p["v0"], p["dv0"], parsed.T, parsed.L
     )
     return sol, {}

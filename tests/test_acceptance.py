@@ -17,6 +17,7 @@ from stieltjes_heat import (
     G_mn,
     GPolyContext,
     GateError,
+    SpaceFactor,
     SumDerivator,
     check_cos_condition,
     check_sin_condition,
@@ -40,7 +41,6 @@ from stieltjes_heat import (
     regular_points,
     solve_ivp,
     solve_product_case,
-    solve_second_order,
 )
 
 IVP_SPEC = {"a0": 1.0, "b0": -1.0, "modes": [(0.6, 2.0, 0.0)]}
@@ -308,14 +308,13 @@ def test_criterion_11_product_case():
                 r = abs(sol.residual(t, x, mode="numeric"))
                 worst = max(worst, r / (1.0 + abs(sol(t, x))))
         assert worst < 1e-5
-        lamq = lambda x: -1.0 / G.h.eval(x)
-        v1 = solve_second_order(G.h, None, lamq, None, 1.0, 0.0, (0.0, 1.0), tol=1e-10)
-        v2 = solve_second_order(G.h, None, lamq, None, 0.0, 1.0, (0.0, 1.0), tol=1e-10)
-        det = float(independence_determinant(v1, v2, x=0.0))
-        assert det == 1.0
+        v1, v2 = SpaceFactor(G.h, 1.0, 1.0, 0.0), SpaceFactor(G.h, 1.0, 0.0, 1.0)
+        assert float(independence_determinant(v1, v2, x=0.0)) == 1.0
+        det = float(independence_determinant(v1, v2, x=1.0))
+        assert abs(det - 1.0) <= 1e-12  # no atoms: W stays 1 (Abel's identity)
         c["detail"] = (
             f"g=1+t, h=1+x, lam=1: residual {worst:.2e} on 11x11 (tol 1e-5); "
-            f"independence determinant at 0 = {det} exactly"
+            f"independence determinant 1 at x = 0 exactly, {det!r} at x = L"
         )
 
 

@@ -264,10 +264,13 @@ def test_eval_rejects_bad_grid(capsys, spec_file):
         assert err.startswith("spec error:")
 
 
-def test_eval_rejects_bad_tol(capsys, spec_file):
-    for tol in ("--tol=-1e-6", "--tol=0"):
-        rc, _, err = run(capsys, ["eval", spec_file(jumpy_ivp_spec()), tol])
-        assert rc == 3 and err.startswith("spec error:")
+def test_usage_errors_exit_3(capsys, spec_file):
+    # exit 2 is the gate refusal, so argparse's own exit 2 must not leak out
+    path = spec_file(product_spec())
+    for argv in (["eval", path, "--bogus", "1"], ["eval"], [], ["eval", path, "--tol", "1e-8"]):
+        rc, out, err = run(capsys, argv)
+        assert rc == 3 and out == ""
+        assert err.startswith("usage error:")
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +342,8 @@ def test_check_periodic_runs_atom_jump_rows(capsys, spec_file, monkeypatch):
 
     solve = cli.solve
 
-    def off_solve(parsed, tol=None):
-        sol, info = solve(parsed, tol)
+    def off_solve(parsed):
+        sol, info = solve(parsed)
         return OffCurvature(sol.problem, sol.terms), info
 
     monkeypatch.setattr(cli, "solve", off_solve)
@@ -381,10 +384,9 @@ def test_product_atom_rows_read_the_solution(capsys, spec_file, monkeypatch):
             return super().dhx2_rule(t, x) + self.off_xx
 
     def check_off(spec, off_t, off_xx):
-        def off_solve(parsed, tol=None):
-            sol, info = solve(parsed, tol)
-            off = Off(sol.G, sol.lam, sol.c, sol.w, sol.v, sol.regressivity,
-                      sol.independence)
+        def off_solve(parsed):
+            sol, info = solve(parsed)
+            off = Off(sol.G, sol.lam, sol.c, sol.v, sol.regressivity, sol.independence)
             off.off_t, off.off_xx = off_t, off_xx
             return off, info
 
@@ -396,6 +398,25 @@ def test_product_atom_rows_read_the_solution(capsys, spec_file, monkeypatch):
     assert check_off(product_atom_spec(), 0.0, 1e-3)["atom-jump(x)"] == "PASS"
     assert check_off(product_atom_spec(), 1e-3, 0.0)["atom-jump(x)"] == "FAIL"
     assert check_off(product_atom_spec(0.5, 0.7), 0.0, 1e-3)["atom-jump(t)"] == "FAIL"
+
+
+def test_independence_determinant_row_can_fail(capsys, spec_file, monkeypatch):
+    # W(L) of the canonical pair against the product of the atom factors:
+    # a perturbed atom transfer breaks Abel's identity and FAILs the row
+    from stieltjes_heat.heat2d import SpaceFactor
+
+    demo = str(SPECS / "product_eigen.json")
+    for path in (spec_file(product_atom_spec()), demo):
+        assert check_rows(run(capsys, ["check", path])[1])["independence-determinant"] == "PASS"
+    atom = SpaceFactor._atom
+
+    def skewed(lam, gap, h_xi, v, dv):
+        v, dv = atom(lam, gap, h_xi, v, dv)
+        return v, 1.001 * dv
+
+    monkeypatch.setattr(SpaceFactor, "_atom", staticmethod(skewed))
+    rc, out, _ = run(capsys, ["check", spec_file(product_atom_spec())])
+    assert rc == 1 and check_rows(out)["independence-determinant"] == "FAIL"
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +470,13 @@ def test_undeclared_atom_exits_3(capsys, spec_file):
 
 
 def test_numeric_failure_exits_4(capsys, spec_file):
-    rc, _, err = run(
-        capsys,
-        ["eval", spec_file(product_spec()), "--grid", "3x3", "--tol", "1e-15"],
-    )
+    # float overflow: the product-case time factor exp(lam c^2 (1/g(0) - 1/g(t)))
+    # at lam = 1e4, exp_g at a huge rate, and ratio**n in the radius probe
+    hot = json.loads((SPECS / "product_eigen.json").read_text())
+    hot["product-eigen"]["lam"] = 1e4
+    rc, _, err = run(capsys, ["eval", spec_file(hot), "--grid", "3x3"])
     assert rc == 4
     assert err.startswith("numeric failure:")
-    # float overflow: exp_g at a huge rate, and ratio**n in the radius probe
     steep = jumpy_ivp_spec()
     steep["ivp"]["modes"][0]["lam"] = 1e6
     wide = gpoly_spec()
@@ -464,22 +485,6 @@ def test_numeric_failure_exits_4(capsys, spec_file):
         rc, _, err = run(capsys, [cmd, spec_file(spec), "--grid", "3x3"])
         assert rc == 4
         assert err.startswith("numeric failure:")
-
-
-def test_singular_time_rate_exits_4(capsys, spec_file, monkeypatch):
-    # a product-case time factor whose rate 1/(s - lo) has no integral on the
-    # first affine piece: the quadrature does not converge
-    from stieltjes_heat import heat2d
-
-    class Singular(heat2d.ExpFactor):
-        def __init__(self, d, rate, tol=1e-10):
-            super().__init__(d, lambda s: 1.0 / (s - d.lo), tol)
-
-    monkeypatch.setattr(heat2d, "ExpFactor", Singular)
-    rc, out, err = run(capsys, ["eval", spec_file(product_spec()), "--grid", "3x3"])
-    assert rc == 4 and out == ""
-    assert err.startswith("numeric failure: quadrature on [0.0, ")
-    assert "did not reach tolerance" in err
 
 
 def test_check_ftc_stall_is_a_fail_row(capsys, spec_file, monkeypatch):

@@ -17,18 +17,21 @@ from stieltjes_heat import (
     GateError,
     GPolySolution,
     MonomialTable,
+    NonConvergenceError,
+    Derivator,
     ProductDerivator,
+    SpaceFactor,
     SumDerivator,
     classical_heat_polynomial,
     gderiv,
     gderiv2,
+    gexp,
     gpoly_series_solution,
     heat_gpoly,
     GPolyContext,
     identity,
     independence_determinant,
     iterated_integral,
-    product_partials,
     radius_sigma,
     regular_points,
     solve_product_case,
@@ -485,28 +488,92 @@ def test_product_case_residual_grid(one_plus_pair):
 
 
 def test_product_case_independence_determinant(one_plus_pair):
-    G = one_plus_pair
-    lam, c, T, L = 1.0, 1.0, 1.0, 1.0
-    v1 = solve_second_order(G.h, None, lambda x: -lam / G.h.eval(x), None, 1.0, 0.0, (0.0, L), tol=1e-10)
-    v2 = solve_second_order(G.h, None, lambda x: -lam / G.h.eval(x), None, 0.0, 1.0, (0.0, L), tol=1e-10)
-    det = independence_determinant(v1, v2, x=0.0)
-    assert float(det) == 1.0  # exactly, from the canonical IC pairs
+    # the canonical pair starts at W(0) = 1 exactly; v''_h = (lam/h) v has no
+    # v'_h term, so W stays constant along pieces and gains each atom's
+    # factor 1 - lam gap^2/h(xi) (Abel's identity)
+    h_atom = Derivator.from_pieces(
+        [("affine", 0.0, 0.5, 1.0, 1.0), ("flat", 0.5, 1.0, 2.0), ("affine", 1.0, 2.0, 1.0, 1.5)]
+    )
+    for h, lam in ((one_plus_pair.h, 1.0), (h_atom, 1.3), (h_atom, -2.0)):
+        v1, v2 = SpaceFactor(h, lam, 1.0, 0.0), SpaceFactor(h, lam, 0.0, 1.0)
+        assert float(independence_determinant(v1, v2, x=0.0)) == 1.0
+        want = math.prod(1.0 - lam * gap**2 / h.eval(a) for a, gap in h.atoms_in(0.0, 1.8))
+        assert independence_determinant(v1, v2, x=1.8) == pytest.approx(want, rel=1e-13)
 
 
 def test_product_partials_match_modes(one_plus_pair):
+    # the rule partials against raw quotients along the G-slices, which
+    # rescale g by h(x) and h by g(t)
     G = one_plus_pair
     sol = solve_product_case(G, lam=0.7, c=1.0, x0=1.0, v0=0.5, T=1.0, L=1.0)
     for t, x in ((0.2, 0.3), (0.8, 0.9)):
-        rt, rxx = sol.partials(t, x, mode="rule")
-        nt, nxx = sol.partials(t, x, mode="numeric")
-        assert nt == pytest.approx(rt, rel=1e-6)
-        assert nxx == pytest.approx(rxx, rel=1e-5)
+        nt = gderiv(lambda s: sol(s, x), t, G.g) / G.h.eval(x)
+        nxx = gderiv2(lambda y: sol(t, y), x, G.h) / G.g.eval(t) ** 2
+        assert nt == pytest.approx(sol.dgt_rule(t, x), rel=1e-6)
+        assert nxx == pytest.approx(sol.dhx2_rule(t, x), rel=1e-5)
 
 
-def test_product_partials_requires_product(jump_g, plateau_h):
+def test_product_case_requires_product(jump_g, plateau_h):
     G = SumDerivator(jump_g, plateau_h)
     with pytest.raises(TypeError):
-        product_partials(lambda t: 1.0, None, 0.1, 0.1, G)
+        solve_product_case(G, lam=1.0, c=1.0, x0=1.0, v0=0.0, T=1.0, L=1.0)
+
+
+@st.composite
+def positive_chains(draw):
+    """Random drivers on [0, hi] with g(0) in [0.5, 1.5]: 1-3 affine or flat
+    segments and an atom or none at each internal breakpoint."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    lo, level, pieces = 0.0, draw(st.floats(min_value=0.5, max_value=1.5)), []
+    for i in range(n):
+        length = draw(st.floats(min_value=0.2, max_value=0.5))
+        if i:
+            level += draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+        if i and draw(st.booleans()):
+            pieces.append(("flat", lo, lo + length, level))
+        else:
+            slope = draw(st.floats(min_value=0.1, max_value=1.0))
+            pieces.append(("affine", lo, lo + length, slope, level - slope * lo))
+            level += slope * length
+        lo += length
+    return Derivator.from_pieces(pieces)
+
+
+@settings(max_examples=12, deadline=None)
+@given(g=positive_chains(), h=positive_chains(),
+       lam=st.sampled_from([0.3, 1.0, 2.5, 250.0, 1000.0]), sign=st.sampled_from([-1.0, 1.0]),
+       ic=st.tuples(st.floats(min_value=-1.0, max_value=1.0),
+                    st.floats(min_value=-1.0, max_value=1.0)))
+def test_product_closed_forms_match_the_oracles(g, h, lam, sign, ic):
+    # the space factor against the Euler/Richardson solve, left and right of
+    # the atoms; the time factor against the callable-rate quadrature gexp
+    lam, c = sign * lam, 0.8
+    sol = solve_product_case(ProductDerivator(g, h), lam, c, *ic, T=g.hi, L=h.hi)
+    oracle = solve_second_order(h, None, lambda x: -lam / h.eval(x), None, *ic, (0.0, h.hi),
+                                tol=1e-8, mesh=1e-3 if abs(lam) < 10 else 2e-4)
+    xs = list(regular_points(h, 0.0, h.hi, 7)) + [a for a, _ in h.atoms] + [h.hi]
+    pairs = [(sol.v(x), oracle(x)) for x in xs]
+    pairs += [(sol.v.derivative(x), oracle.derivative(x)) for x in xs]
+    pairs += [(sol.v.derivative(a, right=True), oracle.derivative(np.nextafter(a, np.inf)))
+              for a, _ in h.atoms]
+    scale = 1.0 + max(abs(want) for _, want in pairs[: len(xs)])
+    assert max(abs(got - want) for got, want in pairs) <= 1e-9 * scale
+    q = lam * c**2
+    for t in list(regular_points(g, 0.0, g.hi, 7)) + [a for a, _ in g.atoms] + [g.hi]:
+        want = gexp(g, lambda s: q / g.eval(s) ** 2, 0.0, t)
+        assert abs(sol.w(t) - want) <= 1e-12 * abs(want)
+
+
+def test_space_factor_refuses_and_raises():
+    h = Derivator.from_pieces([("affine", 0.0, 2.0, 1.0, 1.0)])
+    v = SpaceFactor(h, 1.0, 1.0, 0.0)
+    for x in (-0.5, 2.5):
+        with pytest.raises(DomainError):
+            v(x)
+    # 1 + x on [0, 2] at lam = 1e6: v grows like exp(2 sqrt(lam h)), past
+    # the float range, and the series says so instead of returning inf
+    with pytest.raises(NonConvergenceError, match="finite state"):
+        SpaceFactor(h, 1e6, 1.0, 0.0)
 
 
 def test_product_case_degenerate_rate_warns():

@@ -97,6 +97,24 @@ def test_dense_output_left_continuous_at_atom(jump_g):
     assert sol(0.5 + 1e-9) == pytest.approx(left * (1.0 + lam), rel=1e-6)
 
 
+def test_dense_derivative_right_of_an_atom():
+    # v'' = -Q v with Q = -1 up to the atom at 1 and -4 past it: the slopes
+    # right of the atom must read the coefficient that acts there, not its
+    # value at the atom itself
+    from stieltjes_heat import Derivator
+
+    d = Derivator.from_pieces([("affine", 0.0, 1.0, 1.0, 0.0), ("affine", 1.0, 2.0, 1.0, 0.5)])
+    sol = solve_second_order(d, None, lambda x: -1.0 if x <= 1.0 else -4.0, None,
+                             1.0, 0.3, (0.0, 2.0), tol=1e-10)
+    v1, w1 = math.cosh(1.0) + 0.3 * math.sinh(1.0), math.sinh(1.0) + 0.3 * math.cosh(1.0)
+    vp, wp = v1 + 0.5 * w1, w1 + 0.5 * v1  # across the gap 1/2, with Q(1) = -1
+    for x in (1.0001, 1.0004, 1.0007, 1.3):
+        s = 2.0 * (x - 1.0)
+        assert sol(x) == pytest.approx(vp * math.cosh(s) + 0.5 * wp * math.sinh(s), rel=1e-9)
+        assert sol.derivative(x) == pytest.approx(2.0 * vp * math.sinh(s) + wp * math.cosh(s),
+                                                  rel=1e-9)
+
+
 def test_forced_second_order(plateau_h):
     # v'' = 1 from rest: v(x) = g_2(x)/2 in the monomial scale
     from stieltjes_heat import g_monomial
