@@ -516,7 +516,7 @@ class SpaceFactor:
     min(y0/2, sqrt(y0/|lam|)) apart.  Flat pieces hold (v, v_h); an atom at
     xi applies [[1, gap], [lam gap/h(xi), 1]].  A value is one partial step
     from the node on its left, so at an atom it reads the piece on its left;
-    its right limit reads the cell that starts there.
+    the right limit of v'_h reads the cell that starts there.
     """
 
     def __init__(self, h, lam, v0, dv0):
@@ -554,9 +554,8 @@ class SpaceFactor:
              else max(bisect.bisect_left(self._xs, x) - 1, 0))
         return self._coef[k], y - self._ys[k]
 
-    def __call__(self, x, right=False):
-        """v(x), or its right limit."""
-        coef, z = self._cell(x, right)
+    def __call__(self, x):
+        coef, z = self._cell(x, False)
         out = 0.0
         for a in reversed(coef):
             out = out * z + a
@@ -585,9 +584,13 @@ class ProductCaseSolution(HeatResidual):
     """
 
     def __init__(self, G, lam, c, v, regressivity, independence):
-        self.G, self.g, self.h = G, G.g, G.h
-        self.lam, self.c, self.v = lam, c, v
-        self.regressivity, self.independence = regressivity, independence
+        self.G = G
+        self.g, self.h = G.g, G.h
+        self.lam = lam
+        self.c = c
+        self.v = v
+        self.regressivity = regressivity
+        self.independence = independence
 
     def w(self, t, right=False):
         """The time factor at t, or its right limit at an atom t."""
@@ -643,25 +646,39 @@ def solve_product_case(G, lam, c, x0, v0, T, L):
     """Separated solution of the product-case heat equation, in closed form.
 
     w = exp_g(lam c^2 / g^2; 0, .) and v solves v''_h = (lam/h) v with
-    v(0) = x0, v'_h(0) = v0.  A degenerate w-rate at an atom of g
-    (1 + p gap = 0) warns: the solution vanishes from that atom onward.  The
-    atom-wise independence factors 1 - (lam/h(x)) gap(x)^2 are attached; a
-    zero factor means IC pairs may fail to span the solution space.
+    v(0) = x0, v'_h(0) = v0.  Degenerate regressivity of the w-rate at an
+    atom of g (1 + p gap = 0) is reported as a warning: the solution
+    vanishes from that atom onward.  The atom-wise independence factors
+    1 - (lam/h(x)) gap(x)^2 are evaluated and attached; a zero factor means
+    IC pairs may fail to span the solution space.
     """
     _require(G, "product", "solve_product_case")
     if not c > 0:
         raise DomainError(f"diffusion constant must be positive, got {c}")
     g, h = G.g, G.h
-    reg = classify_regressivity(g, lambda t: lam * c**2 / g.eval(t) ** 2, 0.0, T)
+
+    def p(t):
+        return lam * c**2 / g.eval(t) ** 2
+
+    reg = classify_regressivity(g, p, 0.0, T)
     if reg.kind == "degenerate":
-        warnings.warn(f"1 + p gap vanishes at the atom t = {reg.witness}; the time "
-                      "factor (and the solution) is 0 from there on", UserWarning, stacklevel=2)
+        warnings.warn(
+            f"1 + p gap vanishes at the atom t = {reg.witness}; the time "
+            "factor (and the solution) is 0 from there on",
+            UserWarning,
+            stacklevel=2,
+        )
+    v = SpaceFactor(h, lam, x0, v0)
+
     independence = []
     for ax, gap in h.atoms_in(0.0, L):
         factor = 1.0 - (lam / h.eval(ax)) * gap**2
         independence.append((ax, factor))
         if factor == 0.0:
-            warnings.warn(f"independence factor vanishes at the atom x = {ax}; solutions "
-                          "with independent initial data may coincide there", UserWarning,
-                          stacklevel=2)
-    return ProductCaseSolution(G, lam, c, SpaceFactor(h, lam, x0, v0), reg, independence)
+            warnings.warn(
+                f"independence factor vanishes at the atom x = {ax}; "
+                "solutions with independent initial data may coincide there",
+                UserWarning,
+                stacklevel=2,
+            )
+    return ProductCaseSolution(G, lam, c, v, reg, independence)

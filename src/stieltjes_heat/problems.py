@@ -256,7 +256,11 @@ def scan_params(parsed):
 
 
 def solve(parsed):
-    """Solve per mode: (solution, info), info holding the gpoly-series gate report."""
+    """Solve per mode.
+
+    Returns (solution, info) where info carries mode-specific reports
+    (currently the gate report of "gpoly-series").
+    """
     mode, p, problem = parsed.mode, mode_params(parsed), parsed.problem
     if mode == "ivp":
         return solve_ivp(problem, p), {}

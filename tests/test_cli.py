@@ -402,12 +402,17 @@ def test_product_atom_rows_read_the_solution(capsys, spec_file, monkeypatch):
 
 def test_independence_determinant_row_can_fail(capsys, spec_file, monkeypatch):
     # W(L) of the canonical pair against the product of the atom factors:
-    # a perturbed atom transfer breaks Abel's identity and FAILs the row
+    # a perturbed atom transfer breaks Abel's identity and FAILs the row.  At
+    # lam = 200 on the demo spec the two products in W(L) reach ~1e16 and
+    # cancel to 1, so the row's bound must scale with them to PASS
     from stieltjes_heat.heat2d import SpaceFactor
 
     demo = str(SPECS / "product_eigen.json")
-    for path in (spec_file(product_atom_spec()), demo):
-        assert check_rows(run(capsys, ["check", path])[1])["independence-determinant"] == "PASS"
+    hot = json.loads((SPECS / "product_eigen.json").read_text())
+    hot["product-eigen"]["lam"] = 200.0
+    for path in (spec_file(product_atom_spec()), demo, spec_file(hot)):
+        rc, out, _ = run(capsys, ["check", path])
+        assert rc == 0 and check_rows(out)["independence-determinant"] == "PASS"
     atom = SpaceFactor._atom
 
     def skewed(lam, gap, h_xi, v, dv):
@@ -417,6 +422,7 @@ def test_independence_determinant_row_can_fail(capsys, spec_file, monkeypatch):
     monkeypatch.setattr(SpaceFactor, "_atom", staticmethod(skewed))
     rc, out, _ = run(capsys, ["check", spec_file(product_atom_spec())])
     assert rc == 1 and check_rows(out)["independence-determinant"] == "FAIL"
+
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +483,11 @@ def test_numeric_failure_exits_4(capsys, spec_file):
     rc, _, err = run(capsys, ["eval", spec_file(hot), "--grid", "3x3"])
     assert rc == 4
     assert err.startswith("numeric failure:")
+    # at lam = 1e6 the space factor overflows while it is built, before any w(t)
+    hot["product-eigen"]["lam"] = 1e6
+    rc, out, err = run(capsys, ["eval", spec_file(hot), "--grid", "3x3"])
+    assert rc == 4 and out == ""
+    assert err.startswith("numeric failure:") and "did not settle" in err
     steep = jumpy_ivp_spec()
     steep["ivp"]["modes"][0]["lam"] = 1e6
     wide = gpoly_spec()
