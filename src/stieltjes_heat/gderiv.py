@@ -223,17 +223,11 @@ def gderiv2(f, t, d):
     return gderiv(D, t, d, DEFAULT_OUTER)
 
 
-def _residual(along_t, along_x, t, x, g, h, c):
-    """heat_residual on the slices along_t(x) = u(., x), along_x(t) = u(t, .)."""
-    du = gderiv(along_t(x), t, g)
-    d2 = gderiv2(along_x(t), x, h)
-    return du - c * c * d2
-
-
 def heat_residual(u, t, x, g, h, c):
     """Pointwise residual d_g u - c^2 d_h^2 u from raw difference quotients."""
-    return _residual(lambda x: lambda s: u(s, x), lambda t: lambda y: u(t, y),
-                     t, x, g, h, c)
+    du = gderiv(lambda s: u(s, x), t, g)
+    d2 = gderiv2(lambda y: u(t, y), x, h)
+    return du - c * c * d2
 
 
 def _atom_gap(d, s, name):
@@ -243,29 +237,63 @@ def _atom_gap(d, s, name):
     return gap
 
 
-class HeatResidual:
-    """The residual d_g u - c^2 d_h^2 u of a solution, by rule and numerically.
+def _tidy(z):
+    # collapse exact-real complex results (conjugate coefficient pairs)
+    if isinstance(z, complex) and z.imag == 0.0:
+        return z.real
+    return z
 
-    A solution class supplies its closed-form partials dgt_rule and
-    dhx2_rule, its time and space derivators g and h, and the diffusion
-    constant c.  The rules hold at atoms too, where they are the exact jump
-    quotients, so the atom-row residuals default to the rule residual; a
-    class with an independent jump-quotient route overrides them.
+
+class HeatResidual:
+    """One solution interface: u(t, x) = <time row, space column>, checked
+    against d_g u - c^2 d_h^2 u by rule, numerically and at the atoms.
+
+    A solution class supplies
+      _row(t, right=False)    the time part at t, or its right limit at an atom
+      _col(x)                 the space part at x
+      _dot(row, col)          their contraction, the value u(t, x)
+      _dhx(t, x, right=False) d_h u, or its right limit at an atom x
+      dgt_rule, dhx2_rule     the closed-form partials
+      _slice_scales(t, x)     (sx, st): the time slice's derivator is sx g and
+                              the space slice's st h; (1, 1) except in the
+                              product case, where they are (h(x), g(t))
+    and its derivators g, h and diffusion constant c.  The slices, the
+    numeric residual and the atom rows are written here once: a time atom
+    row takes the jump quotient of u, a space atom row that of d_h u, over
+    the gap of the scaled slice.
     """
+
+    def _slice_scales(self, t, x):
+        return 1.0, 1.0
+
+    def __call__(self, t, x):
+        return self._dot(self._row(t), self._col(x))
+
+    def along_t(self, x):
+        """s -> u(s, x), the slice the time quotients differentiate, with the
+        space part taken once."""
+        row, dot, col = self._row, self._dot, self._col(x)
+        return lambda s: dot(row(s), col)
+
+    def along_x(self, t):
+        """y -> u(t, y), the slice the space quotients differentiate, with the
+        time part taken once."""
+        row, dot, col = self._row(t), self._dot, self._col
+        return lambda y: dot(row, col(y))
+
+    def dhx_rule(self, t, x):
+        return self._dhx(t, x)
 
     def residual_rule(self, t, x):
         return self.dgt_rule(t, x) - self.c**2 * self.dhx2_rule(t, x)
 
-    def along_t(self, x):
-        """s -> u(s, x), the slice the time quotients differentiate."""
-        return lambda s: self(s, x)
-
-    def along_x(self, t):
-        """y -> u(t, y), the slice the space quotients differentiate."""
-        return lambda y: self(t, y)
-
     def residual_numeric(self, t, x):
-        return _residual(self.along_t, self.along_x, t, x, self.g, self.h, self.c)
+        """The residual from difference quotients along the slices, each
+        divided by its slice scale."""
+        du = gderiv(self.along_t(x), t, self.g)
+        d2 = gderiv2(self.along_x(t), x, self.h)
+        sx, st = self._slice_scales(t, x)
+        return du / sx - self.c * self.c * (d2 / st**2)
 
     def residual(self, t, x, mode="rule"):
         if mode == "rule":
@@ -275,11 +303,16 @@ class HeatResidual:
         raise DomainError(f"mode must be 'rule' or 'numeric', got {mode!r}")
 
     def jump_residual_t(self, t, x):
-        """Residual at an atom t of the time derivator."""
-        _atom_gap(self.g, t, "t")
-        return self.residual_rule(t, x)
+        """Exact atom-row residual in time: the jump quotient of u minus
+        c^2 d_h^2 u."""
+        gap = _atom_gap(self.g, t, "t") * self._slice_scales(t, x)[0]
+        col = self._col(x)
+        quot = (self._dot(self._row(t, right=True), col) - self._dot(self._row(t), col)) / gap
+        return _tidy(quot - self.c**2 * self.dhx2_rule(t, x))
 
     def jump_residual_x(self, t, x):
-        """Residual at an atom x of the space derivator."""
-        _atom_gap(self.h, x, "x")
-        return self.residual_rule(t, x)
+        """Exact atom-row residual in space: d_g u minus c^2 times the jump
+        quotient of d_h u."""
+        gap = _atom_gap(self.h, x, "x") * self._slice_scales(t, x)[1]
+        quot = (self._dhx(t, x, right=True) - self.dhx_rule(t, x)) / gap
+        return _tidy(self.dgt_rule(t, x) - self.c**2 * quot)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .derivators import Derivator, regular_points
 from .errors import DivergenceError, DomainError, GateError, InvariantError
-from .gderiv import HeatResidual, _atom_gap
+from .gderiv import HeatResidual, _tidy
 from .special import exp_walk, gcos_series, gsin_series
 
 __all__ = [
@@ -35,13 +35,6 @@ __all__ = [
     "dirichlet_solution",
     "neumann_solution",
 ]
-
-
-def _tidy(z):
-    # collapse exact-real complex results (conjugate coefficient pairs)
-    if isinstance(z, complex) and z.imag == 0.0:
-        return z.real
-    return z
 
 
 @dataclass(frozen=True)
@@ -139,71 +132,50 @@ def _as_term(problem, term):
 
 
 class HeatSolution(HeatResidual):
-    """Finite superposition of separated terms with closed-form partials."""
+    """Finite superposition of separated terms with closed-form partials.
+
+    The time row holds every term's w(t) and the space column its v(x), each
+    from one walk of g and of h; lam = 0 terms read neither walk, but the
+    walks refuse the same points for every solution.
+    """
 
     def __init__(self, problem: HeatProblem, terms):
         self.problem = problem
         self.g, self.h, self.c = problem.g, problem.h, problem.c
         self.terms = tuple(_as_term(problem, tm) for tm in terms)
 
-    def _walks(self, t, x):
-        """g walked to t and h to x once for all terms.  lam = 0 terms read
-        neither, but the walks refuse the same points for every solution."""
-        return self.g.exp_data(0.0, t), self.h.exp_data(0.0, x)
+    def _row(self, t, right=False):
+        tw, gap = self.g.exp_data(0.0, t), self.g.jump(t) if right else 0.0
+        return [tm.w(tw, gap) for tm in self.terms]
 
-    def __call__(self, t, x):
-        tw, xw = self._walks(t, x)
-        return _tidy(sum((tm.w(tw) * tm.v(x, xw) for tm in self.terms), 0.0))
-
-    def _ws(self, t):
-        tw = self.g.exp_data(0.0, t)
-        return [tm.w(tw) for tm in self.terms]
-
-    def _vs(self, x):
+    def _col(self, x):
         xw = self.h.exp_data(0.0, x)
         return [tm.v(x, xw) for tm in self.terms]
 
-    def along_t(self, x):
-        """s -> u(s, x) with every term's v(x) taken once."""
-        vs = self._vs(x)
-        return lambda s: _tidy(sum((w * v for w, v in zip(self._ws(s), vs)), 0.0))
+    @staticmethod
+    def _dot(row, col):
+        return _tidy(sum((w * v for w, v in zip(row, col)), 0.0))
 
-    def along_x(self, t):
-        """y -> u(t, y) with every term's w(t) taken once."""
-        ws = self._ws(t)
-        return lambda y: _tidy(sum((w * v for w, v in zip(ws, self._vs(y))), 0.0))
+    def __call__(self, t, x):
+        # one pass over the terms: no row and column lists for a lone value
+        tw, xw = self.g.exp_data(0.0, t), self.h.exp_data(0.0, x)
+        return _tidy(sum((tm.w(tw) * tm.v(x, xw) for tm in self.terms), 0.0))
+
+    def _dhx(self, t, x, right=False):
+        ws = self._row(t)
+        xw, gap = self.h.exp_data(0.0, x), self.h.jump(x) if right else 0.0
+        return _tidy(sum((w * tm.dv(xw, gap) for tm, w in zip(self.terms, ws)), 0.0))
 
     def initial(self, x):
         return self(0.0, x)
 
     def dgt_rule(self, t, x):
-        tw, xw = self._walks(t, x)
-        return _tidy(sum((tm.rate * tm.w(tw) * tm.v(x, xw) for tm in self.terms), 0.0))
-
-    def dhx_rule(self, t, x):
-        tw, xw = self._walks(t, x)
-        return _tidy(sum((tm.w(tw) * tm.dv(xw) for tm in self.terms), 0.0))
+        wv = zip(self.terms, self._row(t), self._col(x))
+        return _tidy(sum((tm.rate * w * v for tm, w, v in wv), 0.0))
 
     def dhx2_rule(self, t, x):
-        tw, xw = self._walks(t, x)
-        return _tidy(sum((tm.lam * tm.w(tw) * tm.v(x, xw) for tm in self.terms), 0.0))
-
-    def jump_residual_t(self, t, x):
-        """Exact atom-row residual in time: jump quotient minus c^2 d_h^2 u."""
-        gap = _atom_gap(self.g, t, "t")
-        tw, xw = self._walks(t, x)
-        up = sum((tm.w(tw, gap) * tm.v(x, xw) for tm in self.terms), 0.0)
-        quot = (up - self(t, x)) / gap
-        return _tidy(quot - self.c**2 * self.dhx2_rule(t, x))
-
-    def jump_residual_x(self, t, x):
-        """Exact atom-row residual in space: d_g u minus c^2 times the jump
-        quotient of the first h-derivative."""
-        gap = _atom_gap(self.h, x, "x")
-        tw, xw = self._walks(t, x)
-        dplus = sum((tm.w(tw) * tm.dv(xw, gap) for tm in self.terms), 0.0)
-        quot = (dplus - self.dhx_rule(t, x)) / gap
-        return _tidy(self.dgt_rule(t, x) - self.c**2 * quot)
+        wv = zip(self.terms, self._row(t), self._col(x))
+        return _tidy(sum((tm.lam * w * v for tm, w, v in wv), 0.0))
 
 
 def general_solution(problem: HeatProblem, terms) -> HeatSolution:

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DivergenceError, DomainError, GateError, NonConvergenceError
-from .gderiv import HeatResidual, _atom_gap, gderiv, gderiv2
+from .gderiv import HeatResidual
 from .heat1d import _stream
 from .lsintegral import integrate
 from .ode import build_grid
@@ -329,7 +329,8 @@ class GPolySolution(HeatResidual):
     rows, and by the coefficient law the row shift is c^2 times the d_Gx^2
     grid, so the rule residual vanishes.  Sum-case G-derivatives reduce to
     the one-variable ones of g and h, which is what the numeric residual
-    differentiates along.  a_mn gives the exact rational a_{m,n}.
+    differentiates along.  The time row is g(t)^T A and the space column
+    h(x).  a_mn gives the exact rational a_{m,n}.
     """
 
     def __init__(self, ctx, alpha, N, radius, tail_bound):
@@ -360,44 +361,26 @@ class GPolySolution(HeatResidual):
     def _hv(self, x, right=False):
         return self._th.values(self.N, x, right=right)
 
+    def _row(self, t, right=False):
+        return self._gv(t, right) @ self.A
+
+    def _col(self, x):
+        return self._hv(x)
+
     @staticmethod
-    def _form(gv, grid, hv):
-        return (gv @ grid @ hv[: grid.shape[1]]).item()
+    def _dot(row, col):
+        # a row of a shifted grid is shorter than the column: h_n past it is unused
+        return (row @ col[: row.shape[0]]).item()
 
-    def __call__(self, t, x):
-        return self._form(self._gv(t), self.A, self._hv(x))
-
-    def along_x(self, t):
-        """y -> u(t, y) with g(t)^T A taken once, the first product _form makes."""
-        gA = self._gv(t) @ self.A
-        return lambda y: (gA @ self._hv(y)[: self.A.shape[1]]).item()
+    def _dhx(self, t, x, right=False):
+        return self._dot(self._gv(t) @ self._Ax, self._hv(x, right))
 
     def dgt_rule(self, t, x):
         # the row shift (m + 1) a_{m+1,n} equals c^2 (n+2)(n+1) a_{m,n+2}
         return self.c**2 * self.dhx2_rule(t, x)
 
-    def dhx_rule(self, t, x):
-        return self._form(self._gv(t), self._Ax, self._hv(x))
-
     def dhx2_rule(self, t, x):
-        return self._form(self._gv(t), self._Axx, self._hv(x))
-
-    def jump_residual_t(self, t, x):
-        """Exact atom-row residual in time: the jump quotient of u, taken on
-        the monomial vector g(t), minus c^2 d_h^2 u."""
-        gap = _atom_gap(self.g, t, "t")
-        dg = self._gv(t, right=True) - self._gv(t)
-        quot = self._form(dg, self.A, self._hv(x)) / gap
-        return quot - self.c**2 * self.dhx2_rule(t, x)
-
-    def jump_residual_x(self, t, x):
-        """Exact atom-row residual in space: d_g u minus c^2 times the jump
-        quotient of d_h u, whose right limit comes from the monomial vector
-        h(x+)."""
-        gap = _atom_gap(self.h, x, "x")
-        dplus = self._form(self._gv(t), self._Ax, self._hv(x, right=True))
-        quot = (dplus - self.dhx_rule(t, x)) / gap
-        return self.dgt_rule(t, x) - self.c**2 * quot
+        return self._dot(self._gv(t) @ self._Axx, self._hv(x))
 
     def a_mn(self, m, n):
         """Exact rational coefficient a_{m,n} of G_{m,n} in the double series."""
@@ -578,9 +561,11 @@ def independence_determinant(v1, v2, x=0.0):
 class ProductCaseSolution(HeatResidual):
     """u(t, x) = w(t) v(x) with w'_g = (lam c^2/g^2) w and v''_h = (lam/h) v.
 
-    w is exp_walk at rate lam c^2 over the measure dg/g^2 and v a SpaceFactor.
-    The G-slices rescale g by h(x) and h by g(t), which divides the partials
-    by h(x) and g(t)^2.
+    w is exp_walk at rate lam c^2 over the measure dg/g^2 and v a SpaceFactor;
+    the time row is w(t) and the space column v(x).  The G-slices rescale g
+    by h(x) and h by g(t), the slice scales: d_G u in t is d_g u / h(x), and
+    dhx_rule is the G-derivative in x, w(t) v'_h(x) / g(t), so that the
+    partials carry 1/h(x) and 1/g(t)^2.
     """
 
     def __init__(self, G, lam, c, v, regressivity, independence):
@@ -597,18 +582,20 @@ class ProductCaseSolution(HeatResidual):
         gap = self.g.jump(t) / self.g.eval(t) ** 2 if right else 0.0
         return exp_walk(self.lam * self.c**2, _inverse_square_walk(self.g, t), gap)
 
-    def __call__(self, t, x):
-        return self.w(t) * self.v(x)
+    _row = w
 
-    def along_t(self, x):
-        """s -> u(s, x) with v(x) taken once."""
-        vx = self.v(x)
-        return lambda s: self.w(s) * vx
+    def _col(self, x):
+        return self.v(x)
 
-    def along_x(self, t):
-        """y -> u(t, y) with w(t) taken once."""
-        wt = self.w(t)
-        return lambda y: wt * self.v(y)
+    @staticmethod
+    def _dot(row, col):
+        return row * col
+
+    def _slice_scales(self, t, x):
+        return self.h.eval(x), self.g.eval(t)
+
+    def _dhx(self, t, x, right=False):
+        return self.w(t) * self.v.derivative(x, right) / self.g.eval(t)
 
     def _scaled(self, t, x):
         # u / (g(t)^2 h(x)): lam c^2 times it is d_G u in t, lam times it d_G^2 u in x
@@ -619,27 +606,6 @@ class ProductCaseSolution(HeatResidual):
 
     def dhx2_rule(self, t, x):
         return self.lam * self._scaled(t, x)
-
-    def residual_numeric(self, t, x):
-        dt = gderiv(self.along_t(x), t, self.g) / self.h.eval(x)
-        dxx = gderiv2(self.along_x(t), x, self.h) / self.g.eval(t) ** 2
-        return dt - self.c**2 * dxx
-
-    def jump_residual_t(self, t, x):
-        """Exact atom-row residual in time: the jump quotient of u along the
-        slice t -> g(t) h(x), whose gap is gap h(x), minus c^2 dhx2_rule."""
-        gap = _atom_gap(self.g, t, "t")
-        quot = (self.w(t, right=True) - self.w(t)) * self.v(x) / (gap * self.h.eval(x))
-        return quot - self.c**2 * self.dhx2_rule(t, x)
-
-    def jump_residual_x(self, t, x):
-        """Exact atom-row residual in space: dgt_rule minus c^2 times the
-        jump quotient of w(t) v'_h(x) / g(t) along the slice x -> g(t) h(x),
-        whose gap is g(t) gap; v'_h(x+) comes from the atom matrix."""
-        gap = _atom_gap(self.h, x, "x")
-        dv = self.v.derivative(x, right=True) - self.v.derivative(x)
-        quot = self.w(t) * dv / (gap * self.g.eval(t) ** 2)
-        return self.dgt_rule(t, x) - self.c**2 * quot
 
 
 def solve_product_case(G, lam, c, x0, v0, T, L):

@@ -4,7 +4,11 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -258,7 +262,7 @@ def test_eval_reads_stdin(capsys, spec_file, monkeypatch):
 
 def test_eval_rejects_bad_grid(capsys, spec_file):
     path = spec_file(jumpy_ivp_spec())
-    for grid in ("1x5", "5", "0x0", "axb"):
+    for grid in ("1x5", "5", "0x0", "axb", "2x2x9"):
         rc, _, err = run(capsys, ["eval", path, "--grid", grid])
         assert rc == 3
         assert err.startswith("spec error:")
@@ -427,6 +431,31 @@ def test_independence_determinant_row_can_fail(capsys, spec_file, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # exit codes
+
+
+DEMOS = ("worked_ivp", "periodic_classical", "product_eigen", "gpoly_gate")
+EXIT_CODES = {  # each subcommand's exit code on each of DEMOS
+    "eval": (0, 0, 0, 0),
+    "check": (0, 0, 0, 0),
+    "radius": (3, 3, 3, 0),
+    "eigs": (0, 0, 3, 3),
+}
+
+
+@pytest.mark.parametrize("cmd, name, want", [
+    (cmd, name, want) for cmd, codes in EXIT_CODES.items() for name, want in zip(DEMOS, codes)])
+def test_exit_code_matrix_on_the_demo_specs(cmd, name, want):
+    # a fresh interpreter per command, as a user runs it: stderr is empty or
+    # one "... error: ..." line, never a traceback
+    env = dict(os.environ, PYTHONPATH=str(SPECS.parent.parent / "src"))
+    argv = [sys.executable, "-m", "stieltjes_heat.cli", cmd, str(SPECS / f"{name}.json")]
+    out = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+    assert out.returncode == want, out.stderr
+    lines = out.stderr.splitlines()
+    if want == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and re.match(r"[a-z]+ error: \S", lines[0]), out.stderr
 
 
 def test_check_dirichlet_spec_past_order_170(capsys, spec_file):

@@ -513,6 +513,31 @@ def test_product_partials_match_modes(one_plus_pair):
         assert nxx == pytest.approx(sol.dhx2_rule(t, x), rel=1e-5)
 
 
+def test_product_slices_and_numeric_residual_read_the_plain_values():
+    # g = 1 + t with a gap-0.5 atom at 0.6; h = 1 + x/2 with a gap-0.25 atom
+    # at 0.9 and a flat run on [1.2, 1.4]
+    g = Derivator.from_pieces([("affine", 0.0, 0.6, 1.0, 1.0), ("affine", 0.6, 2.0, 1.0, 1.5)])
+    h = Derivator.from_pieces([("affine", 0.0, 0.9, 0.5, 1.0), ("affine", 0.9, 1.2, 0.5, 1.25),
+                               ("flat", 1.2, 1.4, 1.85), ("affine", 1.4, 2.0, 0.5, 1.15)])
+    c, T, L = 0.8, 1.8, 1.8
+    sol = solve_product_case(ProductDerivator(g, h), lam=-1.5, c=c, x0=1.0, v0=0.5, T=T, L=L)
+    ts = regular_points(g, 0.0, T, 4)
+    xs = regular_points(h, 0.0, L, 4)
+    for t in ts + [0.0, 0.6, T]:
+        ux = sol.along_x(t)
+        for y in xs + [0.0, 0.9, 1.3, L]:
+            assert repr(ux(y)) == repr(sol(t, y)), (t, y)
+    for x in xs + [0.0, 0.9, 1.3, L]:
+        ut = sol.along_t(x)
+        for s in ts + [0.0, 0.6, T]:
+            assert repr(ut(s)) == repr(sol(s, x)), (s, x)
+    for t in ts[1:3] + [0.6]:
+        for x in xs[1:3] + [0.9]:
+            dt = gderiv(lambda s: sol(s, x), t, g) / h.eval(x)
+            dxx = gderiv2(lambda y: sol(t, y), x, h) / g.eval(t) ** 2
+            assert repr(sol.residual_numeric(t, x)) == repr(dt - c * c * dxx), (t, x)
+
+
 def test_product_case_requires_product(jump_g, plateau_h):
     G = SumDerivator(jump_g, plateau_h)
     with pytest.raises(TypeError):

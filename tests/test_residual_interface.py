@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from stieltjes_heat import DomainError, load_problem, regular_points, solve
+from stieltjes_heat import DomainError, gderiv, load_problem, regular_points, solve
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "specs"
 
@@ -41,3 +41,24 @@ def test_every_solution_answers_the_residual_interface(name):
     if not parsed.h.is_atom(x):
         with pytest.raises(DomainError):
             sol.jump_residual_x(t, x)
+
+
+@pytest.mark.parametrize(
+    "name", ["worked_ivp", "periodic_classical", "product_eigen", "gpoly_gate"]
+)
+def test_every_solution_answers_dhx_rule_and_real_jump_rows(name):
+    parsed = load_problem((SPECS / f"{name}.json").read_text())
+    sol, _info = solve(parsed)
+    # the product case's space slice runs along g(t) h: its quotient carries 1/g(t)
+    product = parsed.mode == "product-eigen"
+    for t in regular_points(parsed.g, 0.0, parsed.T, 3):
+        for x in regular_points(parsed.h, 0.0, parsed.L, 3):
+            want = gderiv(sol.along_x(t), x, parsed.h) / (parsed.g.eval(t) if product else 1.0)
+            assert abs(sol.dhx_rule(t, x) - want) <= 1e-6 * (1.0 + abs(want))
+
+    xs = regular_points(parsed.h, 0.0, parsed.L, 3)
+    ts = regular_points(parsed.g, 0.0, parsed.T, 3)
+    rows = [sol.jump_residual_t(tau, x) for tau, _ in parsed.g.atoms_in(0.0, parsed.T) for x in xs]
+    rows += [sol.jump_residual_x(t, xi) for xi, _ in parsed.h.atoms_in(0.0, parsed.L) for t in ts]
+    assert bool(rows) == (name in ("worked_ivp", "gpoly_gate"))
+    assert all(type(r) is float for r in rows)
