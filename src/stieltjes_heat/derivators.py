@@ -84,6 +84,7 @@ class Derivator:
         self._atom_t = [t for t, _ in self.atoms]
         self._atom_gap = {t: gap for t, gap in self.atoms}
         self._runs = self._constancy_runs(segments, set(self._atom_t))
+        self._anchor = (None, None)  # (a, g(a)) of the last measure call
 
     # -- construction ------------------------------------------------------
 
@@ -226,10 +227,16 @@ class Derivator:
         return self.atoms[i:j]
 
     def measure(self, a, b):
-        """mu_g([a, b)) = g(b) - g(a), exact.  Requires a <= b."""
+        """mu_g([a, b)) = g(b) - g(a), exact.  Requires a <= b.  g(a) is kept
+        for the next call: walks start from one fixed anchor."""
         if b < a:
             raise DomainError(f"measure needs a <= b, got [{a}, {b})")
-        return self.eval(b) - self.eval(a)
+        gb = self.eval(b)
+        anchor, ga = self._anchor
+        if a != anchor:
+            ga = self.eval(a)
+            self._anchor = (a, ga)
+        return gb - ga
 
     def exp_data(self, a, b):
         """(atoms in [a, b), continuous measure of [a, b)): all that an

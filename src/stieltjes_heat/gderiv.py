@@ -5,6 +5,15 @@ that g(s) - g(t) hits a prescribed step, which makes flat stretches invisible
 and keeps the quotient well conditioned.  Steps are clipped so samples never
 cross an atom; at atoms the derivative is the exact jump quotient.  A Neville
 table extrapolates the quotients to step zero with a convergence check.
+
+Second derivatives at a regular point with measure room on both sides come
+from one ladder of three-point second divided differences in g-units: between
+samples with no atom inside, f is a smooth function of y = g(s), and d_g^2 f
+is its second y-derivative.  The ladder runs from two starting steps, and the
+limit stands only when both settle and agree.  At atoms, in constancy runs,
+with room on one side only or with less than THREE_POINT_ROOM on a side, the
+second derivative is the quotient of the first-derivative function (the jump
+quotient at an atom).
 """
 
 from __future__ import annotations
@@ -30,22 +39,39 @@ class DiffConfig:
 
 
 DEFAULT = DiffConfig()
-# second derivatives: wider steps (noise from the inner derivative divides by
-# the outer step) and a looser target
+# second derivatives by quotients of the first derivative (atoms, constancy
+# runs, too little room on a side for the three-point ladders): wider outer
+# steps (noise from the inner derivative divides by them) and a looser target.
+# DEFAULT_OUTER.tol is also how closely the two three-point ladders of a
+# regular point must agree.
 DEFAULT_OUTER = DiffConfig(step0=0.25, tol=5e-7)
 DEFAULT_INNER = DiffConfig(step0=0.05, tol=1e-10)
+# the two three-point ladders of a regular point: DEFAULT_OUTER's steps, and
+# 0.7 times them; each settles to 1e-9 (a much tighter target runs into the
+# rounding of the second difference)
+THREE_POINT = (
+    ("first", replace(DEFAULT_OUTER, tol=1e-9)),
+    ("second", replace(DEFAULT_OUTER, step0=0.7 * DEFAULT_OUTER.step0, tol=1e-9)),
+)
+# the three-point ladders need this much measure room on each side: their
+# rounding error, about 4 eps |f| / step^2, must stay under their target for
+# the levels they take.  On random drivers they stalled on a fifth of the
+# points with 1e-3 to 3e-3 of room and on none with more, so step0/8 leaves a
+# tenfold margin; closer to an atom or an edge the nested route's looser
+# target still settles
+THREE_POINT_ROOM = DEFAULT_OUTER.step0 / 8
 
 
 def _sup(v):
     return float(np.max(np.abs(v))) if isinstance(v, np.ndarray) else abs(v)
 
 
-def _extrapolate(pairs, tol, min_levels):
+def _extrapolate(pairs, tol, min_levels, scale=1.0):
     """Neville extrapolation to step 0 over (step, value) pairs.
 
     Values are scalars or arrays of one shape.  The table stops once at least
     min_levels levels are in and the diagonal moves by at most
-    tol * (1 + |diagonal|), both in the sup norm.
+    tol * (scale + |diagonal|), both in the sup norm.
     """
     xs = []
     prev_row = []
@@ -61,7 +87,7 @@ def _extrapolate(pairs, tol, min_levels):
         if prev_row:
             last_two = (prev_row[-1], diag)
             err = _sup(diag - prev_row[-1])
-            if len(xs) >= min_levels and err <= tol * (1.0 + _sup(diag)):
+            if len(xs) >= min_levels and err <= tol * (scale + _sup(diag)):
                 return diag
         prev_row = row
     raise NonConvergenceError(
@@ -132,10 +158,11 @@ def _backward_sample(d, base, gb, eta, rooms):
     return (s, actual) if actual > 0.0 else None
 
 
-def _one_sided(f, base, d, cfg, side, gb, rooms):
+def _one_sided(f, base, d, cfg, side, gb, rooms, probe):
+    """One-sided ladder from base; probe is the sample at step0 on that side,
+    None when there is none."""
     fb = f(base)
     sampler = _forward_sample if side > 0 else _backward_sample
-    probe = sampler(d, base, gb, cfg.step0, rooms)
     if probe is None:
         raise DomainError(
             f"no measure room on side {side:+d} of t={base} for a one-sided quotient"
@@ -147,7 +174,8 @@ def _one_sided(f, base, d, cfg, side, gb, rooms):
     def pairs():
         eta = eta0
         for _ in range(cfg.max_levels):
-            got = sampler(d, base, gb, eta, rooms)
+            # the probe is the first level's sample when the room allows step0
+            got = probe if eta == cfg.step0 else sampler(d, base, gb, eta, rooms)
             if got is not None:
                 s, actual = got
                 yield actual, (f(s) - fb) / (actual * side)
@@ -156,21 +184,67 @@ def _one_sided(f, base, d, cfg, side, gb, rooms):
     return _extrapolate(pairs(), cfg.tol, cfg.min_levels)
 
 
-def _central(f, t, d, cfg, gb, rooms):
-    eta0 = min(cfg.step0, 0.9 * rooms[0], 0.9 * rooms[1])
-
-    def pairs():
-        eta = eta0
-        for _ in range(cfg.max_levels):
+def _levels(d, t, gb, rooms, cfg, probes=None):
+    """The (forward, backward) sample pairs of a two-sided ladder, one per
+    level that finds both sides.  probes, the pair at step0 when the caller
+    already took it, is the first level when the room allows step0."""
+    eta = min(cfg.step0, 0.9 * rooms[0], 0.9 * rooms[1])
+    for _ in range(cfg.max_levels):
+        if probes is not None and eta == cfg.step0:
+            fwd, bwd = probes
+        else:
             fwd = _forward_sample(d, t, gb, eta, rooms)
             bwd = _backward_sample(d, t, gb, eta, rooms)
-            if fwd is not None and bwd is not None:
-                sp, ap = fwd
-                sm, am = bwd
-                yield 0.5 * (ap + am), (f(sp) - f(sm)) / (ap + am)
-            eta *= cfg.shrink
+        if fwd is not None and bwd is not None:
+            yield fwd, bwd
+        eta *= cfg.shrink
+
+
+def _central(f, t, d, cfg, gb, rooms, probes):
+    def pairs():
+        for (sp, ap), (sm, am) in _levels(d, t, gb, rooms, cfg, probes):
+            yield 0.5 * (ap + am), (f(sp) - f(sm)) / (ap + am)
 
     return _extrapolate(pairs(), cfg.tol, cfg.min_levels)
+
+
+def _three_point(f, t, d, cfg, gb, rooms, ft, probes=None):
+    """d_g^2 f at a regular point from the three-point second divided
+    differences 2((f(s+) - f(t))/a+ - (f(t) - f(s-))/a-)/(a+ + a-); ft is
+    f(t).  Both sides step by the same eta, so the error is even in the mean
+    step h = (a+ + a-)/2 and the table extrapolates in h^2: a table in h
+    spends a level on each odd power and amplifies the rounding with it.
+    The target is relative to 1 + |f(t)| + |d_g^2 f|: the rounding in a
+    difference of f values grows with |f|, not with the second derivative."""
+
+    def pairs():
+        for (sp, ap), (sm, am) in _levels(d, t, gb, rooms, cfg, probes):
+            h = 0.5 * (ap + am)
+            yield h * h, ((f(sp) - ft) / ap - (ft - f(sm)) / am) / h
+
+    return _extrapolate(pairs(), cfg.tol, cfg.min_levels, 1.0 + _sup(ft))
+
+
+def _probe(d, t, cfg):
+    """(g(t), rooms, forward sample, backward sample) at a regular point, the
+    samples taken at step0 (None on a side without room)."""
+    gb = d.eval(t)
+    rooms = _rooms(d, t, gb)
+    fwd = _forward_sample(d, t, gb, cfg.step0, rooms)
+    bwd = _backward_sample(d, t, gb, cfg.step0, rooms)
+    return gb, rooms, fwd, bwd
+
+
+def _regular(f, t, d, cfg, gb, rooms, fwd, bwd):
+    """First derivative at a regular point: two-sided when both probes found
+    a sample, else one-sided on the side that did."""
+    if fwd is not None and bwd is not None:
+        return _central(f, t, d, cfg, gb, rooms, (fwd, bwd))
+    if fwd is not None:
+        return _one_sided(f, t, d, cfg, +1, gb, rooms, fwd)
+    if bwd is not None:
+        return _one_sided(f, t, d, cfg, -1, gb, rooms, bwd)
+    raise DomainError(f"no measure room around t={t} for a difference quotient")
 
 
 def gderiv(f, t, d, cfg=None):
@@ -198,29 +272,55 @@ def gderiv(f, t, d, cfg=None):
                 f"constancy run ending at the domain edge t={b} has no derivative data"
             )
         gb = d.eval(b)
-        return _one_sided(f, b, d, cfg, +1, gb, _rooms(d, b, gb))
-    gb = d.eval(t)
-    rooms = _rooms(d, t, gb)
-    has_fwd = _forward_sample(d, t, gb, cfg.step0, rooms) is not None
-    has_bwd = _backward_sample(d, t, gb, cfg.step0, rooms) is not None
-    if has_fwd and has_bwd:
-        return _central(f, t, d, cfg, gb, rooms)
-    if has_fwd:
-        return _one_sided(f, t, d, cfg, +1, gb, rooms)
-    if has_bwd:
-        return _one_sided(f, t, d, cfg, -1, gb, rooms)
-    raise DomainError(f"no measure room around t={t} for a difference quotient")
+        rooms = _rooms(d, b, gb)
+        probe = _forward_sample(d, b, gb, cfg.step0, rooms)
+        return _one_sided(f, b, d, cfg, +1, gb, rooms, probe)
+    return _regular(f, t, d, cfg, *_probe(d, t, cfg))
 
 
 def gderiv2(f, t, d):
-    """Second Stieltjes derivative: the derivative machinery applied to
-    s -> gderiv(f, s).  At atoms this is the exact jump quotient of the
-    first-derivative function."""
+    """Second Stieltjes derivative of f at t with respect to d.
+
+    At a regular point with at least THREE_POINT_ROOM of measure room on
+    each side: the three-point ladder, run from each starting step of
+    THREE_POINT; the first one's limit stands when both settle and agree
+    within DEFAULT_OUTER.tol, and otherwise NonConvergenceError names the
+    ladder and carries both estimates.  Elsewhere: the derivative machinery
+    applied to s -> gderiv(f, s), the exact jump quotient of it at an atom.
+    """
+    t = float(t)
+    d._check_domain(t)
 
     def D(s):
         return gderiv(f, s, d, DEFAULT_INNER)
 
-    return gderiv(D, t, d, DEFAULT_OUTER)
+    if d.is_atom(t) or d.constancy_run(t) is not None:
+        return gderiv(D, t, d, DEFAULT_OUTER)
+    # the first ladder starts at DEFAULT_OUTER's step0: one probe pair for both
+    gb, rooms, fwd, bwd = _probe(d, t, DEFAULT_OUTER)
+    if fwd is None or bwd is None or min(rooms[:2]) < THREE_POINT_ROOM:
+        return _regular(D, t, d, DEFAULT_OUTER, gb, rooms, fwd, bwd)
+    (name0, cfg0), (name1, cfg1) = THREE_POINT
+    ft = f(t)
+    est, stalled = [], []
+    for name, cfg, probes in ((name0, cfg0, (fwd, bwd)), (name1, cfg1, None)):
+        try:
+            est.append(_three_point(f, t, d, cfg, gb, rooms, ft, probes))
+        except NonConvergenceError as e:
+            est.append(e.estimates[1])
+            stalled.append(f"the {name} three-point ladder (step0 {cfg.step0:g}): {e}")
+    if stalled:
+        raise NonConvergenceError(
+            f"second derivative at t={t}: " + "; ".join(stalled), estimates=tuple(est)
+        )
+    if _sup(est[1] - est[0]) > DEFAULT_OUTER.tol * (1.0 + _sup(est[0])):
+        raise NonConvergenceError(
+            f"second derivative at t={t}: the {name1} three-point ladder "
+            f"(step0 {cfg1.step0:g}) gives {est[1]!r}, the {name0} "
+            f"(step0 {cfg0.step0:g}) {est[0]!r}",
+            estimates=tuple(est),
+        )
+    return est[0]
 
 
 def heat_residual(u, t, x, g, h, c):

@@ -78,6 +78,18 @@ def test_measure_and_continuous_measure(plateau_h):
         plateau_h.measure(1.0, 0.5)
 
 
+def test_measure_reads_its_anchor_once(mixed):
+    d = Derivator(mixed.segments, mixed.atoms)
+    seen = []
+    d.eval = lambda t: seen.append(t) or Derivator.eval(d, t)
+    got = [d.measure(0.0, b) for b in (0.3, 1.1, 1.7)] + [d.measure(0.5, 1.7)]
+    assert got == [mixed.eval(b) - mixed.eval(a)
+                   for a, b in ((0.0, 0.3), (0.0, 1.1), (0.0, 1.7), (0.5, 1.7))]
+    assert seen == [0.3, 0.0, 1.1, 1.7, 1.7, 0.5]
+    with pytest.raises(DomainError):  # a kept anchor does not skip the domain check
+        d.measure(0.0, 99.0)
+
+
 def test_constancy_run_and_t_star(plateau_h, mixed):
     assert plateau_h.constancy_run(1.2) == (1.0, 1.5)
     assert plateau_h.constancy_run(0.7) is None

@@ -353,7 +353,7 @@ def test_gpoly_slices_are_bit_identical_to_plain_evaluation(jump_g, plateau_h, p
         assert [repr(ut(t)) for t in ts] == [repr(sol(t, x)) for t in ts]
     for t, x in ((ts[1], xs[2]), (ts[3], xs[1])):
         sliced, plain = residual_both_routes(sol, t, x)
-        assert sliced == plain and sliced[1] > 100
+        assert sliced == plain and 0 < sliced[1] <= 60
 
 
 def test_finite_alpha_list_is_polynomial(jump_g, plateau_h):
