@@ -10,10 +10,12 @@ from the left segment, which is what left-continuity demands.
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -175,6 +177,29 @@ class Derivator:
             i = j + 1
         return tuple(runs)
 
+    @functools.cached_property
+    def _compiled(self):
+        """The arrays of the array queries (batched ladders, array
+        exponential), built on first use: atom times, gaps and values g(t),
+        cumulative gaps with a leading 0, and the advance_to_value tables with
+        each segment's ends, kind and atom flag."""
+        segs = self.segments
+        flat = np.array([s.kind == "flat" for s in segs])
+        gap = np.array([gap for _, gap in self.atoms])
+        return SimpleNamespace(
+            atom_t=np.array(self._atom_t),
+            gap=gap,
+            atom_val=np.array([self.eval(t) for t in self._atom_t]),
+            cum_gap=np.concatenate(([0.0], np.cumsum(gap))),
+            lo_min=np.array(self._lo_min),
+            hi_end=np.array(self._hi_end),
+            seg_lo=np.array([s.lo for s in segs]),
+            seg_hi=np.array([s.hi for s in segs]),
+            flat=flat,
+            slope_or_1=np.where(flat, 1.0, self._slope),
+            lo_is_atom=np.array([s.lo in self._atom_gap for s in segs]),
+        )
+
     # -- basic queries -----------------------------------------------------
 
     def _check_domain(self, t):
@@ -200,9 +225,9 @@ class Derivator:
     def eval_array(self, ts):
         ts = np.asarray(ts, dtype=float)
         fuzz = 1e-9 * (1.0 + abs(self.lo) + abs(self.hi))
-        if np.any(ts < self.lo - fuzz) or np.any(ts > self.hi + fuzz):
+        if (ts < self.lo - fuzz).any() or (ts > self.hi + fuzz).any():
             raise DomainError("point outside derivator domain")
-        tc = np.clip(ts, self.lo, self.hi)
+        tc = np.minimum(np.maximum(ts, self.lo), self.hi)
         idx = np.searchsorted(self._bk, tc, side="left")
         return self._slope[idx] * tc + self._icept[idx]
 
@@ -302,6 +327,28 @@ class Derivator:
             # the segment's lower value is only a right limit there
             return None
         return hit
+
+    def advance_to_value_array(self, ys):
+        """advance_to_value at every entry of ys, nan where it gives None:
+        the same comparisons on the same floats, entry by entry."""
+        c = self._compiled
+        ys = np.asarray(ys, dtype=float)
+        tol = 1e-12 * (1.0 + np.abs(ys))
+        i = np.searchsorted(c.lo_min, ys + 2.0 * tol, side="right") - 1
+        while True:
+            down = (i >= 0) & (c.lo_min[np.maximum(i, 0)] - tol > ys)
+            if not down.any():
+                break
+            i -= down
+        k = np.maximum(i, 0)
+        lo, hi, flat = c.seg_lo[k], c.seg_hi[k], c.flat[k]
+        hit = (ys - self._icept[k]) / c.slope_or_1[k]  # flat pieces: hi, below
+        # min(max(hit, lo), hi) as Python takes it, signed zeros included
+        hit = np.where(lo > hit, lo, hit)
+        hit = np.where(hi < hit, hi, hit)
+        none = (i < 0) | (c.hi_end[k] + tol < ys)
+        none |= ~flat & (hit <= lo) & c.lo_is_atom[k]
+        return np.where(none, np.nan, np.where(flat, hi, hit))
 
     # -- structure-level checks ---------------------------------------------
 

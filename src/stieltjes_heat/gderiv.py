@@ -66,30 +66,64 @@ def _sup(v):
     return float(np.max(np.abs(v))) if isinstance(v, np.ndarray) else abs(v)
 
 
-def _extrapolate(pairs, tol, min_levels, scale=1.0):
+def _extrapolate(pairs, tol, min_levels, scale=1.0, running=None):
     """Neville extrapolation to step 0 over (step, value) pairs.
 
-    Values are scalars or arrays of one shape.  The table stops once at least
-    min_levels levels are in and the diagonal moves by at most
-    tol * (scale + |diagonal|), both in the sup norm.
+    Values are scalars or arrays of one shape.  With scalar steps the table
+    stops once at least min_levels levels are in and the diagonal moves by at
+    most tol * (scale + |diagonal|), both in the sup norm.  With steps of the
+    values' shape every entry has its own steps and its own stop: it keeps
+    the diagonal of the first level where its own change passes that test,
+    and an entry whose diagonal turns nan or infinite (a repeated step)
+    leaves the table and reads nan.
+    running, the entries still open (all by default), is updated in place,
+    so the pairs may skip the rest.
     """
     xs = []
     prev_row = []
     last_two = (None, None)
     err = math.inf
+    per_entry = None  # steps of the values' shape? decided at the first pair
     for x, y in pairs:
         xs.append(x)
         row = [y]
-        for j in range(1, len(xs)):
-            ratio = xs[-1 - j] / xs[-1]
-            row.append(row[j - 1] + (row[j - 1] - prev_row[j - 1]) / (ratio - 1.0))
+        try:
+            for j in range(1, len(xs)):
+                ratio = xs[-1 - j] / xs[-1]
+                row.append(row[j - 1] + (row[j - 1] - prev_row[j - 1]) / (ratio - 1.0))
+        except ZeroDivisionError:
+            # rounded steps within an ulp-sized room repeat: no table to extrapolate
+            raise NonConvergenceError(
+                f"extrapolation to step 0 stalled: the step {x!r} repeats", estimates=last_two
+            ) from None
         diag = row[-1]
-        if prev_row:
+        if per_entry is None:
+            per_entry = isinstance(x, np.ndarray)
+            if per_entry:
+                kept = np.full_like(diag, np.nan)
+                running = np.ones(diag.shape, dtype=bool) if running is None else running
+        if per_entry:
+            if prev_row:
+                last_two = (prev_row[-1], diag)
+                if len(xs) >= min_levels:
+                    change = abs(diag - prev_row[-1])
+                    stop = running & (change <= tol * (scale + abs(diag)))
+                    np.copyto(kept, diag, where=stop)
+                    running &= ~stop
+            running &= np.isfinite(diag)
+            if not running.any():
+                return kept
+        elif prev_row:
             last_two = (prev_row[-1], diag)
             err = _sup(diag - prev_row[-1])
             if len(xs) >= min_levels and err <= tol * (scale + _sup(diag)):
                 return diag
         prev_row = row
+    if per_entry and last_two[0] is not None:
+        # report the first entry still open, as its own table would
+        i = int(np.argmax(running))
+        last_two = (last_two[0][i], last_two[1][i])
+        err = abs(last_two[1] - last_two[0])
     raise NonConvergenceError(
         f"extrapolation to step 0 stalled at change {err:.3e} (tol {tol:.1e})",
         estimates=last_two,
@@ -125,14 +159,33 @@ def right_limit_of(f, t, d, cfg=None):
     return _extrapolate(pairs(), cfg.tol, cfg.min_levels)
 
 
-def _rooms(d, base, gb):
+def _rooms(d, base, gb, lo=None):
     """(forward, backward, backward cap) measure room around base, taken once
-    per quotient: up to the next atom or the top, down to the bottom or to the
-    open floor g(a+) of an atom a below, which the cap keeps clear of."""
+    per quotient: up to the next atom or the top, down to the lower end lo
+    (d.lo by default, never below it) or to the open floor g(a+) of an atom a
+    in [lo, base), which the cap keeps clear of."""
+    lo = d.lo if lo is None else max(lo, d.lo)
     na, pa = d.next_atom(base), d.prev_atom(base)
     fwd = d.eval(d.hi if na is None else na) - gb
-    bwd = gb - (d.eval(d.lo) if pa is None else d.eval(pa) + d.jump(pa))
-    return fwd, bwd, bwd if pa is None else 0.95 * bwd
+    if pa is None or pa < lo:
+        bwd = gb - d.eval(lo)
+        return fwd, bwd, bwd
+    bwd = gb - (d.eval(pa) + d.jump(pa))
+    return fwd, bwd, 0.95 * bwd
+
+
+def _rooms_array(d, ts, gb, lo=None):
+    """_rooms at every entry of ts, read off the compiled atoms."""
+    lo = d.lo if lo is None else max(lo, d.lo)
+    c = d._compiled
+    tops = np.append(c.atom_val, d.eval(d.hi))
+    fwd = tops[np.searchsorted(c.atom_t, ts, side="right")] - gb
+    # k: atoms below each entry, 0 when the nearest one lies below lo
+    k = np.searchsorted(c.atom_t, ts, side="left")
+    k = np.where(k > np.searchsorted(c.atom_t, lo, side="left"), k, 0)
+    floors = np.concatenate(([d.eval(lo)], c.atom_val + c.gap))
+    bwd = gb - floors[k]
+    return fwd, bwd, np.where(k > 0, 0.95 * bwd, bwd)
 
 
 def _forward_sample(d, base, gb, eta, rooms):
@@ -156,6 +209,22 @@ def _backward_sample(d, base, gb, eta, rooms):
         return None
     actual = gb - d.eval(s)
     return (s, actual) if actual > 0.0 else None
+
+
+def _samples_array(d, ts, gb, eta, rooms, side):
+    """_forward_sample (side +1) or _backward_sample (side -1) at every entry,
+    eta broadcast against the points: (s, actual) arrays, nan where the
+    scalar sampler gives None."""
+    fwd, bwd, cap = rooms
+    room = fwd if side > 0 else bwd
+    e = np.minimum(eta, room if side > 0 else cap)
+    s = d.advance_to_value_array(gb + side * e)
+    ok = ~(room <= _TINY * (1.0 + np.abs(gb))) & (side * (s - ts) > 0.0)
+    if side < 0:
+        ok &= e > 0.0
+    actual = side * (d.eval_array(np.where(ok, s, ts)) - gb)
+    ok &= actual > 0.0
+    return np.where(ok, s, np.nan), np.where(ok, actual, np.nan)
 
 
 def _one_sided(f, base, d, cfg, side, gb, rooms, probe):
@@ -225,11 +294,11 @@ def _three_point(f, t, d, cfg, gb, rooms, ft, probes=None):
     return _extrapolate(pairs(), cfg.tol, cfg.min_levels, 1.0 + _sup(ft))
 
 
-def _probe(d, t, cfg):
+def _probe(d, t, cfg, lo=None):
     """(g(t), rooms, forward sample, backward sample) at a regular point, the
     samples taken at step0 (None on a side without room)."""
     gb = d.eval(t)
-    rooms = _rooms(d, t, gb)
+    rooms = _rooms(d, t, gb, lo)
     fwd = _forward_sample(d, t, gb, cfg.step0, rooms)
     bwd = _backward_sample(d, t, gb, cfg.step0, rooms)
     return gb, rooms, fwd, bwd
@@ -247,15 +316,73 @@ def _regular(f, t, d, cfg, gb, rooms, fwd, bwd):
     raise DomainError(f"no measure room around t={t} for a difference quotient")
 
 
-def gderiv(f, t, d, cfg=None):
+def _batch(f, ts, d, cfg, lo):
+    """gderiv at every entry of the 1-d array ts.
+
+    The regular points whose step0 probes find both sides run one central
+    ladder in lockstep: the samples of every level are taken up front as
+    arrays, f sees each level's samples of the open entries in one call, and
+    _extrapolate keeps per-entry steps and stops, so each point gets what
+    its scalar ladder returns given the same f values.  Atoms, points in
+    constancy runs, one-sided points and points that meet a level without a
+    side sample take the scalar route.
+    """
+    for t in ts[(ts < d.lo) | (ts > d.hi)]:
+        d._check_domain(float(t))  # past the fuzz: the scalar route's error
+    gb = d.eval_array(ts)
+    rooms = _rooms_array(d, ts, gb, lo)
+    # row 0 the probes, rows 1.. the levels, stepped down as the scalar ladder does
+    etas = np.full((cfg.max_levels + 1, len(ts)), cfg.shrink)
+    etas[0] = cfg.step0
+    etas[1] = np.minimum(cfg.step0, np.minimum(0.9 * rooms[0], 0.9 * rooms[1]))
+    np.multiply.accumulate(etas[1:], out=etas[1:])
+    (sp, ap), (sm, am) = (_samples_array(d, ts, gb, etas, rooms, side) for side in (1, -1))
+    batch = ~np.isnan(ap[0]) & ~np.isnan(am[0])
+    for a in d._atom_t:
+        batch &= ts != a
+    for a, b in d.constancy_runs:
+        batch &= (ts <= a) | (ts >= b)
+    sp, sm, steps = sp[1:, batch], sm[1:, batch], ap[1:, batch] + am[1:, batch]
+    running = np.ones(len(steps[0]), dtype=bool)
+
+    def pairs():
+        for s_plus, s_minus, step in zip(sp, sm, steps):
+            live = running & ~np.isnan(step)  # a level without a side: nan, the entry leaves
+            fs = f(np.concatenate((s_plus[live], s_minus[live])))
+            y = np.full(len(step), np.nan, dtype=fs.dtype)
+            y[live] = (fs[: len(fs) // 2] - fs[len(fs) // 2 :]) / step[live]
+            yield 0.5 * step, y
+
+    kept = np.empty(0)
+    if batch.any():
+        # a repeated step divides by zero: its entry turns inf or nan and leaves
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kept = _extrapolate(pairs(), cfg.tol, cfg.min_levels, running=running)
+    idx = np.flatnonzero(batch)
+    rest = np.sort(np.concatenate((np.flatnonzero(~batch), idx[np.isnan(kept)])))
+    scalar = [gderiv(f, t, d, cfg, lo=lo) for t in ts[rest].tolist()]
+    out = np.empty(ts.shape, dtype=np.result_type(kept, *scalar))
+    out[idx] = kept
+    out[rest] = scalar
+    return out
+
+
+def gderiv(f, t, d, cfg=None, *, lo=None):
     """Stieltjes derivative of f at t with respect to the derivator d.
 
     Atoms use the exact jump quotient (f(t+) extrapolated, gap exact);
     constancy points defer to the right end of their run; regular points use
     two-sided quotients, falling back to one side when the other has no
-    measure room.
+    measure room.  No sample lies below lo (d.lo by default): the residual
+    ladders pass the anchor 0 their slices walk from.
+
+    t may be a 1-d array, with f mapping arrays to arrays (and scalars to
+    scalars): the regular points then share one lockstep ladder (`_batch`)
+    and the result is an array.
     """
     cfg = cfg or DEFAULT
+    if isinstance(t, np.ndarray):
+        return _batch(f, t.astype(float), d, cfg, lo)
     t = float(t)
     d._check_domain(t)
     if d.is_atom(t):
@@ -272,13 +399,13 @@ def gderiv(f, t, d, cfg=None):
                 f"constancy run ending at the domain edge t={b} has no derivative data"
             )
         gb = d.eval(b)
-        rooms = _rooms(d, b, gb)
+        rooms = _rooms(d, b, gb, lo)
         probe = _forward_sample(d, b, gb, cfg.step0, rooms)
         return _one_sided(f, b, d, cfg, +1, gb, rooms, probe)
-    return _regular(f, t, d, cfg, *_probe(d, t, cfg))
+    return _regular(f, t, d, cfg, *_probe(d, t, cfg, lo))
 
 
-def gderiv2(f, t, d):
+def gderiv2(f, t, d, *, lo=None):
     """Second Stieltjes derivative of f at t with respect to d.
 
     At a regular point with at least THREE_POINT_ROOM of measure room on
@@ -287,17 +414,18 @@ def gderiv2(f, t, d):
     within DEFAULT_OUTER.tol, and otherwise NonConvergenceError names the
     ladder and carries both estimates.  Elsewhere: the derivative machinery
     applied to s -> gderiv(f, s), the exact jump quotient of it at an atom.
+    No sample lies below lo, as in gderiv.
     """
     t = float(t)
     d._check_domain(t)
 
     def D(s):
-        return gderiv(f, s, d, DEFAULT_INNER)
+        return gderiv(f, s, d, DEFAULT_INNER, lo=lo)
 
     if d.is_atom(t) or d.constancy_run(t) is not None:
-        return gderiv(D, t, d, DEFAULT_OUTER)
+        return gderiv(D, t, d, DEFAULT_OUTER, lo=lo)
     # the first ladder starts at DEFAULT_OUTER's step0: one probe pair for both
-    gb, rooms, fwd, bwd = _probe(d, t, DEFAULT_OUTER)
+    gb, rooms, fwd, bwd = _probe(d, t, DEFAULT_OUTER, lo)
     if fwd is None or bwd is None or min(rooms[:2]) < THREE_POINT_ROOM:
         return _regular(D, t, d, DEFAULT_OUTER, gb, rooms, fwd, bwd)
     (name0, cfg0), (name1, cfg1) = THREE_POINT
@@ -324,9 +452,10 @@ def gderiv2(f, t, d):
 
 
 def heat_residual(u, t, x, g, h, c):
-    """Pointwise residual d_g u - c^2 d_h^2 u from raw difference quotients."""
-    du = gderiv(lambda s: u(s, x), t, g)
-    d2 = gderiv2(lambda y: u(t, y), x, h)
+    """Pointwise residual d_g u - c^2 d_h^2 u from raw difference quotients
+    of u on [0, T] x [0, L]: no sample lies below 0."""
+    du = gderiv(lambda s: u(s, x), t, g, lo=0.0)
+    d2 = gderiv2(lambda y: u(t, y), x, h, lo=0.0)
     return du - c * c * d2
 
 
@@ -389,9 +518,10 @@ class HeatResidual:
 
     def residual_numeric(self, t, x):
         """The residual from difference quotients along the slices, each
-        divided by its slice scale."""
-        du = gderiv(self.along_t(x), t, self.g)
-        d2 = gderiv2(self.along_x(t), x, self.h)
+        divided by its slice scale.  The slices walk from 0, so no ladder
+        samples below it."""
+        du = gderiv(self.along_t(x), t, self.g, lo=0.0)
+        d2 = gderiv2(self.along_x(t), x, self.h, lo=0.0)
         sx, st = self._slice_scales(t, x)
         return du / sx - self.c * self.c * (d2 / st**2)
 

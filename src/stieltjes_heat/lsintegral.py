@@ -9,6 +9,7 @@ Gauss-Kronrod 10/21 rule.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import math
@@ -179,23 +180,23 @@ def integrate(f, a, b, d, tol=DEFAULT_TOL):
 
 @functools.cache
 def _gauss_legendre_64():
-    """The 64-point Gauss-Legendre (node, weight) pairs on [-1, 1]."""
-    z, w = np.polynomial.legendre.leggauss(64)
-    return tuple(zip(z, w))
+    """The 64-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(64)
 
 
 def integrate_gauss(f, a, b, d):
     """Fixed-order (64-point Gauss-Legendre) Stieltjes sum of f over [a, b).
 
     Non-adaptive on purpose: the integrand may carry difference-quotient
-    noise that adaptive subdivision chases forever.  Atoms contribute their
-    left value times the gap.
+    noise that adaptive subdivision chases forever.  f maps arrays to arrays:
+    it is called once per affine piece on the node array, and on scalars at
+    the atoms, which contribute their left value times the gap.
     """
-    rule = _gauss_legendre_64()
+    z, w = _gauss_legendre_64()
     total = 0.0
     for lo, hi, slope in _affine_spans(d, a, b):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        total += slope * half * sum(wi * f(mid + half * zi) for zi, wi in rule)
+        total += slope * half * (w @ f(mid + half * z))
     for t, gap in d.atoms_in(a, b):
         total += f(t) * gap
     return total
@@ -209,14 +210,41 @@ def integrate_signed(f, x, y, d, tol=DEFAULT_TOL):
 
 
 def indefinite(f, a, d, tol=DEFAULT_TOL):
-    """t -> integral over [a, t) (signed below a).  Results are memoized."""
+    """t -> integral over [a, t) (signed below a), for a scalar t or an array
+    of them.  The integrals between consecutive knots (a and the ends of the
+    segments) are taken once, on first use, so F(t) integrates only the
+    piece between t and its knot toward a.  Results are memoized."""
     ig = _as_integrand(f)
+    a = float(a)
+    knots = sorted({a, d.hi} | {s.lo for s in d.segments})
+    piece_tol = tol / len(knots)  # at most len(knots) pieces add up
+    at_knot = []  # F at each knot
     cache = {}
 
-    def F(t):
-        t = float(t)
+    def fill():
+        i = knots.index(a)
+        vals = [0.0] * len(knots)
+        for j in range(i + 1, len(knots)):
+            vals[j] = vals[j - 1] + integrate(ig, knots[j - 1], knots[j], d, piece_tol)
+        for j in range(i - 1, -1, -1):
+            vals[j] = vals[j + 1] - integrate(ig, knots[j], knots[j + 1], d, piece_tol)
+        at_knot.extend(vals)
+
+    def F1(t):
         if t not in cache:
-            cache[t] = integrate_signed(ig, a, t, d, tol=tol)
+            if not at_knot:
+                fill()
+            if t >= a:
+                j = bisect.bisect_right(knots, t) - 1
+                cache[t] = at_knot[j] + integrate(ig, knots[j], t, d, piece_tol)
+            else:
+                j = bisect.bisect_left(knots, t)
+                cache[t] = at_knot[j] - integrate(ig, t, knots[j], d, piece_tol)
         return cache[t]
+
+    def F(t):
+        if isinstance(t, np.ndarray):
+            return np.array([F1(s) for s in t.tolist()])
+        return F1(float(t))
 
     return F

@@ -208,6 +208,26 @@ def test_eval_emit_diagnostics_fills_residual(capsys, spec_file):
             assert float(r[4]) >= 0.0  # the column holds |residual|
 
 
+def test_eval_reports_rule_residual_fallbacks(capsys, spec_file):
+    # at lam = 1000 the time quotients of the product case stall on 17 of the
+    # 25 rows; they keep the rule residual (0 by construction) in the CSV,
+    # and one stderr line says how many, where the first was and why
+    spec = json.loads((SPECS / "product_eigen.json").read_text())
+    spec["product-eigen"]["lam"] = 1000.0
+    argv = ["eval", spec_file(spec), "--grid", "5x5", "--emit-diagnostics"]
+    rc, out, err = run(capsys, argv)
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == 25 and sum(r[4] == "0.0" for r in rows) == 17
+    assert len(err.splitlines()) == 1
+    assert err.startswith("eval: 17 of 25 grid rows carry the rule residual (0 by construction)")
+    assert "first at (t, x) = (0.0, 0.0)" in err and "stalled" in err
+    # no fallback, no line
+    rc, _, err = run(capsys, ["eval", str(SPECS / "worked_ivp.json"), "--grid", "5x5",
+                              "--emit-diagnostics"])
+    assert rc == 0 and err == ""
+
+
 def test_eval_is_deterministic(capsys, spec_file):
     path = spec_file(jumpy_ivp_spec())
     _, out1, _ = run(capsys, ["eval", path, "--grid", "7x7"])
@@ -525,6 +545,18 @@ def test_numeric_failure_exits_4(capsys, spec_file):
         rc, _, err = run(capsys, [cmd, spec_file(spec), "--grid", "3x3"])
         assert rc == 4
         assert err.startswith("numeric failure:")
+
+
+@pytest.mark.parametrize("driver", ["g", "h"])
+def test_check_passes_when_a_domain_starts_left_of_0(capsys, spec_file, driver):
+    # the slices walk from the anchor 0, so the residual ladders must not
+    # sample below it (they did for h: "measure needs a <= b")
+    spec = json.loads((SPECS / "worked_ivp.json").read_text())
+    spec[driver]["domain"][0] = -0.5
+    spec[driver]["segments"][0]["from"] = -0.5
+    rc, out, _ = run(capsys, ["check", spec_file(spec)])
+    assert rc == 0
+    assert all(v == "PASS" for v in check_rows(out).values())
 
 
 def test_check_ftc_stall_is_a_fail_row(capsys, spec_file, monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from conftest import segment_chains
 from hypothesis import example, given, settings
@@ -151,12 +152,10 @@ def _rise_to(level):
                                   ("flat", 1.0, 2.0, level)])
 
 
-@settings(max_examples=150, deadline=None)
-@example(_DIP, 0.5)
-@example(_rise_to(1.0000000000007), 0.5)
-@example(_rise_to(-0.9999999999988939), 0.5)
-@given(segment_chains(), st.floats(min_value=0.0, max_value=1.0))
-def test_advance_to_value_matches_the_reversed_scan(d, frac):
+def _advance_inputs(d, frac):
+    """Values where advance_to_value's comparisons are close calls: segment
+    end values with the floats around them, points inside segments and jump
+    gaps, and values off both ends of the range."""
     ys = []
     for s in d.segments:
         for v in (s.value(s.lo), s.value(s.hi)):
@@ -175,10 +174,32 @@ def test_advance_to_value_matches_the_reversed_scan(d, frac):
         ys.append(d.eval(t) + frac * gap)  # strictly inside the jump gap, or its ends
         ys.append(d.eval(t) + 0.5 * gap)
     bottom, top = d.eval(d.lo), d.eval(d.hi)
-    ys += [bottom - 1.0, bottom - 1e-9, top + 1e-9, top + 1.0]
-    for y in ys:
+    return ys + [bottom - 1.0, bottom - 1e-9, top + 1e-9, top + 1.0]
+
+
+@settings(max_examples=150, deadline=None)
+@example(_DIP, 0.5)
+@example(_rise_to(1.0000000000007), 0.5)
+@example(_rise_to(-0.9999999999988939), 0.5)
+@given(segment_chains(), st.floats(min_value=0.0, max_value=1.0))
+def test_advance_to_value_matches_the_reversed_scan(d, frac):
+    for y in _advance_inputs(d, frac):
         got, want = d.advance_to_value(y), _scan_to_value(d, y)
         assert repr(got) == repr(want), (y, got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@example(_DIP, 0.5)
+@example(_rise_to(1.0000000000007), 0.5)
+@example(_rise_to(-0.9999999999988939), 0.5)
+@given(segment_chains(), st.floats(min_value=0.0, max_value=1.0))
+def test_array_advance_to_value_matches_the_scalar_one(d, frac):
+    # bit for bit, entry by entry; nan where the scalar one gives None
+    ys = _advance_inputs(d, frac)
+    got = d.advance_to_value_array(np.array(ys)).tolist()
+    want = [d.advance_to_value(y) for y in ys]
+    assert [None if math.isnan(s) else repr(s) for s in got] == [
+        None if s is None else repr(s) for s in want]
 
 
 def test_translation_condition(staircase, flatstep, jump_g, ident):

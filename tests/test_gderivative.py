@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from conftest import segment_chains
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stieltjes_heat import (
     Derivator,
     DiffConfig,
     DomainError,
+    StieltjesError,
     gderiv,
     gderiv2,
     gexp,
@@ -158,3 +162,71 @@ def test_neville_kernel_refuses_a_diverging_sequence():
         _extrapolate(pairs, 1e-10, 3)
     prev, last = info.value.estimates
     assert prev is not None and last is not None and prev != last
+
+
+def _cubic(s):
+    # pure arithmetic: the same floats on scalars and on arrays
+    return 0.5 + s * (1.5 - s * (0.25 + 0.125 * s))
+
+
+def _outcomes(fn):
+    try:
+        return [repr(v) for v in fn()]
+    except StieltjesError as e:
+        return type(e).__name__
+
+
+@settings(max_examples=60, deadline=None)
+@given(segment_chains(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_batched_gderiv_matches_the_scalar_one(d, fracs):
+    # random points, atoms, points 1e-13 and 1e-3 off the atoms and the
+    # domain ends (these leave the batch or meet clipped levels), and
+    # points in constancy runs: entry for entry what the scalar route gives
+    pts = [d.lo + q * (d.hi - d.lo) for q in fracs]
+    for a in [d.lo, d.hi] + [t for t, _ in d.atoms]:
+        pts += [a, a - 1e-13, a + 1e-13, a - 1e-3, a + 1e-3]
+    pts = [t for t in pts if d.lo <= t <= d.hi]
+    scalar = _outcomes(lambda: [gderiv(_cubic, t, d) for t in pts])
+    batched = _outcomes(lambda: gderiv(_cubic, np.array(pts), d).tolist())
+    if isinstance(scalar, str):
+        assert isinstance(batched, str)  # some point raises: so does the batch
+    else:
+        assert batched == scalar
+
+
+def test_batched_gderiv_sends_only_regular_points_through_the_ladder(jump_g):
+    # the atom and the domain end take the scalar route (f sees floats);
+    # the regular points share array calls
+    seen = []
+
+    def f(s):
+        seen.append(type(s).__name__)
+        return _cubic(s)
+
+    got = gderiv(f, np.array([0.2, 0.5, 0.9, 1.5]), jump_g).tolist()
+    assert [repr(v) for v in got] == [repr(gderiv(_cubic, t, jump_g)) for t in (0.2, 0.5, 0.9, 1.5)]
+    arrays = seen.count("ndarray")
+    assert 3 <= arrays <= DiffConfig().max_levels and len(seen) > arrays
+
+
+def test_batched_gderiv_stalls_like_the_scalar_one(jump_g):
+    from stieltjes_heat.errors import NonConvergenceError
+
+    capped = DiffConfig(max_levels=2, min_levels=3)
+    with pytest.raises(NonConvergenceError, match="extrapolation to step 0 stalled"):
+        gderiv(math.sin, 0.2, jump_g, capped)
+    with pytest.raises(NonConvergenceError, match="extrapolation to step 0 stalled"):
+        gderiv(np.sin, np.array([0.2, 0.9]), jump_g, capped)
+
+
+def test_repeated_steps_are_a_stall_not_a_crash():
+    # 1e-13 past the end of a rest the rounded measure steps repeat, so the
+    # Neville ratio is 1; that is a NonConvergenceError (it was a bare
+    # ZeroDivisionError), for the scalar route and for a batch
+    from stieltjes_heat.errors import NonConvergenceError
+
+    d = Derivator.from_pieces([("flat", 0.0, 1.5, 0.0), ("affine", 1.5, 2.0, 0.1, -0.15)])
+    with pytest.raises(NonConvergenceError, match="repeats"):
+        gderiv(_cubic, 1.5 + 1e-13, d)
+    with pytest.raises(NonConvergenceError):
+        gderiv(_cubic, np.array([1.7, 1.5 + 1e-13]), d)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import segment_chains
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -142,6 +143,23 @@ def test_ftc_indefinite_of_derivative_crosses_atoms(jump_g, mixed):
         for t, gap in d.atoms_in(d.lo, b):
             total += D(t) * gap
         assert abs(total - (E(b) - E(d.lo))) < 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(segment_chains(), st.floats(min_value=0.0, max_value=1.0), st.data())
+def test_cached_indefinite_matches_integrate_signed(d, q, data):
+    # whole-piece integrals taken once, then one piece per point: at the
+    # breakpoints, at the atoms (left-continuous: their mass lies above),
+    # inside pieces and below a, for scalars and for an array
+    a = d.lo + q * (d.hi - d.lo)
+    f = lambda s: math.cos(3.0 * s) + 0.5 * s
+    F = indefinite(f, a, d)
+    inner = data.draw(st.lists(st.floats(min_value=d.lo, max_value=d.hi), max_size=4))
+    ts = [s.lo for s in d.segments] + [d.hi, a] + inner
+    for t in ts + [t for t, _ in d.atoms]:
+        ref = integrate_signed(f, a, t, d)
+        assert abs(F(t) - ref) <= 1e-12 * (1.0 + abs(ref)), (t, F(t), ref)
+    assert F(np.array(ts)).tolist() == [F(t) for t in ts]
 
 
 def test_indefinite_is_left_continuous_with_atom_steps(jump_g):
