@@ -1,6 +1,7 @@
-"""Boundary-value modes: scanning for periodic eigenvalues, and the series
-built Dirichlet/Neumann solutions that collapse to classical sine/cosine
-modes when the space driver is the identity.
+"""Boundary-value modes: scanning for periodic eigenvalues, and the
+Dirichlet/Neumann solutions, gated on sin_h and cos_h at x = L in closed
+form, that collapse to classical sine/cosine modes when the space driver is
+the identity.
 
 Run:  python3 demos/04_boundary_modes.py
 """
@@ -10,10 +11,11 @@ import math
 from stieltjes_heat import (
     Derivator,
     HeatProblem,
-    check_cos_condition,
-    check_sin_condition,
     dirichlet_solution,
     find_periodic_eigenvalues,
+    gcos_series,
+    gsin_gcos,
+    gsin_series,
     identity,
     neumann_solution,
     periodic_solution,
@@ -51,13 +53,17 @@ jumpy = HeatProblem(g, h, 0.5, 1.0, 2.0)
 print(f"eigenvalues in (-50, 0]: {find_periodic_eigenvalues(jumpy, (-50.0, 0.0), count=5)}")
 print("(the jump breaks the oscillatory return condition; only 0 survives)")
 
-print("\n== sine / cosine vanishing conditions, L = 1 ==")
-for lam in (-math.pi**2, -2.0):
-    value, tail, ok = check_sin_condition(classical.h, lam, 1.0)
-    print(f"sin condition at lam = {lam:+.4f}: value {value:+.3e} "
-          f"(tail {tail:.1e}) -> {ok}")
-value, tail, ok = check_cos_condition(classical.h, -((2 * math.pi) ** 2), 1.0)
-print(f"cos condition at lam = -4pi^2: value {value:+.6f} -> {ok}")
+print("\n== sine / cosine at x = L = 1: closed form, and the order-60 series ==")
+for lam in (-math.pi**2, -2.0, -((2 * math.pi) ** 2)):
+    s = math.sqrt(-lam)
+    sin_L, cos_L = gsin_gcos(classical.h, s, 1.0)
+    (sin_ser, sin_tail), (cos_ser, cos_tail) = (
+        series(classical.h, s, 1.0, 60) for series in (gsin_series, gcos_series)
+    )
+    print(f"lam = {lam:+9.4f}: sin_h(L) = {sin_L:+.3e} (series {sin_ser:+.3e}, "
+          f"tail {sin_tail:.1e}), cos_h(L) = {cos_L:+.6f} (series {cos_ser:+.6f}, "
+          f"tail {cos_tail:.1e})")
+print("Dirichlet admits lam when |sin_h(L)| < 1e-9, Neumann when |cos_h(L) - 1| < 1e-9")
 
 print("\n== classical collapses ==")
 d = dirichlet_solution(classical, -math.pi**2, a=1.5)

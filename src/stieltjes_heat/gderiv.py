@@ -26,7 +26,12 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 
-_TINY = 1e-15
+# a side with at most _MIN_ROOM (1 + |g(t)|) of measure room counts as having
+# none, so the ladder goes one-sided: a quotient over a step a carries about
+# eps |f| / a of rounding, which on steps a few levels below such a room passes
+# the ladder targets (up to 1e-6 from a domain end, central ladders settled up
+# to 3.5e-5 off or stalled, where one-sided ones came within 5e-12)
+_MIN_ROOM = 1e-6
 
 
 @dataclass(frozen=True)
@@ -190,7 +195,7 @@ def _rooms_array(d, ts, gb, lo=None):
 
 def _forward_sample(d, base, gb, eta, rooms):
     room = rooms[0]
-    if room <= _TINY * (1.0 + abs(gb)):
+    if room <= _MIN_ROOM * (1.0 + abs(gb)):
         return None
     s = d.advance_to_value(gb + min(eta, room))
     if s is None or s <= base:
@@ -202,7 +207,7 @@ def _forward_sample(d, base, gb, eta, rooms):
 def _backward_sample(d, base, gb, eta, rooms):
     _, room, cap = rooms
     e = min(eta, cap)
-    if room <= _TINY * (1.0 + abs(gb)) or e <= 0.0:
+    if room <= _MIN_ROOM * (1.0 + abs(gb)) or e <= 0.0:
         return None
     s = d.advance_to_value(gb - e)
     if s is None or s >= base:
@@ -219,7 +224,7 @@ def _samples_array(d, ts, gb, eta, rooms, side):
     room = fwd if side > 0 else bwd
     e = np.minimum(eta, room if side > 0 else cap)
     s = d.advance_to_value_array(gb + side * e)
-    ok = ~(room <= _TINY * (1.0 + np.abs(gb))) & (side * (s - ts) > 0.0)
+    ok = ~(room <= _MIN_ROOM * (1.0 + np.abs(gb))) & (side * (s - ts) > 0.0)
     if side < 0:
         ok &= e > 0.0
     actual = side * (d.eval_array(np.where(ok, s, ts)) - gb)

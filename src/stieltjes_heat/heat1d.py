@@ -18,7 +18,7 @@ import numpy as np
 from .derivators import Derivator, regular_points
 from .errors import DivergenceError, DomainError, GateError, InvariantError
 from .gderiv import HeatResidual, _tidy
-from .special import exp_walk, gcos_series, gsin_series
+from .special import exp_walk
 
 __all__ = [
     "HeatProblem",
@@ -30,8 +30,6 @@ __all__ = [
     "series_solution",
     "find_periodic_eigenvalues",
     "periodic_solution",
-    "check_sin_condition",
-    "check_cos_condition",
     "dirichlet_solution",
     "neumann_solution",
 ]
@@ -295,7 +293,9 @@ def series_solution(problem, a_stream, b_stream, lam_stream, N, probe=(7, 7)):
 
 
 def _periodic_gate(walk, s):
-    """exp_h(-is; 0, L) from walk = h.exp_data(0, L), shared by every s."""
+    """exp_h(-is; 0, L) from walk = h.exp_data(0, L), shared by every s: the
+    periodic gate, the eigenvalue scan and (conjugated) the Dirichlet and
+    Neumann gates read it."""
     return exp_walk(complex(0.0, -s), walk)
 
 
@@ -396,28 +396,17 @@ def periodic_solution(problem, lam):
     return sol
 
 
-# -- Dirichlet / Neumann series conditions ---------------------------------------
+# -- Dirichlet / Neumann gates ---------------------------------------------------
 
 
-def check_sin_condition(h, lam, L, N=60):
-    """Partial sum of sum (-1)^n (sqrt(-lam))^(2n+1) h_{2n+1}(L)/(2n+1)!.
-
-    Returns (value, certified tail bound, bool); true when the series
-    vanishes within tail + 1e-9, which makes sin_h(sqrt(-lam); 0, .) vanish
-    at both 0 and L.
-    """
-    if not lam < 0:
-        raise DomainError(f"series condition is for real lam < 0, got {lam!r}")
-    value, tail = gsin_series(h, math.sqrt(-lam), L, order=N)
-    return value, tail, bool(abs(value) <= tail + 1e-9)
-
-
-def check_cos_condition(h, lam, L, N=60):
-    """Even analogue of check_sin_condition with target value 1."""
-    if not lam < 0:
-        raise DomainError(f"series condition is for real lam < 0, got {lam!r}")
-    value, tail = gcos_series(h, math.sqrt(-lam), L, order=N)
-    return value, tail, bool(abs(value - 1.0) <= tail + 1e-9)
+def _trig_at_L(problem, lam):
+    """z = exp_h(i sqrt(-lam); 0, L) = cos_h(L) + i sin_h(L) for real lam < 0:
+    the conjugate of the periodic gate's exp_h(-i sqrt(-lam); 0, L)."""
+    if isinstance(lam, complex) or not (math.isfinite(lam) and lam < 0):
+        raise DomainError(
+            f"Dirichlet and Neumann eigenvalues are real, finite and < 0, got {lam!r}"
+        )
+    return _periodic_gate(problem.h.exp_data(0.0, problem.L), math.sqrt(-lam)).conjugate()
 
 
 def _boundary_verify(sol, problem, quantity, label):
@@ -427,22 +416,23 @@ def _boundary_verify(sol, problem, quantity, label):
             dev = max(dev, abs(quantity(t, x)))
     if dev > 1e-6:
         raise InvariantError(
-            f"{label} boundary values reach {dev:.3e} > 1e-6; the series "
-            "condition holds but the boundary data do not vanish"
+            f"{label} boundary values reach {dev:.3e} > 1e-6; the gate "
+            "holds but the boundary data do not vanish"
         )
 
 
-def dirichlet_solution(problem, lam, a, N=60):
+def dirichlet_solution(problem, lam, a):
     """u = a exp_g(lam c^2; 0, t) sin_h(sqrt(-lam); 0, x) with u(t,0)=u(t,L)=0.
 
-    Gate: the sine series condition at (lam, L).  The boundary values are
-    re-verified directly (within 1e-6) after construction.
+    Gate: |sin_h(sqrt(-lam); 0, L)| < 1e-9, read in closed form as Im z of
+    z = exp_h(i sqrt(-lam); 0, L).  The boundary values are re-verified
+    directly (within 1e-6) after construction.
     """
-    value, tail, ok = check_sin_condition(problem.h, lam, problem.L, N)
-    if not ok:
+    sin_L = _trig_at_L(problem, lam).imag
+    if not abs(sin_L) < 1e-9:
         raise GateError(
-            f"sine series condition fails at L={problem.L}: partial sum "
-            f"{value!r} exceeds certified tail {tail:.3e} + 1e-9"
+            f"sin_h(sqrt(-lam); 0, L) = {sin_L!r} at L={problem.L} does not vanish "
+            f"within 1e-9; lam = {lam} is not a Dirichlet eigenvalue"
         )
     # a sin_h = (a / 2i) exp_h(sqrt(lam)) - (a / 2i) exp_h(-sqrt(lam))
     sol = HeatSolution(problem, [(lam, -0.5j * a, 0.5j * a)])
@@ -450,20 +440,21 @@ def dirichlet_solution(problem, lam, a, N=60):
     return sol
 
 
-def neumann_solution(problem, lam, b, N=60):
+def neumann_solution(problem, lam, b):
     """u = b exp_g(lam c^2; 0, t) cos_h(sqrt(-lam); 0, x) with vanishing
     boundary h-derivatives.
 
-    Gate: the cosine series condition at (lam, L).  Since the h-derivative of
-    cos_h is -sqrt(-lam) sin_h, the flux vanishes at L only when sin_h(L) = 0
-    as well; that is re-verified directly and a failure is raised rather than
+    Gate: |cos_h(sqrt(-lam); 0, L) - 1| < 1e-9, read in closed form as Re z
+    of z = exp_h(i sqrt(-lam); 0, L).  Since the h-derivative of cos_h is
+    -sqrt(-lam) sin_h, the flux vanishes at L only when sin_h(L) = 0 as
+    well; that is re-verified directly and a failure is raised rather than
     returning a solution with nonzero flux.
     """
-    value, tail, ok = check_cos_condition(problem.h, lam, problem.L, N)
-    if not ok:
+    cos_L = _trig_at_L(problem, lam).real
+    if not abs(cos_L - 1.0) < 1e-9:
         raise GateError(
-            f"cosine series condition fails at L={problem.L}: partial sum "
-            f"{value!r} is not 1 within certified tail {tail:.3e} + 1e-9"
+            f"cos_h(sqrt(-lam); 0, L) = {cos_L!r} at L={problem.L} is not 1 "
+            f"within 1e-9; lam = {lam} is not a Neumann eigenvalue"
         )
     half = 0.5 * b
     sol = HeatSolution(problem, [(lam, half, half)])

@@ -217,7 +217,6 @@ def mode_params(parsed):
         return {
             "lam": _number(_field(payload, "lam", mode), f"{mode}.lam"),
             coef: _scalar(_field(payload, coef, mode), f"{mode}.{coef}"),
-            "N": _count(payload.get("N", 60), f"{mode}.N"),
         }
     if mode == "gpoly-series":
         alpha = alpha_stream(_field(payload, "alpha", mode), f"{mode}.alpha")
@@ -269,9 +268,9 @@ def solve(parsed):
     if mode == "periodic":
         return periodic_solution(problem, p["lam"]), {}
     if mode == "dirichlet":
-        return dirichlet_solution(problem, p["lam"], p["a"], N=p["N"]), {}
+        return dirichlet_solution(problem, p["lam"], p["a"]), {}
     if mode == "neumann":
-        return neumann_solution(problem, p["lam"], p["b"], N=p["N"]), {}
+        return neumann_solution(problem, p["lam"], p["b"]), {}
     if mode == "gpoly-series":
         sol, gate = gpoly_series_solution(
             parsed.G, p["alpha"], parsed.c, parsed.T, parsed.L, p["N"],

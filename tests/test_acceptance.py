@@ -19,8 +19,6 @@ from stieltjes_heat import (
     GateError,
     SpaceFactor,
     SumDerivator,
-    check_cos_condition,
-    check_sin_condition,
     classical_heat_polynomial,
     dirichlet_solution,
     find_periodic_eigenvalues,
@@ -36,6 +34,7 @@ from stieltjes_heat import (
     independence_determinant,
     integrate,
     iterated_integral,
+    neumann_solution,
     periodic_solution,
     radius_sigma,
     regular_points,
@@ -271,11 +270,12 @@ def test_criterion_10_periodic_machinery(prob_classical, staircase, flatstep):
             for t in (0.0, 0.3, 0.9)
         )
         assert dev_b < 1e-6
-        h, L = prob_classical.h, prob_classical.L
-        assert check_sin_condition(h, -(math.pi**2), L)[2] is True
-        assert check_sin_condition(h, -2.0, L)[2] is False
-        assert check_cos_condition(h, -((2 * math.pi) ** 2), L)[2] is True
-        assert check_cos_condition(h, -(math.pi**2), L)[2] is False
+        dirichlet_solution(prob_classical, -(math.pi**2), a=1.0)
+        with pytest.raises(GateError):
+            dirichlet_solution(prob_classical, -2.0, a=1.0)
+        neumann_solution(prob_classical, -((2 * math.pi) ** 2), b=1.0)
+        with pytest.raises(GateError):
+            neumann_solution(prob_classical, -(math.pi**2), b=1.0)
         # translation invariance: same window measure and atom pattern
         for d, period in ((staircase, 1.0), (flatstep, 1.0)):
             base = d.measure(0.0, period)

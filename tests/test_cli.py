@@ -291,7 +291,10 @@ def test_eval_rejects_bad_grid(capsys, spec_file):
 def test_usage_errors_exit_3(capsys, spec_file):
     # exit 2 is the gate refusal, so argparse's own exit 2 must not leak out
     path = spec_file(product_spec())
-    for argv in (["eval", path, "--bogus", "1"], ["eval"], [], ["eval", path, "--tol", "1e-8"]):
+    for argv in (["eval", path, "--bogus", "1"], ["eval"], [], ["eval", path, "--tol", "1e-8"],
+                 # --grid, --include-atoms and --emit-diagnostics are eval's alone
+                 ["check", path, "--grid", "3x3"], ["radius", path, "--include-atoms"],
+                 ["eigs", path, "--emit-diagnostics"]):
         rc, out, err = run(capsys, argv)
         assert rc == 3 and out == ""
         assert err.startswith("usage error:")
@@ -479,16 +482,31 @@ def test_exit_code_matrix_on_the_demo_specs(cmd, name, want):
 
 
 def test_check_dirichlet_spec_past_order_170(capsys, spec_file):
-    # the sine gate at N = 100 sums orders up to 201, past where m! fits a float
+    # an "N" key is ignored like any payload key the code does not read; it
+    # once set the order of a sine series gate (N = 100 summed orders to 201)
     rc, out, _ = run(capsys, ["check", spec_file(dirichlet_spec(N=100))])
     assert rc == 0
     assert out.splitlines()[-1].startswith("all ")
 
 
+@pytest.mark.parametrize("k", [8, 12, 16])
+def test_check_passes_high_classical_dirichlet_modes(capsys, spec_file, k):
+    # the closed-form gate reads |sin_h(L)| below 2e-15 here; a small c keeps
+    # the mode visible at t = T
+    spec = dirichlet_spec(lam=-((k * math.pi) ** 2))
+    spec["c"] = 0.05
+    rc, out, _ = run(capsys, ["check", spec_file(spec)])
+    assert rc == 0
+    assert all(v == "PASS" for v in check_rows(out).values())
+
+
 def test_gate_violation_exits_2(capsys, spec_file):
+    # N = 2 once let a series tail of 2.0 excuse lam = -12, and the solve then
+    # failed its boundary check with exit 3
     for spec, word in (
         (gpoly_spec(T=1.4), "sigma"),
-        (dirichlet_spec(lam=-1.1 * math.pi**2), "sine series"),
+        (dirichlet_spec(lam=-1.1 * math.pi**2), "sin_h"),
+        (dirichlet_spec(lam=-12.0, N=2), "sin_h"),
     ):
         rc, _, err = run(capsys, ["eval", spec_file(spec)])
         assert rc == 2
@@ -541,8 +559,9 @@ def test_numeric_failure_exits_4(capsys, spec_file):
     steep["ivp"]["modes"][0]["lam"] = 1e6
     wide = gpoly_spec()
     wide["gpoly-series"].update(alpha={"kind": "geometric", "ratio": 10}, n_probe=400)
-    for cmd, spec in (("eval", steep), ("radius", wide), ("eval", wide)):
-        rc, _, err = run(capsys, [cmd, spec_file(spec), "--grid", "3x3"])
+    for argv in (["eval", spec_file(steep), "--grid", "3x3"], ["radius", spec_file(wide)],
+                 ["eval", spec_file(wide), "--grid", "3x3"]):
+        rc, _, err = run(capsys, argv)
         assert rc == 4
         assert err.startswith("numeric failure:")
 

@@ -219,14 +219,36 @@ def test_batched_gderiv_stalls_like_the_scalar_one(jump_g):
         gderiv(np.sin, np.array([0.2, 0.9]), jump_g, capped)
 
 
-def test_repeated_steps_are_a_stall_not_a_crash():
-    # 1e-13 past the end of a rest the rounded measure steps repeat, so the
-    # Neville ratio is 1; that is a NonConvergenceError (it was a bare
-    # ZeroDivisionError), for the scalar route and for a batch
+def test_repeated_steps_are_a_stall_not_a_crash(jump_g):
+    # steps that repeat make the Neville ratio 1; that is a NonConvergenceError
+    # (it was a bare ZeroDivisionError), for the scalar route and for a batch
     from stieltjes_heat.errors import NonConvergenceError
 
-    d = Derivator.from_pieces([("flat", 0.0, 1.5, 0.0), ("affine", 1.5, 2.0, 0.1, -0.15)])
+    same = DiffConfig(shrink=1.0)
     with pytest.raises(NonConvergenceError, match="repeats"):
-        gderiv(_cubic, 1.5 + 1e-13, d)
+        gderiv(_cubic, 0.2, jump_g, same)
     with pytest.raises(NonConvergenceError):
-        gderiv(_cubic, np.array([1.7, 1.5 + 1e-13]), d)
+        gderiv(_cubic, np.array([0.2, 0.9]), jump_g, same)
+    # 1e-13 past the end of a rest the rounded steps of the backward room,
+    # 1e-14, repeated; that side now counts as having no room, and the
+    # forward ladder settles
+    d = Derivator.from_pieces([("flat", 0.0, 1.5, 0.0), ("affine", 1.5, 2.0, 0.1, -0.15)])
+    t = 1.5 + 1e-13
+    want = (1.5 - t * (0.5 + 0.375 * t)) / 0.1
+    assert gderiv(_cubic, t, d) == pytest.approx(want, abs=1e-7)
+    assert gderiv(_cubic, np.array([1.7, t]), d)[1] == pytest.approx(want, abs=1e-7)
+
+
+@pytest.mark.parametrize("offset", [1e-13, 1e-11, 1e-9])
+def test_points_near_a_domain_end_are_right_or_refused(offset):
+    # a central quotient over so little room is rounding noise: it settled up
+    # to 3.5e-5 off (at 1e-13 and 1e-11 above 0) or stalled, where a
+    # one-sided ladder converges
+    d = identity(0.0, 2.0)
+    for t in (offset, 2.0 - offset):
+        for route in (lambda: gderiv(_cubic, t, d), lambda: gderiv(_cubic, np.array([t]), d)[0]):
+            try:
+                got = route()
+            except StieltjesError:
+                continue  # a named refusal
+            assert abs(got - (1.5 - t * (0.5 + 0.375 * t))) <= 1e-7

@@ -15,8 +15,6 @@ from stieltjes_heat import (
     DomainError,
     GateError,
     HeatProblem,
-    check_cos_condition,
-    check_sin_condition,
     dirichlet_solution,
     find_periodic_eigenvalues,
     general_solution,
@@ -461,27 +459,51 @@ def test_periodic_closed_form_matches_the_ode_oracle(h, k, data):
 
 
 # ---------------------------------------------------------------------------
-# sine/cosine conditions, Dirichlet and Neumann collapses
+# Dirichlet and Neumann gates and collapses
 
 
-def test_sin_condition_classical_cases(prob_classical):
-    # N = 100 sums orders past 170, where m! no longer fits a float
-    h, L = prob_classical.h, prob_classical.L
-    for N in (60, 100):
-        for k in (1, 2, 3):
-            _, _, ok = check_sin_condition(h, -((k * math.pi / L) ** 2), L, N)
-            assert ok
-        _, _, ok = check_sin_condition(h, -2.0, L, N)
-        assert not ok
+# the gates read z = exp_h(i s; 0, L) = cos_h(L) + i sin_h(L) in closed form;
+# s mu is k pi within a few ulps, so sin_h(L) is far below the 1e-9 gate
+@settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(segment_chains(atoms=False), st.integers(min_value=1, max_value=20))
+def test_gates_admit_the_closed_form_zeros_and_refuse_the_midpoints(h, k):
+    L = h.hi
+    mu = h.measure(0.0, L)
+    assume(mu >= 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # L at the end of a rest
+        prob = HeatProblem(identity(0.0, 1.0), h, 1.0, 1.0, L)
+    s = k * math.pi / mu
+    sol = dirichlet_solution(prob, -s * s, a=1.0)
+    assert abs(sol(0.0, L)) < 1e-9
+    s = 2 * k * math.pi / mu
+    sol = neumann_solution(prob, -s * s, b=1.0)
+    assert abs(sol(0.0, L) - 1.0) < 1e-9
+    s = (k + 0.5) * math.pi / mu
+    with pytest.raises(GateError):
+        dirichlet_solution(prob, -s * s, a=1.0)
+    with pytest.raises(GateError):
+        neumann_solution(prob, -s * s, b=1.0)
 
 
-def test_cos_condition_classical_cases(prob_classical):
-    h, L = prob_classical.h, prob_classical.L
-    for N in (60, 100):
-        _, _, ok = check_cos_condition(h, -((2 * math.pi / L) ** 2), L, N)
-        assert ok
-        _, _, ok = check_cos_condition(h, -(math.pi**2), L, N)
-        assert not ok
+def test_gates_admit_high_classical_modes(prob_classical):
+    # k pi for k up to 16: the monomial series these gates once summed
+    # refused them on rounding, with |sin_h(L)| below 2e-15
+    for k in (8, 10, 12, 16):
+        lam = -((k * math.pi) ** 2)
+        dirichlet_solution(prob_classical, lam, a=1.0)
+        if k % 2 == 0:
+            neumann_solution(prob_classical, lam, b=1.0)
+
+
+def test_gates_refuse_non_negative_and_non_real_eigenvalues(prob_classical):
+    for lam in (0.0, 4.0, math.nan, -math.inf, complex(-1.0, 0.5), complex(-1.0, 0.0)):
+        with pytest.raises(DomainError):
+            dirichlet_solution(prob_classical, lam, a=1.0)
+        with pytest.raises(DomainError):
+            neumann_solution(prob_classical, lam, b=1.0)
 
 
 def test_dirichlet_classical_collapse(prob_classical):

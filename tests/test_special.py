@@ -290,6 +290,17 @@ def test_trig_series_match_closed_forms(plateau_h):
     assert abs(ch - CH) <= tail_ch + 1e-13
 
 
+def test_trig_series_past_order_170_match_closed_forms():
+    # order 100 sums monomials to order 201, past where m! fits a float
+    h = identity(0.0, 2.0)
+    for b in (math.pi, 2 * math.pi, 3 * math.pi, math.sqrt(2.0)):
+        s, tail_s = gsin_series(h, b, 1.0, 100)
+        c, tail_c = gcos_series(h, b, 1.0, 100)
+        S, C = gsin_gcos(h, b, 1.0)
+        assert abs(s - S) <= tail_s + 1e-12
+        assert abs(c - C) <= tail_c + 1e-12
+
+
 def test_series_tail_certified_at_low_order(jump_g):
     # a short partial sum must still bracket the truth by its own tail bound
     value, tail = gexp_series(jump_g, 1.0, 1.4, 6)
