@@ -1,6 +1,6 @@
 """Boundary-value modes: scanning for periodic eigenvalues, and the
-Dirichlet/Neumann solutions, gated on sin_h and cos_h at x = L in closed
-form, that collapse to classical sine/cosine modes when the space driver is
+Dirichlet/Neumann solutions, both gated on sin_h at x = L in closed form
+(it carries the Dirichlet value and the Neumann flux there), that collapse to classical sine/cosine modes when the space driver is
 the identity.
 
 Run:  python3 demos/04_boundary_modes.py
@@ -63,7 +63,7 @@ for lam in (-math.pi**2, -2.0, -((2 * math.pi) ** 2)):
     print(f"lam = {lam:+9.4f}: sin_h(L) = {sin_L:+.3e} (series {sin_ser:+.3e}, "
           f"tail {sin_tail:.1e}), cos_h(L) = {cos_L:+.6f} (series {cos_ser:+.6f}, "
           f"tail {cos_tail:.1e})")
-print("Dirichlet admits lam when |sin_h(L)| < 1e-9, Neumann when |cos_h(L) - 1| < 1e-9")
+print("Dirichlet and Neumann admit lam when |sin_h(L)| < 1e-9 (value and flux vanish at L)")
 
 print("\n== classical collapses ==")
 d = dirichlet_solution(classical, -math.pi**2, a=1.5)

@@ -24,7 +24,6 @@ from .errors import (
     NoSolutionError,
     NonConvergenceError,
     SchemaError,
-    StieltjesError,
 )
 from .gderiv import gderiv
 from .heat1d import find_periodic_eigenvalues
@@ -102,17 +101,6 @@ def _emit(lines, out):
 # -- eval --------------------------------------------------------------------
 
 
-def _point_residual(sol, t, x, fallbacks):
-    """Numeric residual where the quotients are well posed, the exact rule
-    residual otherwise; each fallback is appended to fallbacks as
-    (t, x, error)."""
-    try:
-        return sol.residual_numeric(t, x)
-    except StieltjesError as e:
-        fallbacks.append((t, x, e))
-        return sol.residual_rule(t, x)
-
-
 def _csv_row(sol, t, x, res=None):
     """One CSV row; the residual column holds |res|, empty when res is None."""
     u = complex(sol(t, x))
@@ -140,19 +128,21 @@ def cmd_eval(args, parsed):
     ts = [parsed.T * i / (nt - 1) for i in range(nt)]
     xs = [parsed.L * j / (nx - 1) for j in range(nx)]
     lines = ["t,x,u_re,u_im,residual"]
-    fallbacks = []
-    for t in ts:
-        for x in xs:
-            res = _point_residual(sol, t, x, fallbacks) if args.emit_diagnostics else None
-            lines.append(_csv_row(sol, t, x, res))
+    res, fallbacks = sol.residual_grid(ts, xs) if args.emit_diagnostics else (None, [])
+    # where the numeric residual raised, the exact rule residual stands in
+    rule = {(i, j): sol.residual_rule(ts[i], xs[j]) for i, j, _ in fallbacks}
+    for i, t in enumerate(ts):
+        for j, x in enumerate(xs):
+            r = None if res is None else rule.get((i, j), res[i, j])
+            lines.append(_csv_row(sol, t, x, r))
     if args.include_atoms:
         lines.extend(_atom_rows(sol, parsed, ts, xs, args.emit_diagnostics))
     _emit(lines, args.out)
     if fallbacks:
-        t, x, e = fallbacks[0]
+        i, j, e = fallbacks[0]
         print(f"eval: {len(fallbacks)} of {nt * nx} grid rows carry the rule residual "
               f"(0 by construction): their numeric residual raised, first at "
-              f"(t, x) = ({t!r}, {x!r}): {_one_line(e)}", file=sys.stderr)
+              f"(t, x) = ({ts[i]!r}, {xs[j]!r}): {_one_line(e)}", file=sys.stderr)
     return 0
 
 
@@ -161,8 +151,9 @@ def cmd_eval(args, parsed):
 
 def _check_ftc(d, label, rows):
     """Both halves of the fundamental theorem on d, each derivative one
-    batched gderiv call (per affine piece of the Gauss sum).  A numeric
-    derivative that does not settle FAILs its row; it does not end check."""
+    batched gderiv call (the Gauss sum's over the nodes of every affine
+    piece at once).  A numeric derivative that does not settle FAILs its
+    row; it does not end check."""
     f = lambda s: math.sin(s) + 0.25 * s
     F = indefinite(f, d.lo, d)
     pts = np.array(regular_points(d, d.lo, d.hi, 10))
@@ -201,20 +192,19 @@ def _check_special(d, label, rows):
 
 
 def _check_residual(sol, parsed, rows, tol):
-    """Numeric residual on a 5x5 grid; a raise FAILs the row (no rule stand-in)."""
+    """Numeric residual on a 5x5 grid, one residual_grid pass; a raise FAILs
+    the row (no rule stand-in), named by the first raising entry in row
+    order."""
     ts = regular_points(parsed.g, 0.0, parsed.T, 5)
     xs = regular_points(parsed.h, 0.0, parsed.L, 5)
-    devs = []
-    for t in ts:
-        for x in xs:
-            try:
-                res = sol.residual_numeric(t, x)
-            except StieltjesError as e:
-                rows.append(("pde-residual", False, f"numeric residual at "
-                             f"(t, x) = ({t!r}, {x!r}): {_one_line(e)}"))
-                return
-            devs.append(abs(res) / (1.0 + abs(sol(t, x))))
-    dev = max(devs)
+    res, errors = sol.residual_grid(ts, xs)
+    if errors:
+        i, j, e = errors[0]
+        rows.append(("pde-residual", False, f"numeric residual at "
+                     f"(t, x) = ({ts[i]!r}, {xs[j]!r}): {_one_line(e)}"))
+        return
+    dev = max(abs(res[i, j]) / (1.0 + abs(sol(t, x)))
+              for i, t in enumerate(ts) for j, x in enumerate(xs))
     rows.append(("pde-residual", dev < tol,
                  f"max relative residual {dev:.3g} on a 5x5 regular grid (tol {tol:g})"))
 

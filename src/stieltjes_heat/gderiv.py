@@ -14,17 +14,26 @@ limit stands only when both settle and agree.  At atoms, in constancy runs,
 with room on one side only or with less than THREE_POINT_ROOM on a side, the
 second derivative is the quotient of the first-derivative function (the jump
 quotient at an atom).
+
+A ladder's samples depend on its point alone, so batches take them once:
+gderiv on an array of points runs the regular ones in one lockstep ladder,
+and HeatResidual.residual_grid takes the samples of every t and every x of a
+grid level by level as arrays, each time row and space column once, and
+extrapolates each entry's own ladders from them; the points that take
+another route run the scalar gderiv or gderiv2 on the same shared rows and
+columns.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError, StieltjesError
 
 # a side with at most _MIN_ROOM (1 + |g(t)|) of measure room counts as having
 # none, so the ladder goes one-sided: a quotient over a step a carries about
@@ -274,29 +283,59 @@ def _levels(d, t, gb, rooms, cfg, probes=None):
         eta *= cfg.shrink
 
 
-def _central(f, t, d, cfg, gb, rooms, probes):
+def _central(f, levels, cfg):
+    """First derivative from the central quotients over the level pairs."""
+
     def pairs():
-        for (sp, ap), (sm, am) in _levels(d, t, gb, rooms, cfg, probes):
+        for (sp, ap), (sm, am) in levels:
             yield 0.5 * (ap + am), (f(sp) - f(sm)) / (ap + am)
 
     return _extrapolate(pairs(), cfg.tol, cfg.min_levels)
 
 
-def _three_point(f, t, d, cfg, gb, rooms, ft, probes=None):
+def _three_point(f, levels, cfg, ft):
     """d_g^2 f at a regular point from the three-point second divided
-    differences 2((f(s+) - f(t))/a+ - (f(t) - f(s-))/a-)/(a+ + a-); ft is
-    f(t).  Both sides step by the same eta, so the error is even in the mean
-    step h = (a+ + a-)/2 and the table extrapolates in h^2: a table in h
-    spends a level on each odd power and amplifies the rounding with it.
-    The target is relative to 1 + |f(t)| + |d_g^2 f|: the rounding in a
-    difference of f values grows with |f|, not with the second derivative."""
+    differences 2((f(s+) - f(t))/a+ - (f(t) - f(s-))/a-)/(a+ + a-) over the
+    level pairs; ft is f(t).  Both sides step by the same eta, so the error
+    is even in the mean step h = (a+ + a-)/2 and the table extrapolates in
+    h^2: a table in h spends a level on each odd power and amplifies the
+    rounding with it.  The target is relative to 1 + |f(t)| + |d_g^2 f|: the
+    rounding in a difference of f values grows with |f|, not with the second
+    derivative."""
 
     def pairs():
-        for (sp, ap), (sm, am) in _levels(d, t, gb, rooms, cfg, probes):
+        for (sp, ap), (sm, am) in levels:
             h = 0.5 * (ap + am)
             yield h * h, ((f(sp) - ft) / ap - (ft - f(sm)) / am) / h
 
     return _extrapolate(pairs(), cfg.tol, cfg.min_levels, 1.0 + _sup(ft))
+
+
+def _second(f, t, ft, levels):
+    """The limit of the THREE_POINT ladders at t, one level-pair sequence
+    each: the first one's when both settle and agree within
+    DEFAULT_OUTER.tol, else NonConvergenceError naming the ladder, with both
+    estimates."""
+    (name0, cfg0), (name1, cfg1) = THREE_POINT
+    est, stalled = [], []
+    for (name, cfg), lv in zip(THREE_POINT, levels):
+        try:
+            est.append(_three_point(f, lv, cfg, ft))
+        except NonConvergenceError as e:
+            est.append(e.estimates[1])
+            stalled.append(f"the {name} three-point ladder (step0 {cfg.step0:g}): {e}")
+    if stalled:
+        raise NonConvergenceError(
+            f"second derivative at t={t}: " + "; ".join(stalled), estimates=tuple(est)
+        )
+    if _sup(est[1] - est[0]) > DEFAULT_OUTER.tol * (1.0 + _sup(est[0])):
+        raise NonConvergenceError(
+            f"second derivative at t={t}: the {name1} three-point ladder "
+            f"(step0 {cfg1.step0:g}) gives {est[1]!r}, the {name0} "
+            f"(step0 {cfg0.step0:g}) {est[0]!r}",
+            estimates=tuple(est),
+        )
+    return est[0]
 
 
 def _probe(d, t, cfg, lo=None):
@@ -313,12 +352,36 @@ def _regular(f, t, d, cfg, gb, rooms, fwd, bwd):
     """First derivative at a regular point: two-sided when both probes found
     a sample, else one-sided on the side that did."""
     if fwd is not None and bwd is not None:
-        return _central(f, t, d, cfg, gb, rooms, (fwd, bwd))
+        return _central(f, _levels(d, t, gb, rooms, cfg, (fwd, bwd)), cfg)
     if fwd is not None:
         return _one_sided(f, t, d, cfg, +1, gb, rooms, fwd)
     if bwd is not None:
         return _one_sided(f, t, d, cfg, -1, gb, rooms, bwd)
     raise DomainError(f"no measure room around t={t} for a difference quotient")
+
+
+def _sample_table(d, ts, gb, rooms, cfg):
+    """The samples of a two-sided ladder at every entry of ts, as arrays of
+    shape (max_levels + 1, len(ts)): ((s+, a+), (s-, a-)), row 0 the probes
+    at step0 and rows 1.. the levels, stepped down as _levels does; nan on a
+    side without a sample."""
+    etas = np.full((cfg.max_levels + 1, len(ts)), cfg.shrink)
+    etas[0] = cfg.step0
+    etas[1] = np.minimum(cfg.step0, np.minimum(0.9 * rooms[0], 0.9 * rooms[1]))
+    np.multiply.accumulate(etas[1:], out=etas[1:])
+    return tuple(_samples_array(d, ts, gb, etas, rooms, side) for side in (1, -1))
+
+
+def _two_sided(d, ts, a_plus, a_minus):
+    """The entries of ts that run a two-sided ladder: off the atoms and the
+    constancy runs, with a step0 probe on both sides (its measure steps
+    a_plus and a_minus are not nan)."""
+    ok = ~np.isnan(a_plus) & ~np.isnan(a_minus)
+    for a in d._atom_t:
+        ok &= ts != a
+    for a, b in d.constancy_runs:
+        ok &= (ts <= a) | (ts >= b)
+    return ok
 
 
 def _batch(f, ts, d, cfg, lo):
@@ -336,17 +399,8 @@ def _batch(f, ts, d, cfg, lo):
         d._check_domain(float(t))  # past the fuzz: the scalar route's error
     gb = d.eval_array(ts)
     rooms = _rooms_array(d, ts, gb, lo)
-    # row 0 the probes, rows 1.. the levels, stepped down as the scalar ladder does
-    etas = np.full((cfg.max_levels + 1, len(ts)), cfg.shrink)
-    etas[0] = cfg.step0
-    etas[1] = np.minimum(cfg.step0, np.minimum(0.9 * rooms[0], 0.9 * rooms[1]))
-    np.multiply.accumulate(etas[1:], out=etas[1:])
-    (sp, ap), (sm, am) = (_samples_array(d, ts, gb, etas, rooms, side) for side in (1, -1))
-    batch = ~np.isnan(ap[0]) & ~np.isnan(am[0])
-    for a in d._atom_t:
-        batch &= ts != a
-    for a, b in d.constancy_runs:
-        batch &= (ts <= a) | (ts >= b)
+    (sp, ap), (sm, am) = _sample_table(d, ts, gb, rooms, cfg)
+    batch = _two_sided(d, ts, ap[0], am[0])
     sp, sm, steps = sp[1:, batch], sm[1:, batch], ap[1:, batch] + am[1:, batch]
     running = np.ones(len(steps[0]), dtype=bool)
 
@@ -370,6 +424,32 @@ def _batch(f, ts, d, cfg, lo):
     out[idx] = kept
     out[rest] = scalar
     return out
+
+
+def _ladder_levels(d, ts, cfgs, lo, room=0.0):
+    """The two-sided ladders at every point of the list ts, one per config
+    of cfgs, as _levels walks them: per point, None when it takes another
+    route (outside the domain, at an atom, in a constancy run, without a
+    probe on both sides at the first config's step0, or with less than room
+    of measure room on a side), else for each config the list of the level
+    pairs ((s+, a+), (s-, a-)) that find both sides, in floats.  The samples
+    of a level are taken for every point at once."""
+    pts = np.array(ts, dtype=float)
+    inside = (pts >= d.lo) & (pts <= d.hi)
+    pts = np.where(inside, pts, d.lo)
+    gb = d.eval_array(pts)
+    rooms = _rooms_array(d, pts, gb, lo)
+    tables = [_sample_table(d, pts, gb, rooms, cfg) for cfg in cfgs]
+    (_, ap), (_, am) = tables[0]
+    ok = inside & _two_sided(d, pts, ap[0], am[0]) & (rooms[0] >= room) & (rooms[1] >= room)
+    per_cfg = []
+    for (sp, ap), (sm, am) in tables:
+        cols = (a[1:].T.tolist() for a in (sp, ap, sm, am))
+        per_cfg.append([
+            [((p, a), (m, b)) for p, a, m, b in zip(*col) if not (math.isnan(a) or math.isnan(b))]
+            for col in zip(*cols)
+        ])
+    return [lv if k else None for k, lv in zip(ok.tolist(), zip(*per_cfg))]
 
 
 def gderiv(f, t, d, cfg=None, *, lo=None):
@@ -433,27 +513,9 @@ def gderiv2(f, t, d, *, lo=None):
     gb, rooms, fwd, bwd = _probe(d, t, DEFAULT_OUTER, lo)
     if fwd is None or bwd is None or min(rooms[:2]) < THREE_POINT_ROOM:
         return _regular(D, t, d, DEFAULT_OUTER, gb, rooms, fwd, bwd)
-    (name0, cfg0), (name1, cfg1) = THREE_POINT
-    ft = f(t)
-    est, stalled = [], []
-    for name, cfg, probes in ((name0, cfg0, (fwd, bwd)), (name1, cfg1, None)):
-        try:
-            est.append(_three_point(f, t, d, cfg, gb, rooms, ft, probes))
-        except NonConvergenceError as e:
-            est.append(e.estimates[1])
-            stalled.append(f"the {name} three-point ladder (step0 {cfg.step0:g}): {e}")
-    if stalled:
-        raise NonConvergenceError(
-            f"second derivative at t={t}: " + "; ".join(stalled), estimates=tuple(est)
-        )
-    if _sup(est[1] - est[0]) > DEFAULT_OUTER.tol * (1.0 + _sup(est[0])):
-        raise NonConvergenceError(
-            f"second derivative at t={t}: the {name1} three-point ladder "
-            f"(step0 {cfg1.step0:g}) gives {est[1]!r}, the {name0} "
-            f"(step0 {cfg0.step0:g}) {est[0]!r}",
-            estimates=tuple(est),
-        )
-    return est[0]
+    (_, cfg0), (_, cfg1) = THREE_POINT
+    levels = (_levels(d, t, gb, rooms, cfg0, (fwd, bwd)), _levels(d, t, gb, rooms, cfg1))
+    return _second(f, t, f(t), levels)
 
 
 def heat_residual(u, t, x, g, h, c):
@@ -494,7 +556,10 @@ class HeatResidual:
     and its derivators g, h and diffusion constant c.  The slices, the
     numeric residual and the atom rows are written here once: a time atom
     row takes the jump quotient of u, a space atom row that of d_h u, over
-    the gap of the scaled slice.
+    the gap of the scaled slice.  residual_grid is the numeric residual
+    over a grid in one pass, from the same scalar hooks, each row and
+    column taken once: each entry equals residual_numeric(t, x), or raises
+    its error.
     """
 
     def _slice_scales(self, t, x):
@@ -529,6 +594,50 @@ class HeatResidual:
         d2 = gderiv2(self.along_x(t), x, self.h, lo=0.0)
         sx, st = self._slice_scales(t, x)
         return du / sx - self.c * self.c * (d2 / st**2)
+
+    def residual_grid(self, ts, xs):
+        """residual_numeric at every (t, x) of the grid ts x xs, in one pass.
+
+        The d_g ladder's samples depend on t only and the three-point
+        ladders' on x only, so each point's samples are taken once for the
+        whole grid, level by level as arrays (_ladder_levels), and the time
+        row once per t-sample and the space column once per x-sample; each
+        entry contracts them with _dot and extrapolates its own ladders.  At
+        atoms, in constancy runs, at one-sided points and with less than
+        THREE_POINT_ROOM of room, gderiv and gderiv2 take their scalar
+        routes on the same shared rows and columns.  So every entry gets
+        exactly the floats residual_numeric(t, x) gets, or raises its error.
+        Returns the len(ts) x len(xs) array and the row-major list of
+        (i, j, error) for the entries that raised; those entries read nan.
+        """
+        ts, xs = [float(t) for t in ts], [float(x) for x in xs]
+        t_lv = _ladder_levels(self.g, ts, (DEFAULT,), 0.0)
+        x_lv = _ladder_levels(self.h, xs, [cfg for _, cfg in THREE_POINT], 0.0, THREE_POINT_ROOM)
+        row, col = functools.cache(self._row), functools.cache(self._col)
+        dot, c2 = self._dot, self.c * self.c
+        out, errors = [], []
+        for i, t in enumerate(ts):
+            for j, x in enumerate(xs):
+                # residual_numeric's steps in its order, so a raise is its raise
+                try:
+                    cx = col(x)
+                    along_t = lambda s: dot(row(s), cx)
+                    if t_lv[i] is None:
+                        du = gderiv(along_t, t, self.g, lo=0.0)
+                    else:
+                        du = _central(along_t, t_lv[i][0], DEFAULT)
+                    rt = row(t)
+                    along_x = lambda y: dot(rt, col(y))
+                    if x_lv[j] is None:
+                        d2 = gderiv2(along_x, x, self.h, lo=0.0)
+                    else:
+                        d2 = _second(along_x, x, along_x(x), x_lv[j])
+                    sx, st = self._slice_scales(t, x)
+                    out.append(du / sx - c2 * (d2 / st**2))
+                except StieltjesError as e:
+                    errors.append((i, j, e))
+                    out.append(math.nan)
+        return np.array(out).reshape(len(ts), len(xs)), errors
 
     def residual(self, t, x, mode="rule"):
         if mode == "rule":

@@ -399,14 +399,22 @@ def periodic_solution(problem, lam):
 # -- Dirichlet / Neumann gates ---------------------------------------------------
 
 
-def _trig_at_L(problem, lam):
-    """z = exp_h(i sqrt(-lam); 0, L) = cos_h(L) + i sin_h(L) for real lam < 0:
-    the conjugate of the periodic gate's exp_h(-i sqrt(-lam); 0, L)."""
+def _sin_gate(problem, lam, kind):
+    """Admit lam when sin_h(sqrt(-lam); 0, L) vanishes within 1e-9, read in
+    closed form as Im z of z = exp_h(i sqrt(-lam); 0, L), the conjugate of
+    the periodic gate's exp_h(-i sqrt(-lam); 0, L); lam must be real, finite
+    and < 0.  Both boundary problems vanish at L on this condition: the
+    Dirichlet value sin_h(L) and the Neumann flux -sqrt(-lam) sin_h(L)."""
     if isinstance(lam, complex) or not (math.isfinite(lam) and lam < 0):
         raise DomainError(
             f"Dirichlet and Neumann eigenvalues are real, finite and < 0, got {lam!r}"
         )
-    return _periodic_gate(problem.h.exp_data(0.0, problem.L), math.sqrt(-lam)).conjugate()
+    z = _periodic_gate(problem.h.exp_data(0.0, problem.L), math.sqrt(-lam)).conjugate()
+    if not abs(z.imag) < 1e-9:
+        raise GateError(
+            f"sin_h(sqrt(-lam); 0, L) = {z.imag!r} at L={problem.L} does not vanish "
+            f"within 1e-9; lam = {lam} is not a {kind} eigenvalue"
+        )
 
 
 def _boundary_verify(sol, problem, quantity, label):
@@ -424,16 +432,10 @@ def _boundary_verify(sol, problem, quantity, label):
 def dirichlet_solution(problem, lam, a):
     """u = a exp_g(lam c^2; 0, t) sin_h(sqrt(-lam); 0, x) with u(t,0)=u(t,L)=0.
 
-    Gate: |sin_h(sqrt(-lam); 0, L)| < 1e-9, read in closed form as Im z of
-    z = exp_h(i sqrt(-lam); 0, L).  The boundary values are re-verified
-    directly (within 1e-6) after construction.
+    Gate: |sin_h(sqrt(-lam); 0, L)| < 1e-9 (_sin_gate).  The boundary
+    values are re-verified directly (within 1e-6) after construction.
     """
-    sin_L = _trig_at_L(problem, lam).imag
-    if not abs(sin_L) < 1e-9:
-        raise GateError(
-            f"sin_h(sqrt(-lam); 0, L) = {sin_L!r} at L={problem.L} does not vanish "
-            f"within 1e-9; lam = {lam} is not a Dirichlet eigenvalue"
-        )
+    _sin_gate(problem, lam, "Dirichlet")
     # a sin_h = (a / 2i) exp_h(sqrt(lam)) - (a / 2i) exp_h(-sqrt(lam))
     sol = HeatSolution(problem, [(lam, -0.5j * a, 0.5j * a)])
     _boundary_verify(sol, problem, sol, "Dirichlet")
@@ -444,18 +446,13 @@ def neumann_solution(problem, lam, b):
     """u = b exp_g(lam c^2; 0, t) cos_h(sqrt(-lam); 0, x) with vanishing
     boundary h-derivatives.
 
-    Gate: |cos_h(sqrt(-lam); 0, L) - 1| < 1e-9, read in closed form as Re z
-    of z = exp_h(i sqrt(-lam); 0, L).  Since the h-derivative of cos_h is
-    -sqrt(-lam) sin_h, the flux vanishes at L only when sin_h(L) = 0 as
-    well; that is re-verified directly and a failure is raised rather than
-    returning a solution with nonzero flux.
+    The h-derivative of cos_h is -sqrt(-lam) sin_h: it vanishes at x = 0,
+    and at L exactly when sin_h(sqrt(-lam); 0, L) does, so the gate is the
+    Dirichlet one, |sin_h(L)| < 1e-9 (_sin_gate).  It admits the odd modes,
+    where cos_h(L) = -1, as well as the even ones.  The flux at both walls
+    is re-verified directly (within 1e-6) after construction.
     """
-    cos_L = _trig_at_L(problem, lam).real
-    if not abs(cos_L - 1.0) < 1e-9:
-        raise GateError(
-            f"cos_h(sqrt(-lam); 0, L) = {cos_L!r} at L={problem.L} is not 1 "
-            f"within 1e-9; lam = {lam} is not a Neumann eigenvalue"
-        )
+    _sin_gate(problem, lam, "Neumann")
     half = 0.5 * b
     sol = HeatSolution(problem, [(lam, half, half)])
     _boundary_verify(sol, problem, sol.dhx_rule, "Neumann flux")

@@ -189,14 +189,17 @@ def integrate_gauss(f, a, b, d):
 
     Non-adaptive on purpose: the integrand may carry difference-quotient
     noise that adaptive subdivision chases forever.  f maps arrays to arrays:
-    it is called once per affine piece on the node array, and on scalars at
-    the atoms, which contribute their left value times the gap.
+    it is called once, on the node arrays of every affine piece end to end,
+    and each piece sums its own slice; f is called on scalars at the atoms,
+    which contribute their left value times the gap.
     """
     z, w = _gauss_legendre_64()
+    spans = _affine_spans(d, a, b)
     total = 0.0
-    for lo, hi, slope in _affine_spans(d, a, b):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        total += slope * half * (w @ f(mid + half * z))
+    if spans:
+        nodes = np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * z for lo, hi, _ in spans])
+        for (lo, hi, slope), fk in zip(spans, f(nodes).reshape(len(spans), len(z))):
+            total += slope * (0.5 * (hi - lo)) * (w @ fk)
     for t, gap in d.atoms_in(a, b):
         total += f(t) * gap
     return total

@@ -600,13 +600,17 @@ def test_check_ftc_stall_is_a_fail_row(capsys, spec_file, monkeypatch):
 
 def test_check_residual_raise_is_a_fail_row(capsys, monkeypatch):
     # the rule residual is 0 by construction: a numeric residual that raises
-    # must FAIL pde-residual, naming the point, not pass on a stand-in zero
+    # must FAIL pde-residual, naming the point, not pass on a stand-in zero.
+    # The second-derivative ladders stall on both routes of the residual
+    # grid, the shared samples' and the scalar residual_numeric's
+    import importlib
+
     from stieltjes_heat.errors import NonConvergenceError
 
-    def stalled(self, t, x):
+    def stalled(*args):
         raise NonConvergenceError("stalled on purpose")
 
-    monkeypatch.setattr(HeatSolution, "residual_numeric", stalled)
+    monkeypatch.setattr(importlib.import_module("stieltjes_heat.gderiv"), "_second", stalled)
     rc, out, _ = run(capsys, ["check", str(SPECS / "worked_ivp.json")])
     assert rc == 1
     rows = check_rows(out)

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from stieltjes_heat import (
+    Derivator,
     DivergenceError,
     DomainError,
     GateError,
@@ -478,9 +479,9 @@ def test_gates_admit_the_closed_form_zeros_and_refuse_the_midpoints(h, k):
     s = k * math.pi / mu
     sol = dirichlet_solution(prob, -s * s, a=1.0)
     assert abs(sol(0.0, L)) < 1e-9
-    s = 2 * k * math.pi / mu
+    # the Neumann flux vanishes at L with sin_h(L): odd k give cos_h(L) = -1
     sol = neumann_solution(prob, -s * s, b=1.0)
-    assert abs(sol(0.0, L) - 1.0) < 1e-9
+    assert abs(sol(0.0, L) - (-1.0) ** k) < 1e-9
     s = (k + 0.5) * math.pi / mu
     with pytest.raises(GateError):
         dirichlet_solution(prob, -s * s, a=1.0)
@@ -494,8 +495,7 @@ def test_gates_admit_high_classical_modes(prob_classical):
     for k in (8, 10, 12, 16):
         lam = -((k * math.pi) ** 2)
         dirichlet_solution(prob_classical, lam, a=1.0)
-        if k % 2 == 0:
-            neumann_solution(prob_classical, lam, b=1.0)
+        neumann_solution(prob_classical, lam, b=1.0)
 
 
 def test_gates_refuse_non_negative_and_non_real_eigenvalues(prob_classical):
@@ -533,8 +533,51 @@ def test_neumann_classical_collapse(prob_classical):
 
 
 def test_neumann_gates_wrong_eigenvalue(prob_classical):
-    with pytest.raises(GateError):
-        neumann_solution(prob_classical, -(math.pi**2), b=1.0)
+    # -2 leaves sin_h(1) = sin(sqrt 2) far from 0: the flux at L does not vanish
+    with pytest.raises(GateError, match="sin_h"):
+        neumann_solution(prob_classical, -2.0, b=1.0)
+
+
+def test_neumann_admits_the_odd_classical_modes(prob_classical):
+    # u = e^(-(k pi)^2 t) cos(k pi x) has zero flux at x = 0 and 1 for odd k too,
+    # where cos_h(1) = -1
+    for k in (1, 3, 5):
+        lam = -((k * math.pi) ** 2)
+        sol = neumann_solution(prob_classical, lam, b=1.0)
+        for t in (0.0, 0.1):
+            for x in (0.0, 0.3, 1.0):
+                want = math.exp(lam * t) * math.cos(k * math.pi * x)
+                assert sol(t, x) == pytest.approx(want, abs=1e-9)
+            assert abs(sol.dhx_rule(t, 0.0)) < 1e-9
+            assert abs(sol.dhx_rule(t, 1.0)) < 1e-9
+
+
+def _root(f, lo, hi):
+    """A root of f in [lo, hi], f(lo) < 0 < f(hi) or the reverse, by bisection."""
+    assert f(lo) * f(hi) < 0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if f(lo) * f(mid) <= 0 else (mid, hi)
+    return lo
+
+
+def test_neumann_gate_with_an_interior_atom_reads_the_sine():
+    # with an interior atom cos_h^2 + sin_h^2 is not 1: where cos_h(L) = 1,
+    # sin_h(L) is far from 0 and the flux -s b w sin_h(L) at L does not
+    # vanish (refused); where sin_h(L) = 0, cos_h(L) is not 1 and the flux
+    # vanishes at both walls (admitted)
+    h = Derivator.from_pieces([("affine", 0.0, 0.5, 1.0, 0.0), ("affine", 0.5, 1.0, 1.0, 0.5)])
+    prob = HeatProblem(identity(0.0, 1.0), h, 1.0, 1.0, 1.0)
+    s = _root(lambda s: gsin_gcos(h, s, 1.0)[1] - 1.0, 4.0, 5.5)
+    sin_L, cos_L = gsin_gcos(h, s, 1.0)
+    assert abs(cos_L - 1.0) < 1e-9 and abs(sin_L) > 0.1
+    with pytest.raises(GateError, match="sin_h"):
+        neumann_solution(prob, -s * s, b=1.0)
+    s = _root(lambda s: gsin_gcos(h, s, 1.0)[0], 1.5, 2.5)
+    assert abs(gsin_gcos(h, s, 1.0)[1] - 1.0) > 0.1
+    sol = neumann_solution(prob, -s * s, b=1.0)
+    for t in (0.0, 0.5, 1.0):
+        assert abs(sol.dhx_rule(t, 0.0)) < 1e-9 and abs(sol.dhx_rule(t, 1.0)) < 1e-9
 
 
 def test_classical_ivp_is_textbook():

@@ -1,0 +1,161 @@
+"""The residual grid: one pass over ts x xs gives, entry for entry, what
+residual_numeric(t, x) gives, and check's pde-residual row reads it."""
+
+import importlib
+import json
+import math
+import pathlib
+import warnings
+
+import pytest
+from conftest import segment_chains
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from stieltjes_heat import (
+    Derivator,
+    DomainError,
+    HeatProblem,
+    ProductDerivator,
+    Segment,
+    StieltjesError,
+    SumDerivator,
+    cli,
+    general_solution,
+    gpoly_series_solution,
+    load_problem,
+    regular_points,
+    solve,
+    solve_product_case,
+)
+gd = importlib.import_module("stieltjes_heat.gderiv")  # the module, not the function
+
+SPECS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "specs"
+
+
+def from_zero(d, lift=0.0):
+    """d moved to start at 0 and raised by lift: the solutions walk from 0."""
+    lo = d.lo
+    segs = [Segment(s.lo - lo, s.hi - lo, s.kind, s.slope, s.intercept + s.slope * lo + lift)
+            for s in d.segments]
+    return Derivator(segs, [(t - lo, gap) for t, gap in d.atoms])
+
+
+def grid_points(d):
+    """Regular points, both ends, the atoms and points 1e-3 and 1e-13 off
+    them: entries of every route (ladders, one-sided, nested, jump)."""
+    hi = d.hi
+    pts = [0.0, 1e-13, 0.37 * hi, hi - 1e-3, hi]
+    try:
+        pts += regular_points(d, 0.0, hi, 3)
+    except DomainError:
+        pass  # no affine interior
+    for a, _ in d.atoms:
+        pts += [a, a - 1e-3, a + 1e-3, a + 1e-13]
+    return sorted({p for p in pts if 0.0 <= p <= hi})
+
+
+@st.composite
+def solutions(draw):
+    """A separated solution, a heat-polynomial series over the sum
+    derivator, or a product-case solution, on random drivers."""
+    kind = draw(st.sampled_from(["separated", "gpoly", "product"]))
+    lift = 1.0 if kind == "product" else 0.0  # the product case needs g, h > 0
+    g = from_zero(draw(segment_chains()), lift)
+    h = from_zero(draw(segment_chains()), lift)
+    c = draw(st.floats(min_value=0.3, max_value=1.2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # T, L may end a flat stretch; degenerate rates
+        if kind == "separated":
+            lam = st.floats(min_value=-4.0, max_value=4.0).filter(lambda v: abs(v) > 0.05)
+            coef = st.floats(min_value=-2.0, max_value=2.0)
+            terms = draw(st.lists(st.tuples(lam, coef, coef), min_size=1, max_size=3))
+            return general_solution(HeatProblem(g, h, c, g.hi, h.hi), terms)
+        if kind == "gpoly":
+            alpha = lambda n: math.exp(-math.lgamma(n + 1))
+            return gpoly_series_solution(SumDerivator(g, h), alpha, c=c, T=g.hi, L=h.hi, N=12)[0]
+        lam = draw(st.floats(min_value=-3.0, max_value=3.0))
+        v0, dv0 = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+        return solve_product_case(ProductDerivator(g, h), lam, c, v0, dv0, g.hi, h.hi)
+
+
+def _raised(e):
+    return f"{type(e).__name__}: {e}"
+
+
+def _outcome(fn):
+    try:
+        return repr(complex(fn()))
+    except StieltjesError as e:
+        return _raised(e)
+
+
+@settings(max_examples=45, deadline=None)
+@given(solutions())
+def test_grid_entries_equal_the_scalar_residual(sol):
+    ts, xs = grid_points(sol.g), grid_points(sol.h)
+    assume(len(ts) * len(xs) <= 150)
+    grid, errors = sol.residual_grid(ts, xs)
+    assert grid.shape == (len(ts), len(xs))
+    raised = {(i, j): _raised(e) for i, j, e in errors}
+    assert list(raised) == sorted(raised)  # row-major
+    for i, t in enumerate(ts):
+        for j, x in enumerate(xs):
+            want = _outcome(lambda: sol.residual_numeric(t, x))
+            got = raised.get((i, j)) or repr(complex(grid[i, j]))
+            assert got == want, (t, x)
+
+
+def test_grid_names_every_raise_with_the_scalar_error(jump_g, plateau_h):
+    # t below 0 and x past the domain raise on every route: the grid keeps
+    # going and lists them row-major, with the scalar route's messages
+    sol = general_solution(HeatProblem(jump_g, plateau_h, 0.5, 1.0, 2.0), [(-1.0, 0.5, 0.5)])
+    ts, xs = [0.2, -0.5], [0.3, 9.0]
+    grid, errors = sol.residual_grid(ts, xs)
+    assert [(i, j) for i, j, _ in errors] == [(0, 1), (1, 0), (1, 1)]
+    for i, j, e in errors:
+        with pytest.raises(type(e)) as info:
+            sol.residual_numeric(ts[i], xs[j])
+        assert str(info.value) == str(e)
+        assert math.isnan(grid[i, j])
+    assert repr(grid[0, 0].item()) == repr(sol.residual_numeric(0.2, 0.3))
+
+
+@pytest.mark.parametrize(
+    "name", ["worked_ivp", "periodic_classical", "product_eigen", "gpoly_gate"]
+)
+def test_regular_entries_take_the_shared_samples(name, monkeypatch):
+    # check's 5x5 regular grid runs no scalar ladder; on an eval grid the
+    # t = 0 row and the x = 0 column are one-sided, so they run gderiv and
+    # gderiv2 (on the shared rows and columns)
+    parsed = load_problem((SPECS / f"{name}.json").read_text())
+    sol, _info = solve(parsed)
+    calls = []
+
+    def counted(name, fn):
+        return lambda *a, **kw: calls.append(name) or fn(*a, **kw)
+
+    for fn in ("gderiv", "gderiv2"):
+        monkeypatch.setattr(gd, fn, counted(fn, getattr(gd, fn)))
+    sol.residual_grid(regular_points(parsed.g, 0.0, parsed.T, 5),
+                      regular_points(parsed.h, 0.0, parsed.L, 5))
+    assert calls == []
+    ts = [parsed.T * i / 3 for i in range(4)]
+    xs = [parsed.L * j / 3 for j in range(4)]
+    _grid, errors = sol.residual_grid(ts, xs)
+    assert errors == []
+    assert calls.count("gderiv") >= len(xs) and calls.count("gderiv2") >= len(ts)
+
+
+def test_check_still_fails_a_stalled_product_residual(tmp_path, capsys):
+    # at lam = 1000 the time ladders of the product case stall; the row
+    # names the first raising entry in row order
+    spec = json.loads((SPECS / "product_eigen.json").read_text())
+    spec["product-eigen"]["lam"] = 1000.0
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["check", str(path)]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1 and "pde-residual" in fails[0]
+    assert "numeric residual at (t, x) = (0.252, 0.252)" in fails[0]
+    assert "stalled at change 2.650e+94" in fails[0]

@@ -109,8 +109,8 @@ def test_regular_point_takes_one_cheap_accurate_ladder_pair(plateau_h):
 def test_disagreeing_second_ladder_is_refused_by_name(plateau_h, monkeypatch):
     three_point = gd._three_point
 
-    def off(f, t, d, cfg, *rest):
-        got = three_point(f, t, d, cfg, *rest)
+    def off(f, levels, cfg, ft):
+        got = three_point(f, levels, cfg, ft)
         return got * (1.0 + 1e-5) if cfg.step0 != gd.DEFAULT_OUTER.step0 else got
 
     monkeypatch.setattr(gd, "_three_point", off)
