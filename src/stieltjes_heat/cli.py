@@ -12,8 +12,6 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .derivators import regular_points
 from .errors import (
     DivergenceError,
@@ -154,6 +152,8 @@ def _check_ftc(d, label, rows):
     batched gderiv call (the Gauss sum's over the nodes of every affine
     piece at once).  A numeric derivative that does not settle FAILs its
     row; it does not end check."""
+    import numpy as np
+
     f = lambda s: math.sin(s) + 0.25 * s
     F = indefinite(f, d.lo, d)
     pts = np.array(regular_points(d, d.lo, d.hi, 10))
@@ -176,6 +176,8 @@ def _check_ftc(d, label, rows):
 
 
 def _check_special(d, label, rows):
+    import numpy as np
+
     pts = np.array(regular_points(d, d.lo, d.hi, 8))
     E = lambda s: gexp(d, 0.8, d.lo, s)
     e = E(pts)

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 from types import SimpleNamespace
 
-import numpy as np
-
 from .errors import DomainError, InvariantError, SchemaError
 
 # Relative tolerance used when validating that declared atoms match the
@@ -71,11 +69,9 @@ class Derivator:
         self.lo = segments[0].lo
         self.hi = segments[-1].hi
 
-        # lookup tables: numpy arrays for eval_array, lists for scalar queries
-        self._bk = np.array([s.lo for s in segments[1:]])  # internal breakpoints
+        # lookup tables of the scalar queries (the array queries read
+        # _compiled): internal breakpoints, each segment's slope and intercept
         self._bk_list = [s.lo for s in segments[1:]]
-        self._slope = np.array([s.slope for s in segments])
-        self._icept = np.array([s.intercept for s in segments])
         self._slope_list = [s.slope for s in segments]
         self._icept_list = [s.intercept for s in segments]
         # for advance_to_value: upper end values, and suffix minima of the lower
@@ -94,6 +90,17 @@ class Derivator:
     def _validate(segments, atoms):
         if not segments:
             raise InvariantError("derivator needs at least one segment")
+        # NaN passes every comparison below, and an infinity gives nan or inf values
+        for i, s in enumerate(segments):
+            level = "intercept" if s.kind == "affine" else "level"
+            fields = {"from": s.lo, "to": s.hi, "slope": s.slope, level: s.intercept}
+            for name, v in fields.items():
+                if not math.isfinite(v):
+                    raise InvariantError(f"segment {i} has non-finite {name} {v}")
+        for i, (t, gap) in enumerate(atoms):
+            for name, v in {"t": t, "gap": gap}.items():
+                if not math.isfinite(v):
+                    raise InvariantError(f"atom {i} has non-finite {name} {v}")
         for s in segments:
             if not (s.hi > s.lo):
                 raise InvariantError(f"segment [{s.lo}, {s.hi}] has nonpositive length")
@@ -179,14 +186,22 @@ class Derivator:
 
     @functools.cached_property
     def _compiled(self):
-        """The arrays of the array queries (batched ladders, array
-        exponential), built on first use: atom times, gaps and values g(t),
-        cumulative gaps with a leading 0, and the advance_to_value tables with
-        each segment's ends, kind and atom flag."""
+        """The arrays of the array queries (eval_array, batched ladders,
+        array exponential), built on first use, so that only the array paths
+        import numpy: internal breakpoints, slopes and intercepts, atom
+        times, gaps and values g(t), cumulative gaps with a leading 0, and
+        the advance_to_value tables with each segment's ends, kind and atom
+        flag."""
+        import numpy as np
+
         segs = self.segments
         flat = np.array([s.kind == "flat" for s in segs])
         gap = np.array([gap for _, gap in self.atoms])
+        slope = np.array(self._slope_list)
         return SimpleNamespace(
+            bk=np.array(self._bk_list),
+            slope=slope,
+            icept=np.array(self._icept_list),
             atom_t=np.array(self._atom_t),
             gap=gap,
             atom_val=np.array([self.eval(t) for t in self._atom_t]),
@@ -196,7 +211,7 @@ class Derivator:
             seg_lo=np.array([s.lo for s in segs]),
             seg_hi=np.array([s.hi for s in segs]),
             flat=flat,
-            slope_or_1=np.where(flat, 1.0, self._slope),
+            slope_or_1=np.where(flat, 1.0, slope),
             lo_is_atom=np.array([s.lo in self._atom_gap for s in segs]),
         )
 
@@ -223,13 +238,16 @@ class Derivator:
         return self._slope_list[i] * t + self._icept_list[i]
 
     def eval_array(self, ts):
+        import numpy as np
+
+        c = self._compiled
         ts = np.asarray(ts, dtype=float)
         fuzz = 1e-9 * (1.0 + abs(self.lo) + abs(self.hi))
         if (ts < self.lo - fuzz).any() or (ts > self.hi + fuzz).any():
             raise DomainError("point outside derivator domain")
         tc = np.minimum(np.maximum(ts, self.lo), self.hi)
-        idx = np.searchsorted(self._bk, tc, side="left")
-        return self._slope[idx] * tc + self._icept[idx]
+        idx = np.searchsorted(c.bk, tc, side="left")
+        return c.slope[idx] * tc + c.icept[idx]
 
     def jump(self, t):
         """g(t+) - g(t); zero off the atom set."""
@@ -331,6 +349,8 @@ class Derivator:
     def advance_to_value_array(self, ys):
         """advance_to_value at every entry of ys, nan where it gives None:
         the same comparisons on the same floats, entry by entry."""
+        import numpy as np
+
         c = self._compiled
         ys = np.asarray(ys, dtype=float)
         tol = 1e-12 * (1.0 + np.abs(ys))
@@ -342,7 +362,7 @@ class Derivator:
             i -= down
         k = np.maximum(i, 0)
         lo, hi, flat = c.seg_lo[k], c.seg_hi[k], c.flat[k]
-        hit = (ys - self._icept[k]) / c.slope_or_1[k]  # flat pieces: hi, below
+        hit = (ys - c.icept[k]) / c.slope_or_1[k]  # flat pieces: hi, below
         # min(max(hit, lo), hi) as Python takes it, signed zeros included
         hit = np.where(lo > hit, lo, hit)
         hit = np.where(hi < hit, hi, hit)
@@ -361,6 +381,8 @@ class Derivator:
         if L <= 0 or self.hi - self.lo <= L:
             raise DomainError("shift L must fit inside the domain")
         if sample_pairs is None:
+            import numpy as np
+
             pts = {self.lo, self.hi - L}
             for s in self.segments:
                 for t in (s.lo, s.hi):

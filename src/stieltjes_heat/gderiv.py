@@ -31,9 +31,8 @@ import functools
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import DomainError, NonConvergenceError, StieltjesError
+from .lsintegral import _is_array
 
 # a side with at most _MIN_ROOM (1 + |g(t)|) of measure room counts as having
 # none, so the ladder goes one-sided: a quotient over a step a carries about
@@ -77,7 +76,7 @@ THREE_POINT_ROOM = DEFAULT_OUTER.step0 / 8
 
 
 def _sup(v):
-    return float(np.max(np.abs(v))) if isinstance(v, np.ndarray) else abs(v)
+    return float(abs(v).max()) if _is_array(v) else abs(v)
 
 
 def _extrapolate(pairs, tol, min_levels, scale=1.0, running=None):
@@ -112,8 +111,10 @@ def _extrapolate(pairs, tol, min_levels, scale=1.0, running=None):
             ) from None
         diag = row[-1]
         if per_entry is None:
-            per_entry = isinstance(x, np.ndarray)
+            per_entry = _is_array(x)
             if per_entry:
+                import numpy as np
+
                 kept = np.full_like(diag, np.nan)
                 running = np.ones(diag.shape, dtype=bool) if running is None else running
         if per_entry:
@@ -190,6 +191,8 @@ def _rooms(d, base, gb, lo=None):
 
 def _rooms_array(d, ts, gb, lo=None):
     """_rooms at every entry of ts, read off the compiled atoms."""
+    import numpy as np
+
     lo = d.lo if lo is None else max(lo, d.lo)
     c = d._compiled
     tops = np.append(c.atom_val, d.eval(d.hi))
@@ -229,6 +232,8 @@ def _samples_array(d, ts, gb, eta, rooms, side):
     """_forward_sample (side +1) or _backward_sample (side -1) at every entry,
     eta broadcast against the points: (s, actual) arrays, nan where the
     scalar sampler gives None."""
+    import numpy as np
+
     fwd, bwd, cap = rooms
     room = fwd if side > 0 else bwd
     e = np.minimum(eta, room if side > 0 else cap)
@@ -365,6 +370,8 @@ def _sample_table(d, ts, gb, rooms, cfg):
     shape (max_levels + 1, len(ts)): ((s+, a+), (s-, a-)), row 0 the probes
     at step0 and rows 1.. the levels, stepped down as _levels does; nan on a
     side without a sample."""
+    import numpy as np
+
     etas = np.full((cfg.max_levels + 1, len(ts)), cfg.shrink)
     etas[0] = cfg.step0
     etas[1] = np.minimum(cfg.step0, np.minimum(0.9 * rooms[0], 0.9 * rooms[1]))
@@ -376,6 +383,8 @@ def _two_sided(d, ts, a_plus, a_minus):
     """The entries of ts that run a two-sided ladder: off the atoms and the
     constancy runs, with a step0 probe on both sides (its measure steps
     a_plus and a_minus are not nan)."""
+    import numpy as np
+
     ok = ~np.isnan(a_plus) & ~np.isnan(a_minus)
     for a in d._atom_t:
         ok &= ts != a
@@ -395,6 +404,8 @@ def _batch(f, ts, d, cfg, lo):
     constancy runs, one-sided points and points that meet a level without a
     side sample take the scalar route.
     """
+    import numpy as np
+
     for t in ts[(ts < d.lo) | (ts > d.hi)]:
         d._check_domain(float(t))  # past the fuzz: the scalar route's error
     gb = d.eval_array(ts)
@@ -434,6 +445,8 @@ def _ladder_levels(d, ts, cfgs, lo, room=0.0):
     of measure room on a side), else for each config the list of the level
     pairs ((s+, a+), (s-, a-)) that find both sides, in floats.  The samples
     of a level are taken for every point at once."""
+    import numpy as np
+
     pts = np.array(ts, dtype=float)
     inside = (pts >= d.lo) & (pts <= d.hi)
     pts = np.where(inside, pts, d.lo)
@@ -466,7 +479,7 @@ def gderiv(f, t, d, cfg=None, *, lo=None):
     and the result is an array.
     """
     cfg = cfg or DEFAULT
-    if isinstance(t, np.ndarray):
+    if _is_array(t):
         return _batch(f, t.astype(float), d, cfg, lo)
     t = float(t)
     d._check_domain(t)
@@ -610,6 +623,8 @@ class HeatResidual:
         Returns the len(ts) x len(xs) array and the row-major list of
         (i, j, error) for the entries that raised; those entries read nan.
         """
+        import numpy as np
+
         ts, xs = [float(t) for t in ts], [float(x) for x in xs]
         t_lv = _ladder_levels(self.g, ts, (DEFAULT,), 0.0)
         x_lv = _ladder_levels(self.h, xs, [cfg for _, cfg in THREE_POINT], 0.0, THREE_POINT_ROOM)

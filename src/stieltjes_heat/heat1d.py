@@ -13,8 +13,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .derivators import Derivator, regular_points
 from .errors import DivergenceError, DomainError, GateError, InvariantError
 from .gderiv import HeatResidual, _tidy
@@ -308,6 +306,8 @@ def find_periodic_eigenvalues(problem, lam_range, count=8):
     the gate and is included when the range allows.  Returns up to `count`
     eigenvalues ordered by |lam|.
     """
+    import numpy as np
+
     h, L = problem.h, problem.L
     lam_lo, lam_hi = sorted(lam_range)
     if lam_lo >= 0 or lam_hi > 0:

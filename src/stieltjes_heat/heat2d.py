@@ -16,8 +16,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DivergenceError, DomainError, GateError, NonConvergenceError
 from .gderiv import HeatResidual
 from .heat1d import _stream
@@ -103,6 +101,8 @@ def _cum_pass(f_left, f_right, gaps, cont):
     the left node), exact atom terms with left values.  Returns left values
     and right limits of F at the nodes.
     """
+    import numpy as np
+
     mids = 0.5 * (f_right[:-1] + f_left[1:])
     inc = mids * cont + f_left[:-1] * gaps[:-1]
     left = np.concatenate(([0.0], np.cumsum(inc)))
@@ -113,6 +113,8 @@ def _cum_pass(f_left, f_right, gaps, cont):
 def _chain_tables(d, top, depth, mesh):
     """Monomial values d_1(top), ..., d_depth(top) by iterated midpoint
     integration at the given measure mesh."""
+    import numpy as np
+
     nodes = np.asarray(build_grid(d, 0.0, top, mesh=mesh).nodes)
     gvals = d.eval_array(nodes)
     gaps = np.array([d.jump(float(t)) for t in nodes])
@@ -180,6 +182,8 @@ def _ladder_terms(n, c, alpha, w):
     is assembled in log space, so a huge factor times a tiny c^(2k) alpha
     w_k stays finite.  A vanishing alpha or w_k gives a zero term.
     """
+    import numpy as np
+
     out = np.zeros(n // 2 + 1, dtype=complex if isinstance(alpha, complex) else float)
     if alpha == 0:
         return out
@@ -334,6 +338,8 @@ class GPolySolution(HeatResidual):
     """
 
     def __init__(self, ctx, alpha, N, radius, tail_bound):
+        import numpy as np
+
         self.ctx = ctx
         self.g, self.h, self.c = ctx.G.g, ctx.G.h, ctx.c
         self.alpha = alpha

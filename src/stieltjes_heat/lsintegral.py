@@ -17,12 +17,17 @@ import operator
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, EvaluationError, NonConvergenceError
 
 DEFAULT_TOL = 1e-10
 _EPS = sys.float_info.epsilon
+
+
+def _is_array(v):
+    """isinstance(v, numpy.ndarray), without importing numpy: no array can
+    exist before numpy is imported, and the scalar paths import none."""
+    numpy = sys.modules.get("numpy")
+    return numpy is not None and isinstance(v, numpy.ndarray)
 
 
 @dataclass
@@ -181,6 +186,8 @@ def integrate(f, a, b, d, tol=DEFAULT_TOL):
 @functools.cache
 def _gauss_legendre_64():
     """The 64-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    import numpy as np
+
     return np.polynomial.legendre.leggauss(64)
 
 
@@ -193,6 +200,8 @@ def integrate_gauss(f, a, b, d):
     and each piece sums its own slice; f is called on scalars at the atoms,
     which contribute their left value times the gap.
     """
+    import numpy as np
+
     z, w = _gauss_legendre_64()
     spans = _affine_spans(d, a, b)
     total = 0.0
@@ -246,7 +255,9 @@ def indefinite(f, a, d, tol=DEFAULT_TOL):
         return cache[t]
 
     def F(t):
-        if isinstance(t, np.ndarray):
+        if _is_array(t):
+            import numpy as np
+
             return np.array([F1(s) for s in t.tolist()])
         return F1(float(t))
 

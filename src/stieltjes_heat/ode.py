@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DivergenceError, DomainError, NoSolutionError
 from .gderiv import _extrapolate
 
@@ -44,6 +42,8 @@ class StieltjesGrid:
 
 
 def build_grid(d, a, b, mesh=1e-3, factor=1):
+    import numpy as np
+
     if not b > a:
         raise DomainError(f"grid needs a < b, got [{a}, {b}]")
     pts = _structural_points(d, a, b)
@@ -60,6 +60,8 @@ class Trajectory:
     """Euler output on a grid: the nodes and the state at each."""
 
     def __init__(self, ts, states):
+        import numpy as np
+
         self.ts = np.asarray(ts)
         self.states = np.asarray(states)
 
@@ -70,6 +72,8 @@ class Trajectory:
 
 def euler_stieltjes(F, x0, grid):
     """Explicit Stieltjes-Euler run of x'_g = F(t, x) over the grid."""
+    import numpy as np
+
     d = grid.d
     ts = grid.nodes
     gs = d.eval_array(ts)
@@ -98,6 +102,8 @@ def euler_stieltjes(F, x0, grid):
 
 
 def _euler_tuple(ts, gs, F, y0):
+    import numpy as np
+
     dim = len(y0)
     cplx = any(isinstance(v, complex) for v in y0) or any(
         isinstance(v, complex) for v in F(ts[0], y0)
@@ -149,6 +155,8 @@ class HermiteCurve:
     """
 
     def __init__(self, d, ts, values, slopes, values_plus, slopes_plus):
+        import numpy as np
+
         self.d = d
         self.ts = np.asarray(ts)
         self.gs = d.eval_array(self.ts)
@@ -159,6 +167,8 @@ class HermiteCurve:
         self.slopes_plus = slopes_plus
 
     def __call__(self, x):
+        import numpy as np
+
         x = float(x)
         if x < self.ts[0] - 1e-12 or x > self.ts[-1] + 1e-12:
             raise DomainError(f"x={x} outside solution range")
@@ -189,6 +199,8 @@ class Ode2Solution:
     equation's right-hand side available for the second derivative."""
 
     def __init__(self, d, ts, V, W, rhs):
+        import numpy as np
+
         self._rhs = rhs
         gaps = np.array([d.jump(t) for t in ts])
         rhs_vals = np.array([rhs(t, v, w) for t, v, w in zip(ts, V, W)])
@@ -296,6 +308,8 @@ def solve_periodic_first_order(
 
 def _hermite(d, ts, values, slope_fn):
     """Hermite curve through node values whose g-slopes are slope_fn(t, value)."""
+    import numpy as np
+
     gaps = np.array([d.jump(t) for t in ts])
     slopes = np.array([slope_fn(t, v) for t, v in zip(ts, values)])
     values_plus = values + slopes * gaps

@@ -37,12 +37,15 @@ TWO_VAR_MODES = ("gpoly-series", "product-eigen")
 
 
 def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A JSON number other than NaN and +-Infinity, which json also reads."""
+    if isinstance(v, float):
+        return math.isfinite(v)
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _number(obj, path):
     if not _is_number(obj):
-        raise SchemaError(f"{path} must be a number, got {obj!r}")
+        raise SchemaError(f"{path} must be a finite number, got {obj!r}")
     return float(obj)
 
 
@@ -61,7 +64,7 @@ def _scalar(obj, path):
     if isinstance(obj, list) and len(obj) == 2 and all(_is_number(v) for v in obj):
         z = complex(obj[0], obj[1])
         return z.real if z.imag == 0.0 else z
-    raise SchemaError(f"{path} must be a number or an [re, im] pair, got {obj!r}")
+    raise SchemaError(f"{path} must be a finite number or an [re, im] pair of them, got {obj!r}")
 
 
 def _field(obj, key, path):
@@ -250,7 +253,7 @@ def scan_params(parsed):
         raise SchemaError("periodic must be an object")
     rng = payload.get("lam_range", [-((8.5 * math.pi / parsed.L) ** 2), 0.0])
     if not (isinstance(rng, list) and len(rng) == 2 and all(_is_number(v) for v in rng)):
-        raise SchemaError("periodic.lam_range must be [lo, hi]")
+        raise SchemaError("periodic.lam_range must be [lo, hi] of finite numbers")
     return tuple(rng), _count(payload.get("count", 8), "periodic.count")
 
 

@@ -17,10 +17,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, GateError
-from .lsintegral import Integrand, integrate
+from .lsintegral import Integrand, _is_array, integrate
 
 # ---------------------------------------------------------------------------
 # exponential and regressivity
@@ -49,6 +47,8 @@ def _gexp_array(d, p, a, ts):
     """exp_d(p; a, t) at a constant rate p for every entry of ts, in closed
     form from the compiled atoms: with k(t) the atoms in [a, t),
     cumprod(1 + p gap)[k] * exp(p (g(t) - g(a) - cumgap[k]))."""
+    import numpy as np
+
     c = d._compiled
     k0 = bisect.bisect_left(d._atom_t, a)
     k = np.searchsorted(c.atom_t, ts, side="left") - k0
@@ -65,7 +65,7 @@ def gexp(d, p, a, t, tol=1e-10):
     p may be a real/complex constant or a callable.  Requires t >= a.  At a
     constant rate t may be an array (`_gexp_array`).
     """
-    if isinstance(t, np.ndarray) and not callable(p):
+    if _is_array(t) and not callable(p):
         if (t < a).any():
             raise DomainError(f"gexp needs t >= a, got a={a}, t={t.min()}")
         return _gexp_array(d, p, float(a), t.astype(float))
@@ -153,6 +153,8 @@ class MonomialTable:
     """
 
     def __init__(self, d, x0):
+        import numpy as np
+
         d._check_domain(float(x0))
         self.d = d
         self.x0 = float(x0)
@@ -162,6 +164,7 @@ class MonomialTable:
         self._density = np.array([s.slope * (s.hi - s.lo) for s in d.segments])
         self._gaps = np.array([d.jump(s.hi) for s in d.segments[:-1]])
         self._coef = np.ones((len(d.segments), 1, 1))  # g_0 = 1
+        self._powers = np.arange(1)  # the exponents 0, 1, ... of s, one per row
 
     def extend(self, order):
         """Build the rows through `order`; a growing block gains at least a
@@ -169,6 +172,8 @@ class MonomialTable:
         have = self._coef.shape[1]
         if order < have:
             return
+        import numpy as np
+
         rows = max(order + 1, have + have // 4)
         coef = np.zeros((len(self._density), rows, rows))
         coef[:, :have, :have] = self._coef
@@ -189,6 +194,7 @@ class MonomialTable:
             walk[:k0] = -steps[:k0][::-1].cumsum()[::-1]
             coef[:, n, 0] = walk - grow[k0] @ s0k[:n]
         self._coef = coef
+        self._powers = np.arange(rows)
 
     def _locate(self, x, right=False):
         """(segment index, s) of x; right=True reads a breakpoint from the
@@ -205,14 +211,14 @@ class MonomialTable:
         """g_n(x) from row n of the block."""
         self.extend(n)
         i, s = self._locate(x)
-        return float(self._coef[i, n, : n + 1] @ s ** np.arange(n + 1))
+        return float(self._coef[i, n, : n + 1] @ s ** self._powers[: n + 1])
 
     def values(self, order, x, right=False):
         """g_0(x), ..., g_order(x) as one array; right=True gives the right
         limits g_j(x+), which differ from the values at atoms only."""
         self.extend(order)
         i, s = self._locate(x, right)
-        return self._coef[i, : order + 1, : order + 1] @ s ** np.arange(order + 1)
+        return self._coef[i, : order + 1, : order + 1] @ s ** self._powers[: order + 1]
 
 
 # Tables are shared by structurally equal derivators.  Each table holds its
@@ -273,6 +279,8 @@ def _series_terms(d, rate, x, top, center):
     """The summands rate^m g_m(x) / m!, m = 0..top, with the weights stepped
     in floats (m! itself leaves the float range at m = 171), and the
     monomial bound gbar = g(x) - g(center)."""
+    import numpy as np
+
     x, center = float(x), float(center)
     if x < center:
         raise DomainError("series identities need x >= center")

@@ -692,3 +692,59 @@ def test_eigs_classical_values(capsys, spec_file):
 def test_eigs_requires_separated_problem(capsys, spec_file):
     rc, _, err = run(capsys, ["eigs", spec_file(gpoly_spec())])
     assert rc == 3 and "separated" in err
+
+
+def _set(path, value):
+    """A spec edit: the demo spec's field at path (keys and indices) set to value."""
+    def edit(spec):
+        obj = spec
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return edit
+
+
+NON_FINITE = {
+    "c-inf": _set(["c"], math.inf),
+    "c-nan": _set(["c"], math.nan),
+    "c-minus-inf": _set(["c"], -math.inf),
+    "T-inf": _set(["T"], math.inf),
+    "L-inf": _set(["L"], math.inf),
+    "g-gap-nan": _set(["g", "atoms", 0, "gap"], math.nan),
+    "g-gap-inf": _set(["g", "atoms", 0, "gap"], math.inf),
+    "g-slope-nan": _set(["g", "segments", 0, "slope"], math.nan),
+    "g-slope-inf": _set(["g", "segments", 0, "slope"], math.inf),
+    "h-intercept-nan": _set(["h", "segments", 0, "intercept"], math.nan),
+    "h-level-inf": _set(["h", "segments", 1, "level"], math.inf),
+    "g-end-inf": lambda s: (_set(["g", "segments", 1, "to"], math.inf)(s),
+                            _set(["g", "domain", 1], math.inf)(s)),
+}
+
+
+@pytest.mark.parametrize("cmd", ["eval", "check", "radius", "eigs"])
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_spec_numbers_exit_3(capsys, spec_file, case, cmd):
+    """json reads NaN and Infinity: every subcommand refuses them as a spec
+    error before it solves anything."""
+    spec = json.loads((SPECS / "worked_ivp.json").read_text())
+    NON_FINITE[case](spec)
+    rc, out, err = run(capsys, [cmd, spec_file(spec)])
+    assert (rc, out) == (3, "")
+    assert err.startswith("spec error:") and "finite" in err
+
+
+@pytest.mark.parametrize("cmd, name, path, value", [
+    ("eigs", "periodic_classical", ["periodic", "lam_range", 0], -math.inf),
+    ("eigs", "periodic_classical", ["periodic", "lam_range", 0], math.nan),
+    ("eigs", "periodic_classical", ["periodic", "lam_range", 1], math.inf),
+    ("eval", "worked_ivp", ["ivp", "modes", 0, "lam"], math.nan),
+    ("check", "worked_ivp", ["ivp", "modes", 0, "a"], [math.inf, 0.0]),
+    ("eval", "periodic_classical", ["periodic", "lam"], -math.inf),
+])
+def test_non_finite_payload_numbers_exit_3(capsys, spec_file, cmd, name, path, value):
+    """The payload fields that only some subcommands read."""
+    spec = json.loads((SPECS / f"{name}.json").read_text())
+    _set(path, value)(spec)
+    rc, out, err = run(capsys, [cmd, spec_file(spec)])
+    assert (rc, out) == (3, "")
+    assert err.startswith("spec error:") and "finite" in err
