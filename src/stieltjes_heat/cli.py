@@ -360,6 +360,7 @@ def cmd_radius(args, parsed):
 def cmd_eigs(args, parsed):
     if parsed.problem is None:
         raise SchemaError("eigs requires a separated problem (fields g and h)")
+    mode_params(parsed)  # validate the mode payload, as eval and check do
     lam_range, count = scan_params(parsed)
     eigs = find_periodic_eigenvalues(parsed.problem, lam_range, count=count)
     lines = ["lam"] + [repr(lam) for lam in eigs]

@@ -300,19 +300,25 @@ def _periodic_gate(walk, s):
 def find_periodic_eigenvalues(problem, lam_range, count=8):
     """Real eigenvalues lam <= 0 with exp_h(-sqrt(lam); 0, L) = 1.
 
-    Scans s = sqrt(-lam) on a log grid (2048 points per decade), brackets
-    sign changes of Im exp_h(-is; 0, L), bisects to 1e-12 bracket width and
-    keeps roots with |exp_h(-is;0,L) - 1| < 1e-9.  lam = 0 always satisfies
-    the gate and is included when the range allows.  Returns up to `count`
-    eigenvalues ordered by |lam|.
+    Scans s = sqrt(-lam) on a log grid (2048 points per decade) for sign
+    changes of Im exp_h(-is; 0, L), one decade of the grid at a time: each
+    block is evaluated as arrays from the one walk h.exp_data(0, L), and the
+    values within 1e-9 |exp_h(-is; 0, L)| of zero are taken again from the
+    scalar gate, so the signs and exact zeros that choose the brackets are
+    the scalar ones.  Each bracket is bisected to 1e-12 width by the scalar
+    gate, and a root is kept when |exp_h(-is; 0, L) - 1| < 1e-9.  lam = 0
+    always satisfies the gate and is included when the range allows.  The
+    scan stops at `count` eigenvalues, ordered by |lam|.  The range must be
+    finite with lam_lo < 0 and lam_hi <= 0.
     """
     import numpy as np
 
     h, L = problem.h, problem.L
     lam_lo, lam_hi = sorted(lam_range)
-    if lam_lo >= 0 or lam_hi > 0:
+    if not (math.isfinite(lam_lo) and math.isfinite(lam_hi)) or lam_lo >= 0 or lam_hi > 0:
         raise DomainError(
-            f"scan range must satisfy lam_lo < 0 and lam_hi <= 0, got {lam_range}"
+            "scan range must be finite and satisfy lam_lo < 0 and lam_hi <= 0, "
+            f"got {lam_range}"
         )
     out = []
     if lam_hi == 0:
@@ -321,6 +327,24 @@ def find_periodic_eigenvalues(problem, lam_range, count=8):
     s_min = math.sqrt(-lam_hi) if lam_hi < 0 else s_max * 1e-4
     walk = h.exp_data(0.0, L)
     f = lambda s: _periodic_gate(walk, s).imag
+
+    def f_block(ss):
+        # exp_walk's closed form over an array of s: prod(1 + p gap) exp(p cont)
+        # at p = -is.  Array and scalar values of Im z differ by a few ulps of
+        # |z| per atom, so only values inside the band |Im z| <= 1e-9 |z| (or
+        # with z not below 1e300) may differ in sign or be exact zeros, and
+        # those are taken again from f.
+        atoms, cont = walk
+        p = -1j * ss
+        with np.errstate(over="ignore", invalid="ignore"):
+            prod = 1.0
+            for _s, g in atoms:
+                prod = prod * (1.0 + p * g)
+            z = prod * np.exp(p * cont)
+            fs, az = z.imag.copy(), np.abs(z)
+            for j in np.flatnonzero(~((np.abs(fs) > 1e-9 * az) & (az < 1e300))):
+                fs[j] = f(ss[j])
+        return fs
 
     def bisect(s1, s2, f1):
         while s2 - s1 > 1e-12:
@@ -334,21 +358,26 @@ def find_periodic_eigenvalues(problem, lam_range, count=8):
                 s2 = mid
         return 0.5 * (s1 + s2)
 
-    n_grid = max(2, int(2048 * math.log10(s_max / s_min)) + 1)
+    decade = 2048  # grid points per decade, and the points per block
+    n_grid = max(2, int(decade * math.log10(s_max / s_min)) + 1)
     grid = np.geomspace(s_min, s_max, n_grid)
-    prev_s, prev_f = grid[0], f(grid[0])
-    for s in grid[1:]:
+    prev_f = f(grid[0])
+    # grid[i] holds a root when f there is exactly 0 or differs in sign from
+    # f at grid[i - 1]; prev_f carries f across the block edges
+    for i0 in range(1, n_grid, decade):
         if len(out) >= count:
             break
-        fs = f(s)
-        root = None
-        if fs == 0.0:
-            root = s
-        elif (prev_f < 0) != (fs < 0):
-            root = bisect(prev_s, s, prev_f)
-        if root is not None and abs(_periodic_gate(walk, root) - 1.0) < 1e-9:
-            out.append(float(-root * root))
-        prev_s, prev_f = s, fs
+        ss = grid[i0:i0 + decade]
+        fs = f_block(ss)
+        prevs = np.concatenate(([prev_f], fs[:-1]))
+        for j in np.flatnonzero((fs == 0.0) | ((prevs < 0) != (fs < 0))):
+            if len(out) >= count:
+                break
+            s = ss[j]
+            root = s if fs[j] == 0.0 else bisect(grid[i0 + j - 1], s, prevs[j])
+            if abs(_periodic_gate(walk, root) - 1.0) < 1e-9:
+                out.append(float(-root * root))
+        prev_f = fs[-1]
     return out[:count]
 
 

@@ -740,6 +740,7 @@ def test_non_finite_spec_numbers_exit_3(capsys, spec_file, case, cmd):
     ("eval", "worked_ivp", ["ivp", "modes", 0, "lam"], math.nan),
     ("check", "worked_ivp", ["ivp", "modes", 0, "a"], [math.inf, 0.0]),
     ("eval", "periodic_classical", ["periodic", "lam"], -math.inf),
+    ("eigs", "worked_ivp", ["ivp", "modes", 0, "lam"], math.nan),
 ])
 def test_non_finite_payload_numbers_exit_3(capsys, spec_file, cmd, name, path, value):
     """The payload fields that only some subcommands read."""

@@ -22,6 +22,7 @@ from stieltjes_heat import (
     gexp,
     gexp_right_limit,
     gsin_gcos,
+    heat1d,
     identity,
     neumann_solution,
     periodic_solution,
@@ -395,6 +396,163 @@ def test_plateau_h_has_no_negative_eigenvalues(prob_jumpy):
 def test_eigenvalue_scan_rejects_bad_range(prob_classical):
     with pytest.raises(DomainError):
         find_periodic_eigenvalues(prob_classical, (0.0, 4.0))
+
+
+@pytest.mark.parametrize("lam_range", [(math.nan, 0.0), (-math.inf, 0.0)])
+def test_eigenvalue_scan_refuses_non_finite_range(prob_classical, lam_range):
+    with pytest.raises(DomainError, match="finite"):
+        find_periodic_eigenvalues(prob_classical, lam_range)
+
+
+def _scan_grid(lam_range):
+    """The scan's log grid of s = sqrt(-lam), 2048 points per decade."""
+    lam_lo, lam_hi = sorted(lam_range)
+    s_max = math.sqrt(-lam_lo)
+    s_min = math.sqrt(-lam_hi) if lam_hi < 0 else s_max * 1e-4
+    n_grid = max(2, int(2048 * math.log10(s_max / s_min)) + 1)
+    return np.geomspace(s_min, s_max, n_grid)
+
+
+def _scalar_scan(problem, lam_range, count):
+    """The eigenvalue scan as one scalar gate call per grid point: the
+    oracle for the blockwise array scan."""
+    out = [0.0] if max(lam_range) == 0 else []
+    walk = problem.h.exp_data(0.0, problem.L)
+    gate = heat1d._periodic_gate
+    f = lambda s: gate(walk, s).imag
+
+    def bisect(s1, s2, f1):
+        while s2 - s1 > 1e-12:
+            mid = 0.5 * (s1 + s2)
+            fm = f(mid)
+            if fm == 0.0:
+                return mid
+            if (f1 < 0) == (fm < 0):
+                s1, f1 = mid, fm
+            else:
+                s2 = mid
+        return 0.5 * (s1 + s2)
+
+    grid = _scan_grid(lam_range)
+    prev_s, prev_f = grid[0], f(grid[0])
+    for s in grid[1:]:
+        if len(out) >= count:
+            break
+        fs = f(s)
+        root = None
+        if fs == 0.0:
+            root = s
+        elif (prev_f < 0) != (fs < 0):
+            root = bisect(prev_s, s, prev_f)
+        if root is not None and abs(gate(walk, root) - 1.0) < 1e-9:
+            out.append(float(-root * root))
+        prev_s, prev_f = s, fs
+    return out[:count]
+
+
+def _same_scan(problem, lam_range, count):
+    got = find_periodic_eigenvalues(problem, lam_range, count=count)
+    assert repr(got) == repr(_scalar_scan(problem, lam_range, count))
+    return got
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.booleans().flatmap(lambda atoms: segment_chains(atoms=atoms)),
+    st.floats(min_value=0.3, max_value=1.0),
+    st.floats(min_value=0.5, max_value=4.5),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=1, max_value=8),
+)
+def test_blockwise_scan_equals_the_scalar_scan(h, frac, top, decades, count):
+    # lam_hi = 0 when decades is 0, else lam spans 1-5 decades below -10^top
+    L = frac * h.hi
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # L at the end of a rest
+        prob = HeatProblem(identity(0.0, 1.0), h, 1.0, 1.0, L)
+    lam_range = (-(10.0**top), -(10.0 ** (top - decades)) if decades else 0.0)
+    _same_scan(prob, lam_range, count)
+
+
+def test_blockwise_scan_takes_a_root_exactly_on_a_grid_point():
+    # h is flat at 0, jumps by g at 1/2 and rises with slope a from 0.6, so
+    # with mu = 0.4 a and y = -s mu, Im exp_h(-is; 0, 1) = sin y - (s g) cos y.
+    # At the grid point s nearest 2 pi, a puts y just above -2 pi and g is
+    # tuned by ulps until the scalar gate reads exactly 0.0 there
+    def h_of(a, g):
+        return Derivator.from_pieces([
+            ("flat", 0.0, 0.5, 0.0),
+            ("flat", 0.5, 0.6, g),
+            ("affine", 0.6, 2.0, a, g - 0.6 * a),
+        ])
+
+    lam_range = (-400.0, 0.0)
+    grid = _scan_grid(lam_range)
+    s = grid[int(np.searchsorted(grid, 2 * math.pi))]
+    g = 1e-11
+    a = (2 * math.pi - s * g) / (0.4 * s)
+    found = None
+    for _ in range(5):
+        g = math.sin(-(s * h_of(a, g).exp_data(0.0, 1.0)[1])) / s
+        for step in (0, 1, -1, 2, -2, 3, -3):
+            gg = g
+            for _ in range(abs(step)):
+                gg = math.nextafter(gg, math.copysign(math.inf, step))
+            walk = h_of(a, gg).exp_data(0.0, 1.0)
+            if heat1d._periodic_gate(walk, s).imag == 0.0:
+                found = gg
+                break
+        if found is not None:
+            break
+    assert found is not None
+    prob = HeatProblem(identity(0.0, 1.0), h_of(a, found), 1.0, 1.0, 1.0)
+    got = _same_scan(prob, lam_range, 8)
+    assert float(-s * s) in got
+
+
+def test_blockwise_scan_reads_signs_near_zero_from_the_scalar_gate(monkeypatch):
+    # h(x) = a x puts the k = 1 root s a = 2 pi on a grid point s, where the
+    # array value of Im exp_h(-is; 0, 1) is a rounding residue inside the
+    # band; a scalar gate that reads exactly 0 there must decide the root
+    lam_range = (-400.0, 0.0)
+    grid = _scan_grid(lam_range)
+    s = grid[int(np.searchsorted(grid, 2 * math.pi))]
+    h = Derivator.from_pieces([("affine", 0.0, 2.0, 2 * math.pi / s, 0.0)])
+    prob = HeatProblem(identity(0.0, 1.0), h, 1.0, 1.0, 1.0)
+    exact = heat1d._periodic_gate
+
+    def gate(walk, r):
+        z = exact(walk, r)
+        return complex(z.real, 0.0) if r == s else z
+
+    monkeypatch.setattr(heat1d, "_periodic_gate", gate)
+    assert abs(exact(h.exp_data(0.0, 1.0), s).imag) < 1e-12
+    got = _same_scan(prob, lam_range, 3)
+    assert got[1] == float(-s * s)
+
+
+def test_blockwise_scan_brackets_a_root_across_a_block_edge():
+    # blocks hold 2048 grid points from grid[1] on, so grid[2048] ends the
+    # first and grid[2049] starts the second; h(x) = a x puts the k = 1 root
+    # s a = 2 pi between them
+    lam_range = (-1e4, 0.0)
+    grid = _scan_grid(lam_range)
+    a = 2 * math.pi / math.sqrt(grid[2048] * grid[2049])
+    h = Derivator.from_pieces([("affine", 0.0, 2.0, a, 0.0)])
+    prob = HeatProblem(identity(0.0, 1.0), h, 1.0, 1.0, 1.0)
+    walk = h.exp_data(0.0, 1.0)
+    f1, f2 = (heat1d._periodic_gate(walk, s).imag for s in grid[2048:2050])
+    assert (f1 < 0) != (f2 < 0)
+    got = _same_scan(prob, lam_range, 3)
+    assert len(got) == 3
+    assert got[1] == pytest.approx(-((2 * math.pi / a) ** 2), rel=1e-9)
+
+
+def test_blockwise_scan_stops_in_the_first_block(prob_classical):
+    # s from sqrt(30) to 1000 is three blocks; the first holds 2 pi k for
+    # k = 1..8, so count = 3 is reached there
+    got = _same_scan(prob_classical, (-1e6, -30.0), 3)
+    assert got == pytest.approx([-((2 * math.pi * k) ** 2) for k in (1, 2, 3)], rel=1e-9)
 
 
 def test_periodic_solution_classical(prob_classical):
