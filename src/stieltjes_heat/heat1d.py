@@ -300,84 +300,45 @@ def _periodic_gate(walk, s):
 def find_periodic_eigenvalues(problem, lam_range, count=8):
     """Real eigenvalues lam <= 0 with exp_h(-sqrt(lam); 0, L) = 1.
 
-    Scans s = sqrt(-lam) on a log grid (2048 points per decade) for sign
-    changes of Im exp_h(-is; 0, L), one decade of the grid at a time: each
-    block is evaluated as arrays from the one walk h.exp_data(0, L), and the
-    values within 1e-9 |exp_h(-is; 0, L)| of zero are taken again from the
-    scalar gate, so the signs and exact zeros that choose the brackets are
-    the scalar ones.  Each bracket is bisected to 1e-12 width by the scalar
-    gate, and a root is kept when |exp_h(-is; 0, L) - 1| < 1e-9.  lam = 0
-    always satisfies the gate and is included when the range allows.  The
-    scan stops at `count` eigenvalues, ordered by |lam|.  The range must be
-    finite with lam_lo < 0 and lam_hi <= 0.
+    With s = sqrt(-lam), z(s) = exp_h(-is; 0, L) is
+    prod(1 - is gap) exp(-is mu_c) over the atoms of h in [0, L) and its
+    continuous measure mu_c, read from the one walk h.exp_data(0, L).  So
+    arg z = -phi(s) with phi(s) = s mu_c + sum atan(s gap), which increases
+    strictly in s, and z > 0 exactly where phi(s) = 2 pi k.  On the range
+    s_lo = sqrt(-lam_hi) <= s <= s_hi = sqrt(-lam_lo), each k >= 1 with
+    phi(s_lo) <= 2 pi k <= phi(s_hi) gives one root, bisected on phi from
+    the previous root (or s_lo) to s_hi until the bracket is 1e-12 wide or
+    its midpoint is an end (adjacent floats).  A root is kept when
+    |z - 1| < 1e-9; since |z| = prod(1 + s^2 gap^2)^(1/2) does not decrease
+    in s, the first root that fails ends the scan.  lam = 0 always
+    satisfies the gate and is included when the range allows; an h with no
+    measure on [0, L) has z = 1 for every s and yields that lam = 0 alone.
+    At most `count` eigenvalues, ordered by |lam|.  The range must be finite
+    with lam_lo < 0 and lam_hi <= 0.
     """
-    import numpy as np
-
-    h, L = problem.h, problem.L
     lam_lo, lam_hi = sorted(lam_range)
     if not (math.isfinite(lam_lo) and math.isfinite(lam_hi)) or lam_lo >= 0 or lam_hi > 0:
         raise DomainError(
             "scan range must be finite and satisfy lam_lo < 0 and lam_hi <= 0, "
             f"got {lam_range}"
         )
-    out = []
-    if lam_hi == 0:
-        out.append(0.0)
-    s_max = math.sqrt(-lam_lo)
-    s_min = math.sqrt(-lam_hi) if lam_hi < 0 else s_max * 1e-4
-    walk = h.exp_data(0.0, L)
-    f = lambda s: _periodic_gate(walk, s).imag
-
-    def f_block(ss):
-        # exp_walk's closed form over an array of s: prod(1 + p gap) exp(p cont)
-        # at p = -is.  Array and scalar values of Im z differ by a few ulps of
-        # |z| per atom, so only values inside the band |Im z| <= 1e-9 |z| (or
-        # with z not below 1e300) may differ in sign or be exact zeros, and
-        # those are taken again from f.
-        atoms, cont = walk
-        p = -1j * ss
-        with np.errstate(over="ignore", invalid="ignore"):
-            prod = 1.0
-            for _s, g in atoms:
-                prod = prod * (1.0 + p * g)
-            z = prod * np.exp(p * cont)
-            fs, az = z.imag.copy(), np.abs(z)
-            for j in np.flatnonzero(~((np.abs(fs) > 1e-9 * az) & (az < 1e300))):
-                fs[j] = f(ss[j])
-        return fs
-
-    def bisect(s1, s2, f1):
-        while s2 - s1 > 1e-12:
-            mid = 0.5 * (s1 + s2)
-            fm = f(mid)
-            if fm == 0.0:
-                return mid
-            if (f1 < 0) == (fm < 0):
-                s1, f1 = mid, fm
-            else:
-                s2 = mid
-        return 0.5 * (s1 + s2)
-
-    decade = 2048  # grid points per decade, and the points per block
-    n_grid = max(2, int(decade * math.log10(s_max / s_min)) + 1)
-    grid = np.geomspace(s_min, s_max, n_grid)
-    prev_f = f(grid[0])
-    # grid[i] holds a root when f there is exactly 0 or differs in sign from
-    # f at grid[i - 1]; prev_f carries f across the block edges
-    for i0 in range(1, n_grid, decade):
-        if len(out) >= count:
+    out = [0.0] if lam_hi == 0 else []
+    walk = problem.h.exp_data(0.0, problem.L)
+    atoms, cont = walk
+    phi = lambda s: s * cont + sum(math.atan(s * g) for _t, g in atoms)
+    s1, s_hi = math.sqrt(-lam_hi), math.sqrt(-lam_lo)
+    k, phi_hi = max(1, math.ceil(phi(s1) / (2 * math.pi))), phi(s_hi)
+    while len(out) < count and 2 * math.pi * k <= phi_hi:
+        a, b = s1, s_hi
+        mid = 0.5 * (a + b)
+        while b - a > 1e-12 and a < mid < b:
+            a, b = (mid, b) if phi(mid) < 2 * math.pi * k else (a, mid)
+            mid = 0.5 * (a + b)
+        s1 = mid
+        if not abs(_periodic_gate(walk, s1) - 1.0) < 1e-9:
             break
-        ss = grid[i0:i0 + decade]
-        fs = f_block(ss)
-        prevs = np.concatenate(([prev_f], fs[:-1]))
-        for j in np.flatnonzero((fs == 0.0) | ((prevs < 0) != (fs < 0))):
-            if len(out) >= count:
-                break
-            s = ss[j]
-            root = s if fs[j] == 0.0 else bisect(grid[i0 + j - 1], s, prevs[j])
-            if abs(_periodic_gate(walk, root) - 1.0) < 1e-9:
-                out.append(float(-root * root))
-        prev_f = fs[-1]
+        out.append(-s1 * s1)
+        k += 1
     return out[:count]
 
 

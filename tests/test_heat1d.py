@@ -2,6 +2,10 @@
 
 import cmath
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -405,7 +409,7 @@ def test_eigenvalue_scan_refuses_non_finite_range(prob_classical, lam_range):
 
 
 def _scan_grid(lam_range):
-    """The scan's log grid of s = sqrt(-lam), 2048 points per decade."""
+    """The oracle's log grid of s = sqrt(-lam), 2048 points per decade."""
     lam_lo, lam_hi = sorted(lam_range)
     s_max = math.sqrt(-lam_lo)
     s_min = math.sqrt(-lam_hi) if lam_hi < 0 else s_max * 1e-4
@@ -414,8 +418,9 @@ def _scan_grid(lam_range):
 
 
 def _scalar_scan(problem, lam_range, count):
-    """The eigenvalue scan as one scalar gate call per grid point: the
-    oracle for the blockwise array scan."""
+    """A grid scan, one scalar gate call per grid point and a bisection of
+    each sign change of Im exp_h(-is; 0, L): the oracle for the phase
+    bisection wherever h has measure on [0, L)."""
     out = [0.0] if max(lam_range) == 0 else []
     walk = problem.h.exp_data(0.0, problem.L)
     gate = heat1d._periodic_gate
@@ -450,10 +455,15 @@ def _scalar_scan(problem, lam_range, count):
     return out[:count]
 
 
-def _same_scan(problem, lam_range, count):
-    got = find_periodic_eigenvalues(problem, lam_range, count=count)
-    assert repr(got) == repr(_scalar_scan(problem, lam_range, count))
-    return got
+def _affine_problem(a):
+    """h(x) = a x on [0, 2], L = 1: roots s = 2 pi k / a."""
+    h = Derivator.from_pieces([("affine", 0.0, 2.0, a, 0.0)])
+    return HeatProblem(identity(0.0, 1.0), h, 1.0, 1.0, 1.0)
+
+
+def _ks(lams, a):
+    """The k of each eigenvalue -(2 pi k / a)^2, rounded to 1e-6."""
+    return [round(math.sqrt(-lam) * a / (2 * math.pi), 6) for lam in lams]
 
 
 @settings(max_examples=40, deadline=None)
@@ -464,21 +474,77 @@ def _same_scan(problem, lam_range, count):
     st.integers(min_value=0, max_value=5),
     st.integers(min_value=1, max_value=8),
 )
-def test_blockwise_scan_equals_the_scalar_scan(h, frac, top, decades, count):
+def test_phase_scan_matches_the_scalar_scan(h, frac, top, decades, count):
     # lam_hi = 0 when decades is 0, else lam spans 1-5 decades below -10^top
     L = frac * h.hi
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # L at the end of a rest
         prob = HeatProblem(identity(0.0, 1.0), h, 1.0, 1.0, L)
     lam_range = (-(10.0**top), -(10.0 ** (top - decades)) if decades else 0.0)
-    _same_scan(prob, lam_range, count)
+    got = find_periodic_eigenvalues(prob, lam_range, count=count)
+    atoms, cont = h.exp_data(0.0, L)
+    if not atoms and cont == 0.0:
+        # z = 1 for every s: only lam = 0 is listed, where the range allows
+        assert got == ([0.0] if decades == 0 else [])
+        return
+    want = _scalar_scan(prob, lam_range, count)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-9 * abs(w)
 
 
-def test_blockwise_scan_takes_a_root_exactly_on_a_grid_point():
+def test_phase_scan_count_zero_is_empty(prob_classical):
+    assert find_periodic_eigenvalues(prob_classical, (-400.0, 0.0), count=0) == []
+
+
+def test_phase_scan_of_h_without_measure_on_0_L():
+    # h is flat on [0, 1]: exp_h(-is; 0, 1) = 1 for every s, and only
+    # lam = 0 is listed, not every s of the range
+    h = Derivator.from_pieces([("flat", 0.0, 1.0, 0.0), ("affine", 1.0, 2.0, 1.0, -1.0)])
+    prob = HeatProblem(identity(0.0, 1.0), h, 1.0, 1.0, 1.0)
+    assert find_periodic_eigenvalues(prob, (-400.0, 0.0), count=8) == [0.0]
+    assert find_periodic_eigenvalues(prob, (-400.0, -1.0), count=8) == []
+
+
+def test_phase_scan_returns_for_roots_past_float_resolution():
+    # at s near 1e4 adjacent floats are about 1.8e-12 apart, so a bisection
+    # that waits for a 1e-12 bracket never ends; run it in its own process
+    code = (
+        "from stieltjes_heat import HeatProblem, identity, find_periodic_eigenvalues\n"
+        "p = HeatProblem(identity(0.0, 2.0), identity(0.0, 2.0), 1.0, 1.0, 1.0)\n"
+        "print(*map(repr, find_periodic_eigenvalues(p, (-1e9, -1e8), count=2)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(heat1d.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    got = [float(v) for v in out.stdout.split()]
+    want = [-((2 * math.pi * k) ** 2) for k in (1592, 1593)]
+    assert len(got) == 2
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-9 * abs(w)
+
+
+def test_phase_scan_finds_the_first_root_near_zero():
+    # h = 1000 x puts k = 1 at s = 2 pi / 1000, below 1e-4 of s_max = 100,
+    # where the oracle's grid starts
+    got = find_periodic_eigenvalues(_affine_problem(1000.0), (-1e4, 0.0), count=8)
+    assert _ks(got, 1000.0) == [float(k) for k in range(8)]
+
+
+def test_phase_scan_keeps_roots_closer_than_a_grid_step():
+    # h = 100 x spaces the roots 2 pi / 100 apart in s, closer than the
+    # oracle's grid steps near s = 1000-3162
+    got = find_periodic_eigenvalues(_affine_problem(100.0), (-1e7, -1e6), count=8)
+    assert _ks(got, 100.0) == [float(k) for k in range(15916, 15924)]
+
+
+def test_phase_scan_lists_a_root_on_a_grid_point_once():
     # h is flat at 0, jumps by g at 1/2 and rises with slope a from 0.6, so
     # with mu = 0.4 a and y = -s mu, Im exp_h(-is; 0, 1) = sin y - (s g) cos y.
-    # At the grid point s nearest 2 pi, a puts y just above -2 pi and g is
-    # tuned by ulps until the scalar gate reads exactly 0.0 there
+    # At the oracle's grid point s nearest 2 pi, a puts y just above -2 pi
+    # and g is tuned by ulps until the scalar gate reads exactly 0.0 there;
+    # the oracle lists that root twice
     def h_of(a, g):
         return Derivator.from_pieces([
             ("flat", 0.0, 0.5, 0.0),
@@ -506,53 +572,9 @@ def test_blockwise_scan_takes_a_root_exactly_on_a_grid_point():
             break
     assert found is not None
     prob = HeatProblem(identity(0.0, 1.0), h_of(a, found), 1.0, 1.0, 1.0)
-    got = _same_scan(prob, lam_range, 8)
-    assert float(-s * s) in got
-
-
-def test_blockwise_scan_reads_signs_near_zero_from_the_scalar_gate(monkeypatch):
-    # h(x) = a x puts the k = 1 root s a = 2 pi on a grid point s, where the
-    # array value of Im exp_h(-is; 0, 1) is a rounding residue inside the
-    # band; a scalar gate that reads exactly 0 there must decide the root
-    lam_range = (-400.0, 0.0)
-    grid = _scan_grid(lam_range)
-    s = grid[int(np.searchsorted(grid, 2 * math.pi))]
-    h = Derivator.from_pieces([("affine", 0.0, 2.0, 2 * math.pi / s, 0.0)])
-    prob = HeatProblem(identity(0.0, 1.0), h, 1.0, 1.0, 1.0)
-    exact = heat1d._periodic_gate
-
-    def gate(walk, r):
-        z = exact(walk, r)
-        return complex(z.real, 0.0) if r == s else z
-
-    monkeypatch.setattr(heat1d, "_periodic_gate", gate)
-    assert abs(exact(h.exp_data(0.0, 1.0), s).imag) < 1e-12
-    got = _same_scan(prob, lam_range, 3)
-    assert got[1] == float(-s * s)
-
-
-def test_blockwise_scan_brackets_a_root_across_a_block_edge():
-    # blocks hold 2048 grid points from grid[1] on, so grid[2048] ends the
-    # first and grid[2049] starts the second; h(x) = a x puts the k = 1 root
-    # s a = 2 pi between them
-    lam_range = (-1e4, 0.0)
-    grid = _scan_grid(lam_range)
-    a = 2 * math.pi / math.sqrt(grid[2048] * grid[2049])
-    h = Derivator.from_pieces([("affine", 0.0, 2.0, a, 0.0)])
-    prob = HeatProblem(identity(0.0, 1.0), h, 1.0, 1.0, 1.0)
-    walk = h.exp_data(0.0, 1.0)
-    f1, f2 = (heat1d._periodic_gate(walk, s).imag for s in grid[2048:2050])
-    assert (f1 < 0) != (f2 < 0)
-    got = _same_scan(prob, lam_range, 3)
-    assert len(got) == 3
-    assert got[1] == pytest.approx(-((2 * math.pi / a) ** 2), rel=1e-9)
-
-
-def test_blockwise_scan_stops_in_the_first_block(prob_classical):
-    # s from sqrt(30) to 1000 is three blocks; the first holds 2 pi k for
-    # k = 1..8, so count = 3 is reached there
-    got = _same_scan(prob_classical, (-1e6, -30.0), 3)
-    assert got == pytest.approx([-((2 * math.pi * k) ** 2) for k in (1, 2, 3)], rel=1e-9)
+    got = find_periodic_eigenvalues(prob, lam_range, count=8)
+    assert len(set(got)) == len(got) == 4
+    assert sum(abs(lam + s * s) <= 1e-9 * s * s for lam in got) == 1
 
 
 def test_periodic_solution_classical(prob_classical):

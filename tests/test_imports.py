@@ -1,10 +1,11 @@
 """What a fresh process imports: numpy only on the paths that build arrays.
 
 The closed forms are evaluated by scalar walks, so importing the CLI, loading
-any spec, and solving and evaluating a separated or product-case spec leave
-numpy unimported; the heat-polynomial solve, `check`, the residual grid and
-every array query import it when they first run.  Each test starts its own
-interpreter, since this test process has numpy loaded already.
+any spec, solving and evaluating a separated or product-case spec, and the
+periodic eigenvalue scan leave numpy unimported; the heat-polynomial solve,
+`check`, the residual grid and every array query import it when they first
+run.  Each test starts its own interpreter, since this test process has
+numpy loaded already.
 """
 
 import json
@@ -64,6 +65,7 @@ def test_scalar_paths_import_no_numpy(tmp_path):
         "        sol, _ = solve(load_problem(open(path).read()))\n"
         "        [sol(t, x) for t in (0.0, 0.3, 0.9) for x in (0.1, 0.5, 0.95)]\n"
         "        rcs.append(cli.main(['eval', path, '--grid', '5x5']))\n"
+        "    rcs.append(cli.main(['eigs', solved[1]]))\n"
         "    seen.append('numpy' in sys.modules)\n"
         "    # the array paths still import it and run\n"
         "    rcs.append(cli.main(['eval', sys.argv[3], '--grid', '5x5']))\n"
@@ -73,7 +75,7 @@ def test_scalar_paths_import_no_numpy(tmp_path):
     )
     demos = sorted(str(p) for p in SPECS.glob("*.json"))
     last = _run(code, json.dumps(demos), json.dumps(solved), str(SPECS / "gpoly_gate.json"))
-    assert last == f"[False, False, False, True] {[0] * (len(solved) + 2)}"
+    assert last == f"[False, False, False, True] {[0] * (len(solved) + 3)}"
 
 
 JUMP_G = {
