@@ -131,7 +131,7 @@ def cmd_eval(args, parsed):
     rule = {(i, j): sol.residual_rule(ts[i], xs[j]) for i, j, _ in fallbacks}
     for i, t in enumerate(ts):
         for j, x in enumerate(xs):
-            r = None if res is None else rule.get((i, j), res[i, j])
+            r = None if res is None else rule.get((i, j), res[i][j])
             lines.append(_csv_row(sol, t, x, r))
     if args.include_atoms:
         lines.extend(_atom_rows(sol, parsed, ts, xs, args.emit_diagnostics))
@@ -205,7 +205,7 @@ def _check_residual(sol, parsed, rows, tol):
         rows.append(("pde-residual", False, f"numeric residual at "
                      f"(t, x) = ({ts[i]!r}, {xs[j]!r}): {_one_line(e)}"))
         return
-    dev = max(abs(res[i, j]) / (1.0 + abs(sol(t, x)))
+    dev = max(abs(res[i][j]) / (1.0 + abs(sol(t, x)))
               for i, t in enumerate(ts) for j, x in enumerate(xs))
     rows.append(("pde-residual", dev < tol,
                  f"max relative residual {dev:.3g} on a 5x5 regular grid (tol {tol:g})"))

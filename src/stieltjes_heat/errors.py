@@ -46,4 +46,6 @@ class NoSolutionError(StieltjesError):
 
 
 class EvaluationError(StieltjesError):
-    """An integrand or field returned a non-finite sample."""
+    """An integrand or field returned a non-finite sample, or a solution's
+    values failed the re-check made after its gate passed: the data are
+    valid, but the evaluation is not accurate enough to confirm them."""

@@ -17,11 +17,11 @@ quotient at an atom).
 
 A ladder's samples depend on its point alone, so batches take them once:
 gderiv on an array of points runs the regular ones in one lockstep ladder,
-and HeatResidual.residual_grid takes the samples of every t and every x of a
-grid level by level as arrays, each time row and space column once, and
-extrapolates each entry's own ladders from them; the points that take
-another route run the scalar gderiv or gderiv2 on the same shared rows and
-columns.
+and HeatResidual.residual_grid lists the ladder levels of every t and every
+x of a grid once, through the route decision gderiv2 takes (_ladders), and
+extrapolates each entry's own ladders from them, each time row and space
+column taken once; the points that take another route run the scalar gderiv
+or gderiv2 on the same shared rows and columns.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ THREE_POINT = (
 # tenfold margin; closer to an atom or an edge the nested route's looser
 # target still settles
 THREE_POINT_ROOM = DEFAULT_OUTER.step0 / 8
+_THREE_POINT_CFGS = tuple(cfg for _, cfg in THREE_POINT)
 
 
 def _sup(v):
@@ -437,32 +438,21 @@ def _batch(f, ts, d, cfg, lo):
     return out
 
 
-def _ladder_levels(d, ts, cfgs, lo, room=0.0):
-    """The two-sided ladders at every point of the list ts, one per config
-    of cfgs, as _levels walks them: per point, None when it takes another
-    route (outside the domain, at an atom, in a constancy run, without a
-    probe on both sides at the first config's step0, or with less than room
-    of measure room on a side), else for each config the list of the level
-    pairs ((s+, a+), (s-, a-)) that find both sides, in floats.  The samples
-    of a level are taken for every point at once."""
-    import numpy as np
-
-    pts = np.array(ts, dtype=float)
-    inside = (pts >= d.lo) & (pts <= d.hi)
-    pts = np.where(inside, pts, d.lo)
-    gb = d.eval_array(pts)
-    rooms = _rooms_array(d, pts, gb, lo)
-    tables = [_sample_table(d, pts, gb, rooms, cfg) for cfg in cfgs]
-    (_, ap), (_, am) = tables[0]
-    ok = inside & _two_sided(d, pts, ap[0], am[0]) & (rooms[0] >= room) & (rooms[1] >= room)
-    per_cfg = []
-    for (sp, ap), (sm, am) in tables:
-        cols = (a[1:].T.tolist() for a in (sp, ap, sm, am))
-        per_cfg.append([
-            [((p, a), (m, b)) for p, a, m, b in zip(*col) if not (math.isnan(a) or math.isnan(b))]
-            for col in zip(*cols)
-        ])
-    return [lv if k else None for k, lv in zip(ok.tolist(), zip(*per_cfg))]
+def _ladders(d, t, cfgs, lo, room=0.0):
+    """The route decision of the two-sided ladders at the regular point t:
+    (probe, ladders), probe _probe's tuple at the first config's step0 and
+    ladders one _levels generator per config of cfgs, the first reusing the
+    probe pair.  probe is None at an atom or in a constancy run; ladders is
+    None there, without a probe on both sides, or with less than room of
+    measure room on a side."""
+    if d.is_atom(t) or d.constancy_run(t) is not None:
+        return None, None
+    probe = gb, rooms, fwd, bwd = _probe(d, t, cfgs[0], lo)
+    if fwd is None or bwd is None or min(rooms[:2]) < room:
+        return probe, None
+    probes = (fwd, bwd)
+    return probe, [_levels(d, t, gb, rooms, cfg, probes if k == 0 else None)
+                   for k, cfg in enumerate(cfgs)]
 
 
 def gderiv(f, t, d, cfg=None, *, lo=None):
@@ -520,23 +510,14 @@ def gderiv2(f, t, d, *, lo=None):
     def D(s):
         return gderiv(f, s, d, DEFAULT_INNER, lo=lo)
 
-    if d.is_atom(t) or d.constancy_run(t) is not None:
+    # the first ladder starts at DEFAULT_OUTER's step0: one probe pair for
+    # both ladders and for the nested route
+    probe, ladders = _ladders(d, t, _THREE_POINT_CFGS, lo, THREE_POINT_ROOM)
+    if ladders is not None:
+        return _second(f, t, f(t), ladders)
+    if probe is None:
         return gderiv(D, t, d, DEFAULT_OUTER, lo=lo)
-    # the first ladder starts at DEFAULT_OUTER's step0: one probe pair for both
-    gb, rooms, fwd, bwd = _probe(d, t, DEFAULT_OUTER, lo)
-    if fwd is None or bwd is None or min(rooms[:2]) < THREE_POINT_ROOM:
-        return _regular(D, t, d, DEFAULT_OUTER, gb, rooms, fwd, bwd)
-    (_, cfg0), (_, cfg1) = THREE_POINT
-    levels = (_levels(d, t, gb, rooms, cfg0, (fwd, bwd)), _levels(d, t, gb, rooms, cfg1))
-    return _second(f, t, f(t), levels)
-
-
-def heat_residual(u, t, x, g, h, c):
-    """Pointwise residual d_g u - c^2 d_h^2 u from raw difference quotients
-    of u on [0, T] x [0, L]: no sample lies below 0."""
-    du = gderiv(lambda s: u(s, x), t, g, lo=0.0)
-    d2 = gderiv2(lambda y: u(t, y), x, h, lo=0.0)
-    return du - c * c * d2
+    return _regular(D, t, d, DEFAULT_OUTER, *probe)
 
 
 def _atom_gap(d, s, name):
@@ -612,26 +593,32 @@ class HeatResidual:
         """residual_numeric at every (t, x) of the grid ts x xs, in one pass.
 
         The d_g ladder's samples depend on t only and the three-point
-        ladders' on x only, so each point's samples are taken once for the
-        whole grid, level by level as arrays (_ladder_levels), and the time
-        row once per t-sample and the space column once per x-sample; each
-        entry contracts them with _dot and extrapolates its own ladders.  At
-        atoms, in constancy runs, at one-sided points and with less than
-        THREE_POINT_ROOM of room, gderiv and gderiv2 take their scalar
-        routes on the same shared rows and columns.  So every entry gets
-        exactly the floats residual_numeric(t, x) gets, or raises its error.
-        Returns the len(ts) x len(xs) array and the row-major list of
+        ladders' on x only, so each point's ladder levels are listed once
+        for the whole grid, through the route decision gderiv2 takes
+        (_ladders), and the time row once per t-sample and the space column
+        once per x-sample; each entry contracts them with _dot and
+        extrapolates its own ladders.  Points outside the domain, at atoms,
+        in constancy runs, one-sided or with less than THREE_POINT_ROOM of
+        room take the scalar gderiv and gderiv2 on the same shared rows and
+        columns.  So every entry gets exactly the floats
+        residual_numeric(t, x) gets, or raises its error.  Returns the
+        len(ts) rows of len(xs) entries, as lists, and the row-major list of
         (i, j, error) for the entries that raised; those entries read nan.
         """
-        import numpy as np
+
+        def listed(d, p, cfgs, room=0.0):
+            # past the domain the scalar route names the error
+            ladders = _ladders(d, p, cfgs, 0.0, room)[1] if d.lo <= p <= d.hi else None
+            return None if ladders is None else [list(levels) for levels in ladders]
 
         ts, xs = [float(t) for t in ts], [float(x) for x in xs]
-        t_lv = _ladder_levels(self.g, ts, (DEFAULT,), 0.0)
-        x_lv = _ladder_levels(self.h, xs, [cfg for _, cfg in THREE_POINT], 0.0, THREE_POINT_ROOM)
+        t_lv = [listed(self.g, t, (DEFAULT,)) for t in ts]
+        x_lv = [listed(self.h, x, _THREE_POINT_CFGS, THREE_POINT_ROOM) for x in xs]
         row, col = functools.cache(self._row), functools.cache(self._col)
         dot, c2 = self._dot, self.c * self.c
         out, errors = [], []
         for i, t in enumerate(ts):
+            out.append([])
             for j, x in enumerate(xs):
                 # residual_numeric's steps in its order, so a raise is its raise
                 try:
@@ -648,11 +635,11 @@ class HeatResidual:
                     else:
                         d2 = _second(along_x, x, along_x(x), x_lv[j])
                     sx, st = self._slice_scales(t, x)
-                    out.append(du / sx - c2 * (d2 / st**2))
+                    out[i].append(du / sx - c2 * (d2 / st**2))
                 except StieltjesError as e:
                     errors.append((i, j, e))
-                    out.append(math.nan)
-        return np.array(out).reshape(len(ts), len(xs)), errors
+                    out[i].append(math.nan)
+        return out, errors
 
     def residual(self, t, x, mode="rule"):
         if mode == "rule":

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 from .derivators import Derivator, regular_points
-from .errors import DivergenceError, DomainError, GateError, InvariantError
+from .errors import DivergenceError, DomainError, EvaluationError, GateError
 from .gderiv import HeatResidual, _tidy
 from .special import exp_walk
 
@@ -379,7 +379,7 @@ def periodic_solution(problem, lam):
         dev_u = max(dev_u, abs(sol(t, 0.0) - sol(t, L)))
         dev_du = max(dev_du, abs(sol.dhx_rule(t, 0.0) - sol.dhx_rule(t, L)))
     if dev_u > 1e-6 or dev_du > 1e-6:
-        raise InvariantError(
+        raise EvaluationError(
             f"periodic boundary check failed: |u(t,0)-u(t,L)| = {dev_u:.3e}, "
             f"|u'_h(t,0)-u'_h(t,L)| = {dev_du:.3e} exceed 1e-6"
         )
@@ -413,7 +413,7 @@ def _boundary_verify(sol, problem, quantity, label):
         for x in (0.0, problem.L):
             dev = max(dev, abs(quantity(t, x)))
     if dev > 1e-6:
-        raise InvariantError(
+        raise EvaluationError(
             f"{label} boundary values reach {dev:.3e} > 1e-6; the gate "
             "holds but the boundary data do not vanish"
         )

@@ -5,13 +5,20 @@ atom each, `plateau_h` also has a flat stretch).  `staircase` and `flatstep`
 satisfy the translation condition exactly; `mixed` stacks every segment kind.
 `segment_chains` is the hypothesis strategy for random derivators, and
 `residual_both_routes` runs a numeric residual row through a solution's
-slices and through `heat_residual` on plain evaluations.
+slices and through `plain_residual` on plain evaluations.
 """
 
 import pytest
 from hypothesis import strategies as st
 
-from stieltjes_heat import Derivator, HeatProblem, StieltjesError, heat_residual, identity
+from stieltjes_heat import (
+    Derivator,
+    HeatProblem,
+    StieltjesError,
+    gderiv,
+    gderiv2,
+    identity,
+)
 
 
 @pytest.fixture(scope="session")
@@ -120,9 +127,18 @@ def _outcome(fn):
         return f"{type(e).__name__}: {e}"
 
 
+def plain_residual(u, t, x, g, h, c):
+    """d_g u - c^2 d_h^2 u at (t, x) from difference quotients of the plain
+    two-variable function u, no sample below 0: the numeric residual without
+    a solution's slices."""
+    du = gderiv(lambda s: u(s, x), t, g, lo=0.0)
+    d2 = gderiv2(lambda y: u(t, y), x, h, lo=0.0)
+    return du - c * c * d2
+
+
 def residual_both_routes(sol, t, x):
     """((outcome, u-evaluations) of sol.residual_numeric(t, x), the same of
-    heat_residual on the plain evaluation sol(s, y)).  An outcome is the repr
+    plain_residual on the plain evaluation sol(s, y)).  An outcome is the repr
     of the value, or the type and text of the error raised."""
     n = [0, 0]
 
@@ -147,5 +163,5 @@ def residual_both_routes(sol, t, x):
         sliced = _outcome(lambda: sol.residual_numeric(t, x))
     finally:
         del sol.along_t, sol.along_x
-    plain = _outcome(lambda: heat_residual(plain_u, t, x, sol.g, sol.h, sol.c))
+    plain = _outcome(lambda: plain_residual(plain_u, t, x, sol.g, sol.h, sol.c))
     return (sliced, n[0]), (plain, n[1])

@@ -566,6 +566,22 @@ def test_numeric_failure_exits_4(capsys, spec_file):
         assert err.startswith("numeric failure:")
 
 
+def test_boundary_recheck_after_a_passed_gate_exits_4(spec_file):
+    # at lam = -(1e5 pi)^2 the Neumann gate holds, but the flux at the ends
+    # rounds to 1e-5 and fails the re-check: the spec is valid, so this is a
+    # numeric failure (it was reported as a spec error, exit 3).  A fresh
+    # interpreter, as a user runs it: one error line, no traceback
+    spec = {"g": ident_json(1.0), "h": ident_json(1.0), "c": 1.0, "T": 1.0, "L": 1.0,
+            "mode": "neumann", "neumann": {"lam": -((1e5 * math.pi) ** 2), "b": 1.0}}
+    env = dict(os.environ, PYTHONPATH=str(SPECS.parent.parent / "src"))
+    argv = [sys.executable, "-m", "stieltjes_heat.cli", "eval", spec_file(spec), "--grid", "3x3"]
+    out = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+    assert out.returncode == 4, out.stderr
+    assert out.stdout == "" and "Traceback" not in out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numeric failure: Neumann flux boundary")
+
+
 @pytest.mark.parametrize("driver", ["g", "h"])
 def test_check_passes_when_a_domain_starts_left_of_0(capsys, spec_file, driver):
     # the slices walk from the anchor 0, so the residual ladders must not

@@ -1,11 +1,11 @@
 """What a fresh process imports: numpy only on the paths that build arrays.
 
 The closed forms are evaluated by scalar walks, so importing the CLI, loading
-any spec, solving and evaluating a separated or product-case spec, and the
-periodic eigenvalue scan leave numpy unimported; the heat-polynomial solve,
-`check`, the residual grid and every array query import it when they first
-run.  Each test starts its own interpreter, since this test process has
-numpy loaded already.
+any spec, solving and evaluating a separated or product-case spec, with or
+without the residual grid of `eval --emit-diagnostics`, and the periodic
+eigenvalue scan leave numpy unimported; the heat-polynomial solve, `check`
+and every array query import it when they first run.  Each test starts its
+own interpreter, since this test process has numpy loaded already.
 """
 
 import json
@@ -65,6 +65,8 @@ def test_scalar_paths_import_no_numpy(tmp_path):
         "        sol, _ = solve(load_problem(open(path).read()))\n"
         "        [sol(t, x) for t in (0.0, 0.3, 0.9) for x in (0.1, 0.5, 0.95)]\n"
         "        rcs.append(cli.main(['eval', path, '--grid', '5x5']))\n"
+        "        rcs.append(cli.main(['eval', path, '--grid', '5x5', '--include-atoms',\n"
+        "                             '--emit-diagnostics']))\n"
         "    rcs.append(cli.main(['eigs', solved[1]]))\n"
         "    seen.append('numpy' in sys.modules)\n"
         "    # the array paths still import it and run\n"
@@ -75,7 +77,7 @@ def test_scalar_paths_import_no_numpy(tmp_path):
     )
     demos = sorted(str(p) for p in SPECS.glob("*.json"))
     last = _run(code, json.dumps(demos), json.dumps(solved), str(SPECS / "gpoly_gate.json"))
-    assert last == f"[False, False, False, True] {[0] * (len(solved) + 3)}"
+    assert last == f"[False, False, False, True] {[0] * (2 * len(solved) + 3)}"
 
 
 JUMP_G = {
