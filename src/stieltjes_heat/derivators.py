@@ -272,7 +272,7 @@ class Derivator:
     def measure(self, a, b):
         """mu_g([a, b)) = g(b) - g(a), exact.  Requires a <= b.  g(a) is kept
         for the next call: walks start from one fixed anchor."""
-        if b < a:
+        if b < a and (b := self._check_domain(b)) < a:  # b within fuzz reads lo
             raise DomainError(f"measure needs a <= b, got [{a}, {b})")
         gb = self.eval(b)
         anchor, ga = self._anchor

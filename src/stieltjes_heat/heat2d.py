@@ -325,16 +325,24 @@ class GateReport:
 class GPolySolution(HeatResidual):
     """Truncated series sum_{n<=N} alpha_n v_n^G with closed-form G-derivatives.
 
-    The series is the bilinear form g(t)^T A h(x): g(t) = (g_0(t), ...,
-    g_{N/2}(t)) and h(x) = (h_0(x), ..., h_N(x)) are monomial vectors and
-    A[m, n] = a_{m,n} = c^(2m) (n+2m)!/(n! m!) alpha_{n+2m} is the
-    coefficient grid, built once as floats.  The ladders are shifted copies
-    of A: d_Gx h_n = n h_{n-1} shifts columns, d_Gt g_m = m g_{m-1} shifts
-    rows, and by the coefficient law the row shift is c^2 times the d_Gx^2
-    grid, so the rule residual vanishes.  Sum-case G-derivatives reduce to
-    the one-variable ones of g and h, which is what the numeric residual
-    differentiates along.  The time row is g(t)^T A and the space column
-    h(x).  a_mn gives the exact rational a_{m,n}.
+    The series is sum_{m,n} a_{m,n} g_m(t) h_n(x) over m <= N/2, n <= N,
+    with the coefficient grid A[m, n] = a_{m,n} = c^(2m) (n+2m)!/(n! m!)
+    alpha_{n+2m} built once as floats.  The ladders are shifted copies of A
+    (zero-padded to its width): d_Gx h_n = n h_{n-1} shifts columns, d_Gt
+    g_m = m g_{m-1} shifts rows, and by the coefficient law the row shift
+    is c^2 times the d_Gx^2 grid, so the rule residual vanishes.  Sum-case
+    G-derivatives reduce to the one-variable ones of g and h, which is what
+    the numeric residual differentiates along.
+
+    On a cell (segment i of g, segment j of h) the monomials are
+    polynomials in the local coordinates s, y in [0, 1] of their
+    MonomialTable, so a grid is one bivariate polynomial there, with the
+    coefficient matrix B_ij = C_g[i]^T A C_h[j] ((N/2+1)(N+1) entries),
+    C the tables' coefficient blocks.  A cell is built on first use and
+    kept on the instance, per grid.  The time row is (i, powers of s, a
+    memo of p^T B_ij per grid and j), the space column (j, powers of y),
+    and a value is the row's p^T B_ij times the column's powers.  a_mn
+    gives the exact rational a_{m,n}.
     """
 
     def __init__(self, ctx, alpha, N, radius, tail_bound):
@@ -356,37 +364,49 @@ class GPolySolution(HeatResidual):
             z = z.real if real else z
             self.A[k, n - 2 * k] = _ladder_terms(n, self.c, z, np.ones(k.size))
         deg = np.arange(N + 1)
-        self._Ax = self.A[:, 1:] * deg[1:]
-        self._Axx = self.A[:, 2:] * (deg[2:] * deg[1:-1])
+        Ax, Axx = np.zeros_like(self.A), np.zeros_like(self.A)
+        Ax[:, :-1] = self.A[:, 1:] * deg[1:]
+        Axx[:, :-2] = self.A[:, 2:] * (deg[2:] * deg[1:-1])
+        self._grids = (self.A, Ax, Axx)
+        self._cells = {}  # (grid, i, j) -> B_ij
         self._tg = monomial_table(self.g, 0.0)
         self._th = monomial_table(self.h, 0.0)
+        self._tg.extend(N // 2)
+        self._th.extend(N)
+        self._pg, self._ph = np.arange(N // 2 + 1), deg
 
-    def _gv(self, t, right=False):
-        return self._tg.values(self.N // 2, t, right=right)
-
-    def _hv(self, x, right=False):
-        return self._th.values(self.N, x, right=right)
+    def _build_cell(self, grid, i, j):
+        m, n = self.A.shape
+        return self._tg._coef[i, :m, :m].T @ self._grids[grid] @ self._th._coef[j, :n, :n]
 
     def _row(self, t, right=False):
-        return self._gv(t, right) @ self.A
+        i, s = self._tg._locate(t, right)
+        return i, s ** self._pg, {}
 
-    def _col(self, x):
-        return self._hv(x)
+    def _col(self, x, right=False):
+        j, y = self._th._locate(x, right)
+        return j, y ** self._ph
 
-    @staticmethod
-    def _dot(row, col):
-        # a row of a shifted grid is shorter than the column: h_n past it is unused
-        return (row @ col[: row.shape[0]]).item()
+    def _dot(self, row, col, grid=0):
+        i, p, memo = row
+        j, q = col
+        v = memo.get((grid, j))
+        if v is None:
+            cell = self._cells.get((grid, i, j))
+            if cell is None:
+                cell = self._cells[grid, i, j] = self._build_cell(grid, i, j)
+            v = memo[grid, j] = p @ cell
+        return (v @ q).item()
 
     def _dhx(self, t, x, right=False):
-        return self._dot(self._gv(t) @ self._Ax, self._hv(x, right))
+        return self._dot(self._row(t), self._col(x, right), 1)
 
     def dgt_rule(self, t, x):
         # the row shift (m + 1) a_{m+1,n} equals c^2 (n+2)(n+1) a_{m,n+2}
         return self.c**2 * self.dhx2_rule(t, x)
 
     def dhx2_rule(self, t, x):
-        return self._dot(self._gv(t) @ self._Axx, self._hv(x))
+        return self._dot(self._row(t), self._col(x), 2)
 
     def a_mn(self, m, n):
         """Exact rational coefficient a_{m,n} of G_{m,n} in the double series."""
@@ -537,7 +557,7 @@ class SpaceFactor:
 
     def _cell(self, x, right):
         y = self.h.eval(x) + (self.h.jump(x) if right else 0.0)  # refuses x past hi
-        if x < 0.0:
+        if x < 0.0 and (x := self.h._check_domain(x)) < 0.0:  # x within fuzz reads lo
             raise DomainError(f"x={x} is left of the space factor's anchor 0")
         k = (bisect.bisect_right(self._xs, x) - 1 if right
              else max(bisect.bisect_left(self._xs, x) - 1, 0))

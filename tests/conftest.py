@@ -3,9 +3,11 @@
 `jump_g`/`plateau_h` are the canonical worked-example drivers (one interior
 atom each, `plateau_h` also has a flat stretch).  `staircase` and `flatstep`
 satisfy the translation condition exactly; `mixed` stacks every segment kind.
-`segment_chains` is the hypothesis strategy for random derivators, and
-`residual_both_routes` runs a numeric residual row through a solution's
-slices and through `plain_residual` on plain evaluations.
+`segment_chains` is the hypothesis strategy for random derivators and
+`from_zero` moves one to start at 0.  `residual_both_routes` runs a numeric
+residual row through a solution's slices and through `plain_residual` on
+plain evaluations, and `gpoly_bilinear` is the oracle of the heat-polynomial
+series: its coefficient grid between two monomial vectors.
 """
 
 import pytest
@@ -14,10 +16,12 @@ from hypothesis import strategies as st
 from stieltjes_heat import (
     Derivator,
     HeatProblem,
+    Segment,
     StieltjesError,
     gderiv,
     gderiv2,
     identity,
+    monomial_table,
 )
 
 
@@ -118,6 +122,25 @@ def segment_chains(draw, atoms=True):
             level += slope * length
         lo = hi
     return Derivator.from_pieces(pieces)
+
+
+def from_zero(d, lift=0.0):
+    """d moved to start at 0 and raised by lift: the solutions walk from 0."""
+    lo = d.lo
+    segs = [Segment(s.lo - lo, s.hi - lo, s.kind, s.slope, s.intercept + s.slope * lo + lift)
+            for s in d.segments]
+    return Derivator(segs, [(t - lo, gap) for t, gap in d.atoms])
+
+
+def gpoly_bilinear(sol, t, x, grid, right_t=False, right_x=False):
+    """g(t)^T grid h(x) for a heat-polynomial series sol: the monomial
+    vectors g(t) = (g_0(t), ..., g_{N/2}(t)) and h(x) = (h_0(x), ..., h_N(x))
+    from the shared monomial tables, or their right limits, cut to the
+    grid's shape.  With grid = sol.A it is the series value, with the
+    shifted grids its ladders."""
+    gv = monomial_table(sol.g, 0.0).values(sol.N // 2, t, right=right_t)
+    hv = monomial_table(sol.h, 0.0).values(sol.N, x, right=right_x)
+    return (gv[: grid.shape[0]] @ grid @ hv[: grid.shape[1]]).item()
 
 
 def _outcome(fn):

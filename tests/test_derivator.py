@@ -1,5 +1,6 @@
 """Driver construction, queries, and serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,14 @@ from conftest import segment_chains
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stieltjes_heat import Derivator, DomainError, SchemaError, identity, regular_points
+from stieltjes_heat import (
+    Derivator,
+    DomainError,
+    SchemaError,
+    identity,
+    load_problem,
+    regular_points,
+)
 from stieltjes_heat.derivators import Segment
 
 
@@ -216,6 +224,22 @@ def test_translation_condition(staircase, flatstep, jump_g, ident):
 def test_json_round_trip(plateau_h, mixed):
     for d in (plateau_h, mixed):
         assert Derivator.from_json(d.to_json()) == d
+
+
+@settings(max_examples=60, deadline=None)
+@given(segment_chains(), segment_chains())
+def test_json_round_trip_of_random_chains(g, h):
+    # the object and its JSON text both rebuild the derivator, and a
+    # gpoly-series spec of two chains loads the same pair
+    assert Derivator.from_json(g.to_json()) == g
+    assert Derivator.from_json(json.dumps(g.to_json())) == g
+    spec = {
+        "mode": "gpoly-series", "c": 1.0, "T": g.hi, "L": h.hi,
+        "G": {"kind": "sum", "g": g.to_json(), "h": h.to_json()},
+        "gpoly-series": {"alpha": {"kind": "inv-factorial"}, "N": 8},
+    }
+    parsed = load_problem(json.dumps(spec))
+    assert parsed.G.g == g and parsed.G.h == h
 
 
 def test_from_json_rejects_bad_shapes():

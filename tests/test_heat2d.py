@@ -1,12 +1,14 @@
 """Two-variable derivators: monomials, gated series, product case."""
 
+import cmath
 import math
+import pathlib
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import residual_both_routes
+from conftest import from_zero, gpoly_bilinear, residual_both_routes, segment_chains
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,12 +34,15 @@ from stieltjes_heat import (
     identity,
     independence_determinant,
     iterated_integral,
+    load_problem,
     radius_sigma,
     regular_points,
+    solve,
     solve_product_case,
     solve_second_order,
 )
 
+SPECS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "specs"
 INV_SQRT_FACT = lambda n: math.exp(-0.5 * math.lgamma(n + 1))
 
 
@@ -370,7 +375,7 @@ def test_finite_alpha_list_is_polynomial(jump_g, plateau_h):
 
 
 # ---------------------------------------------------------------------------
-# the bilinear form g(t)^T A h(x)
+# the series value: the coefficient grid and its per-cell polynomials
 
 ALPHAS = {
     "list": [0.5, -1.0, 2.0, 0.0, 0.25, -0.125, 1.5],
@@ -455,6 +460,80 @@ def test_gpoly_atom_rows_use_exact_jump_quotients(jump_g, plateau_h):
     assert off(0.9, 1.5) == sol(0.9, 1.5)
     # the jump quotient of d_h u picks up the wrong left value: c^2 1e-3 / gap
     assert off.jump_residual_x(0.9, 1.5) == pytest.approx(0.25 * 1e-3 / 1.0, rel=1e-6)
+
+
+# alpha kinds for the cell kernel: those above, and slower, alternating and
+# turning-phase ones
+CELL_ALPHAS = {
+    **ALPHAS,
+    "inv-sqrt-factorial": INV_SQRT_FACT,
+    "alternating": lambda n: (-0.8) ** n,
+    "phase": lambda n: cmath.exp(0.7j * n - math.lgamma(n + 1)),
+}
+
+
+def _shifted_grids(sol):
+    """The ladder grids from A: d_Gx and d_Gx^2 shift columns, d_Gt rows."""
+    A = sol.A
+    deg = np.arange(sol.N + 1)
+    return {
+        "x": A[:, 1:] * deg[1:],
+        "xx": A[:, 2:] * (deg[2:] * deg[1:-1]),
+        "t": A[1:, :] * deg[1 : A.shape[0], None],
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=segment_chains(), h=segment_chains(), N=st.integers(0, 40),
+       c=st.floats(0.3, 1.2), kind=st.sampled_from(sorted(CELL_ALPHAS)), data=st.data())
+def test_cell_polynomials_match_the_bilinear_form(g, h, N, c, kind, data):
+    # the per-cell polynomials against g(t)^T A h(x), within 1e-13 of the
+    # series' magnitude sum_mn |a_mn| g_m(t) h_n(x) (|u| when no terms
+    # cancel): the value, the right limits of the row at g's atoms, of
+    # d_h u at h's atoms, and the two closed-form partials, d_g u through
+    # the row shift of A
+    g, h = from_zero(g), from_zero(h)
+    sol = GPolySolution(GPolyContext(SumDerivator(g, h), c), CELL_ALPHAS[kind], N, None, 0.0)
+    grids = _shifted_grids(sol)
+
+    def points(d):
+        ends = [0.0, d.hi] + [s.hi for s in d.segments]
+        inner = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+        return ends + [d.hi * f for f in inner]
+
+    def close(got, grid, t, x, **right):
+        want = gpoly_bilinear(sol, t, x, grid, **right)
+        scale = 1.0 + gpoly_bilinear(sol, t, x, np.abs(grid), **right)
+        assert abs(got - want) <= 1e-13 * scale, (got, want, t, x, right)
+
+    ts, xs = points(g), points(h)
+    for t in ts:
+        row = sol._row(t)  # one row, and its memo, across every column and grid
+        for x in xs:
+            close(sol(t, x), sol.A, t, x)
+            close(sol.dhx_rule(t, x), grids["x"], t, x)
+            close(sol.dhx2_rule(t, x), grids["xx"], t, x)
+            close(sol.dgt_rule(t, x), grids["t"], t, x)
+            for k, grid in enumerate((sol.A, grids["x"], grids["xx"])):
+                close(sol._dot(row, sol._col(x), k), grid, t, x)
+    for a, _gap in g.atoms:
+        for x in xs:
+            close(sol._dot(sol._row(a, right=True), sol._col(x)), sol.A, a, x, right_t=True)
+    for b, _gap in h.atoms:
+        for t in ts:
+            close(sol._dhx(t, b, right=True), grids["x"], t, b, right_x=True)
+
+
+def test_residual_grid_builds_each_cell_once():
+    parsed = load_problem((SPECS / "gpoly_gate.json").read_text())
+    sol, _info = solve(parsed)
+    built = []
+    build = sol._build_cell
+    sol._build_cell = lambda *key: built.append(key) or build(*key)
+    ts = [parsed.T * i / 8 for i in range(9)] + [a for a, _ in parsed.g.atoms]
+    xs = [parsed.L * j / 8 for j in range(9)] + [b for b, _ in parsed.h.atoms]
+    sol.residual_grid(ts, xs)
+    assert built and len(built) == len(set(built))
 
 
 # ---------------------------------------------------------------------------

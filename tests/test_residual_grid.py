@@ -8,16 +8,14 @@ import pathlib
 import warnings
 
 import pytest
-from conftest import segment_chains
+from conftest import from_zero, segment_chains
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stieltjes_heat import (
-    Derivator,
     DomainError,
     HeatProblem,
     ProductDerivator,
-    Segment,
     StieltjesError,
     SumDerivator,
     cli,
@@ -31,14 +29,6 @@ from stieltjes_heat import (
 gd = importlib.import_module("stieltjes_heat.gderiv")  # the module, not the function
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "specs"
-
-
-def from_zero(d, lift=0.0):
-    """d moved to start at 0 and raised by lift: the solutions walk from 0."""
-    lo = d.lo
-    segs = [Segment(s.lo - lo, s.hi - lo, s.kind, s.slope, s.intercept + s.slope * lo + lift)
-            for s in d.segments]
-    return Derivator(segs, [(t - lo, gap) for t, gap in d.atoms])
 
 
 def grid_points(d):

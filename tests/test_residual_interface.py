@@ -62,3 +62,30 @@ def test_every_solution_answers_dhx_rule_and_real_jump_rows(name):
     rows += [sol.jump_residual_x(t, xi) for xi, _ in parsed.h.atoms_in(0.0, parsed.L) for t in ts]
     assert bool(rows) == (name in ("worked_ivp", "gpoly_gate"))
     assert all(type(r) is float for r in rows)
+
+
+@pytest.mark.parametrize(
+    "name", ["worked_ivp", "periodic_classical", "product_eigen", "gpoly_gate"]
+)
+def test_points_within_the_domain_fuzz_read_the_domain_end(name):
+    # the derivators accept points up to 1e-9 (1 + |lo| + |hi|) past an end
+    # and clamp them; every solution then gives the end point's values
+    parsed = load_problem((SPECS / f"{name}.json").read_text())
+    sol, _info = solve(parsed)
+    g, h, eps = parsed.g, parsed.h, 1e-12
+    t, x = 0.5 * parsed.T, 0.5 * parsed.L
+    reads = ("__call__", "dhx_rule", "dhx2_rule", "dgt_rule")
+    for (tf, xf), (te, xe) in [
+        ((-eps, x), (0.0, x)),
+        ((t, -eps), (t, 0.0)),
+        ((g.hi + eps, x), (g.hi, x)),
+        ((t, h.hi + eps), (t, h.hi)),
+    ]:
+        for read in reads:
+            got, want = getattr(sol, read)(tf, xf), getattr(sol, read)(te, xe)
+            assert repr(got) == repr(want), (read, tf, xf)
+    # T + 1e-12 and L + 1e-12 lie inside the demo domains: regular points
+    for tf, xf, te, xe in [(parsed.T + eps, x, parsed.T, x), (t, parsed.L + eps, t, parsed.L)]:
+        for read in reads:
+            got, want = getattr(sol, read)(tf, xf), getattr(sol, read)(te, xe)
+            assert abs(got - want) <= 1e-9 * (1.0 + abs(want)), (read, tf, xf)
