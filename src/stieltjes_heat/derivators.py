@@ -450,8 +450,11 @@ class Derivator:
                 if isinstance(e, SchemaError):
                     raise
                 raise SchemaError(f"segment {i} malformed: {e}") from e
+        raw_atoms = obj.get("atoms", [])
+        if not isinstance(raw_atoms, list):
+            raise SchemaError("'atoms' must be a list")
         atoms = []
-        for i, ra in enumerate(obj.get("atoms", [])):
+        for i, ra in enumerate(raw_atoms):
             try:
                 atoms.append((float(ra["t"]), float(ra["gap"])))
             except (KeyError, TypeError, ValueError) as e:

@@ -75,6 +75,9 @@ THREE_POINT = (
 THREE_POINT_ROOM = DEFAULT_OUTER.step0 / 8
 _THREE_POINT_CFGS = tuple(cfg for _, cfg in THREE_POINT)
 
+# rows and columns each HeatResidual instance keeps (least recently used out)
+CACHE_SIZE = 1024
+
 
 def _sup(v):
     return float(abs(v).max()) if _is_array(v) else abs(v)
@@ -554,24 +557,41 @@ class HeatResidual:
     over a grid in one pass, from the same scalar hooks, each row and
     column taken once: each entry equals residual_numeric(t, x), or raises
     its error.
+
+    Rows and columns are pure functions of their coordinate, so each
+    instance keeps its last CACHE_SIZE left rows and columns (_cached_row,
+    _cached_col): values, slices, rules and the left row of a time atom
+    read them there, and on a tensor grid each row and column is built
+    once per coordinate.  Right limits are not kept.
     """
+
+    # made on first use, per instance (a class-level cache would keep every
+    # instance alive); typed, so a numpy scalar coordinate gets the row it
+    # would get fresh, not the one cached for the equal float
+    @functools.cached_property
+    def _cached_row(self):
+        return functools.lru_cache(CACHE_SIZE, typed=True)(self._row)
+
+    @functools.cached_property
+    def _cached_col(self):
+        return functools.lru_cache(CACHE_SIZE, typed=True)(self._col)
 
     def _slice_scales(self, t, x):
         return 1.0, 1.0
 
     def __call__(self, t, x):
-        return self._dot(self._row(t), self._col(x))
+        return self._dot(self._cached_row(t), self._cached_col(x))
 
     def along_t(self, x):
         """s -> u(s, x), the slice the time quotients differentiate, with the
         space part taken once."""
-        row, dot, col = self._row, self._dot, self._col(x)
+        row, dot, col = self._cached_row, self._dot, self._cached_col(x)
         return lambda s: dot(row(s), col)
 
     def along_x(self, t):
         """y -> u(t, y), the slice the space quotients differentiate, with the
         time part taken once."""
-        row, dot, col = self._row(t), self._dot, self._col
+        row, dot, col = self._cached_row(t), self._dot, self._cached_col
         return lambda y: dot(row, col(y))
 
     def dhx_rule(self, t, x):
@@ -652,8 +672,8 @@ class HeatResidual:
         """Exact atom-row residual in time: the jump quotient of u minus
         c^2 d_h^2 u."""
         gap = _atom_gap(self.g, t, "t") * self._slice_scales(t, x)[0]
-        col = self._col(x)
-        quot = (self._dot(self._row(t, right=True), col) - self._dot(self._row(t), col)) / gap
+        col = self._cached_col(x)
+        quot = (self._dot(self._row(t, right=True), col) - self._dot(self._cached_row(t), col)) / gap
         return _tidy(quot - self.c**2 * self.dhx2_rule(t, x))
 
     def jump_residual_x(self, t, x):

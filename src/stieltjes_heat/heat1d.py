@@ -152,13 +152,8 @@ class HeatSolution(HeatResidual):
     def _dot(row, col):
         return _tidy(sum((w * v for w, v in zip(row, col)), 0.0))
 
-    def __call__(self, t, x):
-        # one pass over the terms: no row and column lists for a lone value
-        tw, xw = self.g.exp_data(0.0, t), self.h.exp_data(0.0, x)
-        return _tidy(sum((tm.w(tw) * tm.v(x, xw) for tm in self.terms), 0.0))
-
     def _dhx(self, t, x, right=False):
-        ws = self._row(t)
+        ws = self._cached_row(t)
         xw, gap = self.h.exp_data(0.0, x), self.h.jump(x) if right else 0.0
         return _tidy(sum((w * tm.dv(xw, gap) for tm, w in zip(self.terms, ws)), 0.0))
 
@@ -166,11 +161,11 @@ class HeatSolution(HeatResidual):
         return self(0.0, x)
 
     def dgt_rule(self, t, x):
-        wv = zip(self.terms, self._row(t), self._col(x))
+        wv = zip(self.terms, self._cached_row(t), self._cached_col(x))
         return _tidy(sum((tm.rate * w * v for tm, w, v in wv), 0.0))
 
     def dhx2_rule(self, t, x):
-        wv = zip(self.terms, self._row(t), self._col(x))
+        wv = zip(self.terms, self._cached_row(t), self._cached_col(x))
         return _tidy(sum((tm.lam * w * v for tm, w, v in wv), 0.0))
 
 

@@ -341,8 +341,9 @@ class GPolySolution(HeatResidual):
     C the tables' coefficient blocks.  A cell is built on first use and
     kept on the instance, per grid.  The time row is (i, powers of s, a
     memo of p^T B_ij per grid and j), the space column (j, powers of y),
-    and a value is the row's p^T B_ij times the column's powers.  a_mn
-    gives the exact rational a_{m,n}.
+    and a value is the row's p^T B_ij times the column's powers; the memo
+    lives as long as its row in the instance's row cache.  a_mn gives the
+    exact rational a_{m,n}.
     """
 
     def __init__(self, ctx, alpha, N, radius, tail_bound):
@@ -399,14 +400,15 @@ class GPolySolution(HeatResidual):
         return (v @ q).item()
 
     def _dhx(self, t, x, right=False):
-        return self._dot(self._row(t), self._col(x, right), 1)
+        col = self._col(x, True) if right else self._cached_col(x)
+        return self._dot(self._cached_row(t), col, 1)
 
     def dgt_rule(self, t, x):
         # the row shift (m + 1) a_{m+1,n} equals c^2 (n+2)(n+1) a_{m,n+2}
         return self.c**2 * self.dhx2_rule(t, x)
 
     def dhx2_rule(self, t, x):
-        return self._dot(self._row(t), self._col(x), 2)
+        return self._dot(self._cached_row(t), self._cached_col(x), 2)
 
     def a_mn(self, m, n):
         """Exact rational coefficient a_{m,n} of G_{m,n} in the double series."""
@@ -621,7 +623,7 @@ class ProductCaseSolution(HeatResidual):
         return self.h.eval(x), self.g.eval(t)
 
     def _dhx(self, t, x, right=False):
-        return self.w(t) * self.v.derivative(x, right) / self.g.eval(t)
+        return self._cached_row(t) * self.v.derivative(x, right) / self.g.eval(t)
 
     def _scaled(self, t, x):
         # u / (g(t)^2 h(x)): lam c^2 times it is d_G u in t, lam times it d_G^2 u in x

@@ -34,6 +34,11 @@ from .heat2d import (
 
 SEPARATED_MODES = ("ivp", "periodic", "dirichlet", "neumann", "general")
 TWO_VAR_MODES = ("gpoly-series", "product-eigen")
+# a heat-polynomial truncation N builds monomial tables of (N + 1)^2 floats
+# per segment (a gigabyte near N = 10^4), and the radius probe keeps n_probe
+# ratios; larger counts are refused rather than left to exhaust memory
+MAX_TRUNCATION = 1000
+MAX_PROBE = 100_000
 
 
 def _is_number(v):
@@ -49,11 +54,14 @@ def _number(obj, path):
     return float(obj)
 
 
-def _count(obj, path):
-    """A non-negative integer; an integral JSON number such as 40.0 counts."""
+def _count(obj, path, most=None):
+    """A non-negative integer, at most `most`; an integral JSON number such
+    as 40.0 counts."""
     integral = isinstance(obj, int) or (isinstance(obj, float) and obj.is_integer())
     if not (_is_number(obj) and integral and obj >= 0):
         raise SchemaError(f"{path} must be a non-negative integer, got {obj!r}")
+    if most is not None and obj > most:
+        raise SchemaError(f"{path} must be at most {most}, got {obj!r}")
     return int(obj)
 
 
@@ -154,6 +162,8 @@ def load_problem(obj):
             f"mode must be one of {SEPARATED_MODES + TWO_VAR_MODES}, got {mode!r}"
         )
     c = _number(_field(obj, "c", "problem"), "c")
+    if not c > 0:
+        raise SchemaError(f"diffusion constant must be positive, got {c}")
     T = _number(_field(obj, "T", "problem"), "T")
     L = _number(_field(obj, "L", "problem"), "L")
     payload = obj.get(mode, {})
@@ -223,7 +233,7 @@ def mode_params(parsed):
         }
     if mode == "gpoly-series":
         alpha = alpha_stream(_field(payload, "alpha", mode), f"{mode}.alpha")
-        N = _count(payload.get("N", 40), f"{mode}.N")
+        N = _count(payload.get("N", 40), f"{mode}.N", MAX_TRUNCATION)
         n_probe = payload.get("n_probe")
         claims = payload.get("a_claims", [])
         if not isinstance(claims, list):
@@ -232,7 +242,7 @@ def mode_params(parsed):
             "alpha": alpha,
             "N": N,
             "n_probe": (max(2 * N, 120) if n_probe is None
-                        else _count(n_probe, f"{mode}.n_probe")),
+                        else _count(n_probe, f"{mode}.n_probe", MAX_PROBE)),
             "a_claims": [_claim(c, f"{mode}.a_claims[{i}]") for i, c in enumerate(claims)],
         }
     if mode == "product-eigen":

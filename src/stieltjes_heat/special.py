@@ -17,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, GateError
+from .errors import DomainError, EvaluationError, GateError
 from .lsintegral import Integrand, _is_array, integrate
 
 # ---------------------------------------------------------------------------
@@ -39,7 +39,13 @@ def exp_walk(p, walk, gap=0.0):
     for _s, g in atoms:
         prod = prod * (1.0 + p * g)
     cont = p * cont
-    val = prod * (cmath.exp(cont) if isinstance(cont, complex) else math.exp(cont))
+    if isinstance(cont, complex):
+        try:
+            val = prod * cmath.exp(cont)
+        except ValueError:  # cmath refuses an infinite phase
+            raise EvaluationError(f"exponential phase {cont.imag!r} is not finite") from None
+    else:
+        val = prod * math.exp(cont)
     return val * (1.0 + p * gap) if gap > 0.0 else val
 
 

@@ -1,5 +1,6 @@
 """Command-line front end: subcommands, CSV contract, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -9,8 +10,12 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stieltjes_heat import HeatSolution, ProductCaseSolution, cli
 from stieltjes_heat.problems import load_problem, solve
@@ -765,3 +770,84 @@ def test_non_finite_payload_numbers_exit_3(capsys, spec_file, cmd, name, path, v
     rc, out, err = run(capsys, [cmd, spec_file(spec)])
     assert (rc, out) == (3, "")
     assert err.startswith("spec error:") and "finite" in err
+
+
+# ---------------------------------------------------------------------------
+# fuzz: one field of a demo spec deleted or replaced
+
+
+DEMO_NAMES = ("worked_ivp", "periodic_classical", "product_eigen", "gpoly_gate")
+_DELETE = "<delete>"
+
+
+def _paths(obj, prefix=()):
+    """Every key and index path of a JSON value, containers included."""
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, val in items:
+        yield prefix + (key,)
+        yield from _paths(val, prefix + (key,))
+
+
+DEMO_FIELDS = [(name, path) for name in DEMO_NAMES
+               for path in _paths(json.loads((SPECS / f"{name}.json").read_text()))]
+
+
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(field=st.sampled_from(DEMO_FIELDS),
+       value=st.sampled_from([_DELETE, None, True, "x", [], 0, -1, 1e308]))
+@example(field=("worked_ivp", ("g", "atoms")), value=3)
+@example(field=("gpoly_gate", ("c",)), value=0)
+@example(field=("periodic_classical", ("h", "segments", 0, "slope")), value=1e308)
+def test_cli_fuzz_one_field(field, value):
+    """No subcommand lets an exception escape on a spec with one field
+    deleted or replaced, and each exits with a documented code: 1 (a FAILed
+    row) from check only."""
+    name, path = field
+    spec = json.loads((SPECS / f"{name}.json").read_text())
+    parent = spec
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        p = os.path.join(tmp, "spec.json")
+        with open(p, "w", encoding="utf-8") as fh:
+            json.dump(spec, fh)
+        for cmd in ("eval", "check", "radius", "eigs"):
+            argv = [cmd, p] + (["--grid", "3x3"] if cmd == "eval" else [])
+            rc, _out, err = _run_quiet(argv)
+            assert rc in ({0, 1, 2, 3, 4} if cmd == "check" else {0, 2, 3, 4}), (cmd, err)
+            assert rc == 0 or (rc == 1 and err == "") or len(err.splitlines()) == 1, (cmd, err)
+
+
+@pytest.mark.parametrize("cmd, name, path, value, want", [
+    ("eval", "worked_ivp", ["g", "atoms"], 3, 3),
+    ("check", "worked_ivp", ["h", "atoms"], None, 3),
+    ("radius", "gpoly_gate", ["c"], 0, 3),
+    ("radius", "gpoly_gate", ["c"], -1, 3),
+    ("eigs", "periodic_classical", ["c"], 0, 3),
+    ("check", "periodic_classical", ["h", "segments", 0, "slope"], 1e308, 4),
+    ("eval", "gpoly_gate", ["gpoly-series", "N"], 1e308, 3),
+    ("radius", "gpoly_gate", ["gpoly-series", "n_probe"], 1e308, 3),
+])
+def test_malformed_fields_exit_with_one_line(capsys, spec_file, cmd, name, path, value, want):
+    """Non-list atoms, a non-positive c and counts past their cap are spec
+    errors; an overflowing phase is a numeric failure."""
+    spec = json.loads((SPECS / f"{name}.json").read_text())
+    _set(path, value)(spec)
+    rc, out, err = run(capsys, [cmd, spec_file(spec)])
+    assert (rc, out) == (want, "")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("spec error:" if want == 3 else "numeric failure:")

@@ -1,11 +1,14 @@
 """The residual grid: one pass over ts x xs gives, entry for entry, what
 residual_numeric(t, x) gives, and check's pde-residual row reads it."""
 
+import copy
+import gc
 import importlib
 import json
 import math
 import pathlib
 import warnings
+import weakref
 
 import pytest
 from conftest import from_zero, segment_chains
@@ -158,3 +161,60 @@ def test_check_still_fails_a_stalled_product_residual(tmp_path, capsys):
     assert len(fails) == 1 and "pde-residual" in fails[0]
     assert "numeric residual at (t, x) = (0.252, 0.252)" in fails[0]
     assert "stalled at change 2.650e+94" in fails[0]
+
+
+def _cache_sizes(sol):
+    return sol._cached_row.cache_info().currsize, sol._cached_col.cache_info().currsize
+
+
+@settings(max_examples=25, deadline=None)
+@given(solutions())
+def test_cached_rows_and_columns_give_what_fresh_ones_give(sol):
+    # an instance that swept a grid in reverse order reads its rows and
+    # columns from its caches: every value, slice, rule, residual and atom
+    # row is the one a fresh instance builds
+    ts, xs = grid_points(sol.g)[::2], grid_points(sol.h)[::2]
+    fresh = copy.deepcopy(sol)
+    assert "_cached_row" not in fresh.__dict__
+    for t in reversed(ts):
+        for x in reversed(xs):
+            _outcome(lambda: sol(t, x))
+            _outcome(lambda: sol.residual_numeric(t, x))
+    for t in ts:
+        for x in xs:
+            for part in (lambda s: s(t, x), lambda s: s.along_t(x)(t),
+                         lambda s: s.along_x(t)(x), lambda s: s.dgt_rule(t, x),
+                         lambda s: s.dhx2_rule(t, x), lambda s: s.dhx_rule(t, x),
+                         lambda s: s.residual_numeric(t, x),
+                         lambda s: s.jump_residual_t(t, x), lambda s: s.jump_residual_x(t, x)):
+                assert _outcome(lambda: part(sol)) == _outcome(lambda: part(fresh)), (t, x)
+
+
+@settings(max_examples=6, deadline=None)
+@given(solutions())
+def test_row_and_column_caches_are_bounded_and_per_instance(sol):
+    cap = gd.CACHE_SIZE
+    other = copy.deepcopy(sol)
+    for k in range(cap + 1):
+        sol(sol.g.hi * k / cap, sol.h.hi * k / cap)
+    assert _cache_sizes(sol) == (cap, cap)
+    assert _cache_sizes(other) == (0, 0)
+    other(0.0, 0.0)
+    ref = weakref.ref(other)
+    del other
+    gc.collect()
+    assert ref() is None  # no cache outside the instance keeps it alive
+
+
+@settings(max_examples=10, deadline=None)
+@given(solutions())
+def test_out_of_domain_rows_raise_and_are_not_kept(sol):
+    x = 0.5 * sol.h.hi
+    for t in (-1.0, sol.g.hi + 1.0):
+        raised = []
+        for _ in range(2):
+            with pytest.raises(DomainError) as info:
+                sol(t, x)
+            raised.append(str(info.value))
+        assert raised[0] == raised[1]
+    assert _cache_sizes(sol) == (0, 0)
