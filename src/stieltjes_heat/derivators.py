@@ -10,12 +10,10 @@ from the left segment, which is what left-continuity demands.
 from __future__ import annotations
 
 import bisect
-import functools
 import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from types import SimpleNamespace
 
 from .errors import DomainError, InvariantError, SchemaError
 
@@ -69,8 +67,8 @@ class Derivator:
         self.lo = segments[0].lo
         self.hi = segments[-1].hi
 
-        # lookup tables of the scalar queries (the array queries read
-        # _compiled): internal breakpoints, each segment's slope and intercept
+        # lookup tables of the queries: internal breakpoints, each segment's
+        # slope and intercept
         self._bk_list = [s.lo for s in segments[1:]]
         self._slope_list = [s.slope for s in segments]
         self._icept_list = [s.intercept for s in segments]
@@ -184,37 +182,6 @@ class Derivator:
             i = j + 1
         return tuple(runs)
 
-    @functools.cached_property
-    def _compiled(self):
-        """The arrays of the array queries (eval_array, batched ladders,
-        array exponential), built on first use, so that only the array paths
-        import numpy: internal breakpoints, slopes and intercepts, atom
-        times, gaps and values g(t), cumulative gaps with a leading 0, and
-        the advance_to_value tables with each segment's ends, kind and atom
-        flag."""
-        import numpy as np
-
-        segs = self.segments
-        flat = np.array([s.kind == "flat" for s in segs])
-        gap = np.array([gap for _, gap in self.atoms])
-        slope = np.array(self._slope_list)
-        return SimpleNamespace(
-            bk=np.array(self._bk_list),
-            slope=slope,
-            icept=np.array(self._icept_list),
-            atom_t=np.array(self._atom_t),
-            gap=gap,
-            atom_val=np.array([self.eval(t) for t in self._atom_t]),
-            cum_gap=np.concatenate(([0.0], np.cumsum(gap))),
-            lo_min=np.array(self._lo_min),
-            hi_end=np.array(self._hi_end),
-            seg_lo=np.array([s.lo for s in segs]),
-            seg_hi=np.array([s.hi for s in segs]),
-            flat=flat,
-            slope_or_1=np.where(flat, 1.0, slope),
-            lo_is_atom=np.array([s.lo in self._atom_gap for s in segs]),
-        )
-
     # -- basic queries -----------------------------------------------------
 
     def _check_domain(self, t):
@@ -236,18 +203,6 @@ class Derivator:
         t = self._check_domain(float(t))
         i = self._seg_index(t)
         return self._slope_list[i] * t + self._icept_list[i]
-
-    def eval_array(self, ts):
-        import numpy as np
-
-        c = self._compiled
-        ts = np.asarray(ts, dtype=float)
-        fuzz = 1e-9 * (1.0 + abs(self.lo) + abs(self.hi))
-        if (ts < self.lo - fuzz).any() or (ts > self.hi + fuzz).any():
-            raise DomainError("point outside derivator domain")
-        tc = np.minimum(np.maximum(ts, self.lo), self.hi)
-        idx = np.searchsorted(c.bk, tc, side="left")
-        return c.slope[idx] * tc + c.icept[idx]
 
     def jump(self, t):
         """g(t+) - g(t); zero off the atom set."""
@@ -345,30 +300,6 @@ class Derivator:
             # the segment's lower value is only a right limit there
             return None
         return hit
-
-    def advance_to_value_array(self, ys):
-        """advance_to_value at every entry of ys, nan where it gives None:
-        the same comparisons on the same floats, entry by entry."""
-        import numpy as np
-
-        c = self._compiled
-        ys = np.asarray(ys, dtype=float)
-        tol = 1e-12 * (1.0 + np.abs(ys))
-        i = np.searchsorted(c.lo_min, ys + 2.0 * tol, side="right") - 1
-        while True:
-            down = (i >= 0) & (c.lo_min[np.maximum(i, 0)] - tol > ys)
-            if not down.any():
-                break
-            i -= down
-        k = np.maximum(i, 0)
-        lo, hi, flat = c.seg_lo[k], c.seg_hi[k], c.flat[k]
-        hit = (ys - c.icept[k]) / c.slope_or_1[k]  # flat pieces: hi, below
-        # min(max(hit, lo), hi) as Python takes it, signed zeros included
-        hit = np.where(lo > hit, lo, hit)
-        hit = np.where(hi < hit, hi, hit)
-        none = (i < 0) | (c.hi_end[k] + tol < ys)
-        none |= ~flat & (hit <= lo) & c.lo_is_atom[k]
-        return np.where(none, np.nan, np.where(flat, hi, hit))
 
     # -- structure-level checks ---------------------------------------------
 

@@ -15,13 +15,12 @@ with room on one side only or with less than THREE_POINT_ROOM on a side, the
 second derivative is the quotient of the first-derivative function (the jump
 quotient at an atom).
 
-A ladder's samples depend on its point alone, so batches take them once:
-gderiv on an array of points runs the regular ones in one lockstep ladder,
-and HeatResidual.residual_grid lists the ladder levels of every t and every
-x of a grid once, through the route decision gderiv2 takes (_ladders), and
-extrapolates each entry's own ladders from them, each time row and space
-column taken once; the points that take another route run the scalar gderiv
-or gderiv2 on the same shared rows and columns.
+gderiv on a list of points runs the scalar route once per point, so f sees
+floats only.  HeatResidual.residual_grid lists the ladder levels of every t
+and every x of a grid once, through the route decision gderiv2 takes
+(_ladders), and extrapolates each entry's own ladders from them, each time
+row and space column taken once; the points that take another route run the
+scalar gderiv or gderiv2 on the same shared rows and columns.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import DomainError, NonConvergenceError, StieltjesError
-from .lsintegral import _is_array
 
 # a side with at most _MIN_ROOM (1 + |g(t)|) of measure room counts as having
 # none, so the ladder goes one-sided: a quotient over a step a carries about
@@ -80,27 +78,21 @@ CACHE_SIZE = 1024
 
 
 def _sup(v):
-    return float(abs(v).max()) if _is_array(v) else abs(v)
+    # the ODE oracle extrapolates arrays of node values
+    return abs(v) if isinstance(v, (int, float, complex)) else float(abs(v).max())
 
 
-def _extrapolate(pairs, tol, min_levels, scale=1.0, running=None):
+def _extrapolate(pairs, tol, min_levels, scale=1.0):
     """Neville extrapolation to step 0 over (step, value) pairs.
 
-    Values are scalars or arrays of one shape.  With scalar steps the table
-    stops once at least min_levels levels are in and the diagonal moves by at
-    most tol * (scale + |diagonal|), both in the sup norm.  With steps of the
-    values' shape every entry has its own steps and its own stop: it keeps
-    the diagonal of the first level where its own change passes that test,
-    and an entry whose diagonal turns nan or infinite (a repeated step)
-    leaves the table and reads nan.
-    running, the entries still open (all by default), is updated in place,
-    so the pairs may skip the rest.
+    Steps are scalars; values are scalars or arrays of one shape.  The table
+    stops once at least min_levels levels are in and the diagonal moves by
+    at most tol * (scale + |diagonal|), both in the sup norm.
     """
     xs = []
     prev_row = []
     last_two = (None, None)
     err = math.inf
-    per_entry = None  # steps of the values' shape? decided at the first pair
     for x, y in pairs:
         xs.append(x)
         row = [y]
@@ -114,35 +106,12 @@ def _extrapolate(pairs, tol, min_levels, scale=1.0, running=None):
                 f"extrapolation to step 0 stalled: the step {x!r} repeats", estimates=last_two
             ) from None
         diag = row[-1]
-        if per_entry is None:
-            per_entry = _is_array(x)
-            if per_entry:
-                import numpy as np
-
-                kept = np.full_like(diag, np.nan)
-                running = np.ones(diag.shape, dtype=bool) if running is None else running
-        if per_entry:
-            if prev_row:
-                last_two = (prev_row[-1], diag)
-                if len(xs) >= min_levels:
-                    change = abs(diag - prev_row[-1])
-                    stop = running & (change <= tol * (scale + abs(diag)))
-                    np.copyto(kept, diag, where=stop)
-                    running &= ~stop
-            running &= np.isfinite(diag)
-            if not running.any():
-                return kept
-        elif prev_row:
+        if prev_row:
             last_two = (prev_row[-1], diag)
             err = _sup(diag - prev_row[-1])
             if len(xs) >= min_levels and err <= tol * (scale + _sup(diag)):
                 return diag
         prev_row = row
-    if per_entry and last_two[0] is not None:
-        # report the first entry still open, as its own table would
-        i = int(np.argmax(running))
-        last_two = (last_two[0][i], last_two[1][i])
-        err = abs(last_two[1] - last_two[0])
     raise NonConvergenceError(
         f"extrapolation to step 0 stalled at change {err:.3e} (tol {tol:.1e})",
         estimates=last_two,
@@ -193,22 +162,6 @@ def _rooms(d, base, gb, lo=None):
     return fwd, bwd, 0.95 * bwd
 
 
-def _rooms_array(d, ts, gb, lo=None):
-    """_rooms at every entry of ts, read off the compiled atoms."""
-    import numpy as np
-
-    lo = d.lo if lo is None else max(lo, d.lo)
-    c = d._compiled
-    tops = np.append(c.atom_val, d.eval(d.hi))
-    fwd = tops[np.searchsorted(c.atom_t, ts, side="right")] - gb
-    # k: atoms below each entry, 0 when the nearest one lies below lo
-    k = np.searchsorted(c.atom_t, ts, side="left")
-    k = np.where(k > np.searchsorted(c.atom_t, lo, side="left"), k, 0)
-    floors = np.concatenate(([d.eval(lo)], c.atom_val + c.gap))
-    bwd = gb - floors[k]
-    return fwd, bwd, np.where(k > 0, 0.95 * bwd, bwd)
-
-
 def _forward_sample(d, base, gb, eta, rooms):
     room = rooms[0]
     if room <= _MIN_ROOM * (1.0 + abs(gb)):
@@ -230,24 +183,6 @@ def _backward_sample(d, base, gb, eta, rooms):
         return None
     actual = gb - d.eval(s)
     return (s, actual) if actual > 0.0 else None
-
-
-def _samples_array(d, ts, gb, eta, rooms, side):
-    """_forward_sample (side +1) or _backward_sample (side -1) at every entry,
-    eta broadcast against the points: (s, actual) arrays, nan where the
-    scalar sampler gives None."""
-    import numpy as np
-
-    fwd, bwd, cap = rooms
-    room = fwd if side > 0 else bwd
-    e = np.minimum(eta, room if side > 0 else cap)
-    s = d.advance_to_value_array(gb + side * e)
-    ok = ~(room <= _MIN_ROOM * (1.0 + np.abs(gb))) & (side * (s - ts) > 0.0)
-    if side < 0:
-        ok &= e > 0.0
-    actual = side * (d.eval_array(np.where(ok, s, ts)) - gb)
-    ok &= actual > 0.0
-    return np.where(ok, s, np.nan), np.where(ok, actual, np.nan)
 
 
 def _one_sided(f, base, d, cfg, side, gb, rooms, probe):
@@ -369,78 +304,6 @@ def _regular(f, t, d, cfg, gb, rooms, fwd, bwd):
     raise DomainError(f"no measure room around t={t} for a difference quotient")
 
 
-def _sample_table(d, ts, gb, rooms, cfg):
-    """The samples of a two-sided ladder at every entry of ts, as arrays of
-    shape (max_levels + 1, len(ts)): ((s+, a+), (s-, a-)), row 0 the probes
-    at step0 and rows 1.. the levels, stepped down as _levels does; nan on a
-    side without a sample."""
-    import numpy as np
-
-    etas = np.full((cfg.max_levels + 1, len(ts)), cfg.shrink)
-    etas[0] = cfg.step0
-    etas[1] = np.minimum(cfg.step0, np.minimum(0.9 * rooms[0], 0.9 * rooms[1]))
-    np.multiply.accumulate(etas[1:], out=etas[1:])
-    return tuple(_samples_array(d, ts, gb, etas, rooms, side) for side in (1, -1))
-
-
-def _two_sided(d, ts, a_plus, a_minus):
-    """The entries of ts that run a two-sided ladder: off the atoms and the
-    constancy runs, with a step0 probe on both sides (its measure steps
-    a_plus and a_minus are not nan)."""
-    import numpy as np
-
-    ok = ~np.isnan(a_plus) & ~np.isnan(a_minus)
-    for a in d._atom_t:
-        ok &= ts != a
-    for a, b in d.constancy_runs:
-        ok &= (ts <= a) | (ts >= b)
-    return ok
-
-
-def _batch(f, ts, d, cfg, lo):
-    """gderiv at every entry of the 1-d array ts.
-
-    The regular points whose step0 probes find both sides run one central
-    ladder in lockstep: the samples of every level are taken up front as
-    arrays, f sees each level's samples of the open entries in one call, and
-    _extrapolate keeps per-entry steps and stops, so each point gets what
-    its scalar ladder returns given the same f values.  Atoms, points in
-    constancy runs, one-sided points and points that meet a level without a
-    side sample take the scalar route.
-    """
-    import numpy as np
-
-    for t in ts[(ts < d.lo) | (ts > d.hi)]:
-        d._check_domain(float(t))  # past the fuzz: the scalar route's error
-    gb = d.eval_array(ts)
-    rooms = _rooms_array(d, ts, gb, lo)
-    (sp, ap), (sm, am) = _sample_table(d, ts, gb, rooms, cfg)
-    batch = _two_sided(d, ts, ap[0], am[0])
-    sp, sm, steps = sp[1:, batch], sm[1:, batch], ap[1:, batch] + am[1:, batch]
-    running = np.ones(len(steps[0]), dtype=bool)
-
-    def pairs():
-        for s_plus, s_minus, step in zip(sp, sm, steps):
-            live = running & ~np.isnan(step)  # a level without a side: nan, the entry leaves
-            fs = f(np.concatenate((s_plus[live], s_minus[live])))
-            y = np.full(len(step), np.nan, dtype=fs.dtype)
-            y[live] = (fs[: len(fs) // 2] - fs[len(fs) // 2 :]) / step[live]
-            yield 0.5 * step, y
-
-    kept = np.empty(0)
-    if batch.any():
-        # a repeated step divides by zero: its entry turns inf or nan and leaves
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kept = _extrapolate(pairs(), cfg.tol, cfg.min_levels, running=running)
-    idx = np.flatnonzero(batch)
-    rest = np.sort(np.concatenate((np.flatnonzero(~batch), idx[np.isnan(kept)])))
-    scalar = [gderiv(f, t, d, cfg, lo=lo) for t in ts[rest].tolist()]
-    out = np.empty(ts.shape, dtype=np.result_type(kept, *scalar))
-    out[idx] = kept
-    out[rest] = scalar
-    return out
-
-
 def _ladders(d, t, cfgs, lo, room=0.0):
     """The route decision of the two-sided ladders at the regular point t:
     (probe, ladders), probe _probe's tuple at the first config's step0 and
@@ -467,14 +330,17 @@ def gderiv(f, t, d, cfg=None, *, lo=None):
     measure room.  No sample lies below lo (d.lo by default): the residual
     ladders pass the anchor 0 their slices walk from.
 
-    t may be a 1-d array, with f mapping arrays to arrays (and scalars to
-    scalars): the regular points then share one lockstep ladder (`_batch`)
-    and the result is an array.
+    t may be a list or tuple of points: the result is then the list of the
+    derivatives at each point, taken one after another by the same scalar
+    route, and the first point that raises ends the call.
     """
     cfg = cfg or DEFAULT
-    if _is_array(t):
-        return _batch(f, t.astype(float), d, cfg, lo)
-    t = float(t)
+    if isinstance(t, (list, tuple)):
+        return [_gderiv(f, float(s), d, cfg, lo) for s in t]
+    return _gderiv(f, float(t), d, cfg, lo)
+
+
+def _gderiv(f, t, d, cfg, lo):
     d._check_domain(t)
     if d.is_atom(t):
         fplus = right_limit_of(f, t, d, _limit_cfg(cfg))

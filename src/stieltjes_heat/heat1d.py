@@ -26,6 +26,7 @@ __all__ = [
     "general_solution",
     "solve_ivp",
     "series_solution",
+    "find_boundary_eigenvalues",
     "find_periodic_eigenvalues",
     "periodic_solution",
     "dirichlet_solution",
@@ -292,24 +293,20 @@ def _periodic_gate(walk, s):
     return exp_walk(complex(0.0, -s), walk)
 
 
-def find_periodic_eigenvalues(problem, lam_range, count=8):
-    """Real eigenvalues lam <= 0 with exp_h(-sqrt(lam); 0, L) = 1.
+def _phase_roots(walk, lam_range, count, step, admit):
+    """lam = -s^2 at the roots s of phi(s) = step k, k >= 1, on the range.
 
     With s = sqrt(-lam), z(s) = exp_h(-is; 0, L) is
     prod(1 - is gap) exp(-is mu_c) over the atoms of h in [0, L) and its
-    continuous measure mu_c, read from the one walk h.exp_data(0, L).  So
+    continuous measure mu_c, read from walk = h.exp_data(0, L).  So
     arg z = -phi(s) with phi(s) = s mu_c + sum atan(s gap), which increases
-    strictly in s, and z > 0 exactly where phi(s) = 2 pi k.  On the range
-    s_lo = sqrt(-lam_hi) <= s <= s_hi = sqrt(-lam_lo), each k >= 1 with
-    phi(s_lo) <= 2 pi k <= phi(s_hi) gives one root, bisected on phi from
-    the previous root (or s_lo) to s_hi until the bracket is 1e-12 wide or
-    its midpoint is an end (adjacent floats).  A root is kept when
-    |z - 1| < 1e-9; since |z| = prod(1 + s^2 gap^2)^(1/2) does not decrease
-    in s, the first root that fails ends the scan.  lam = 0 always
-    satisfies the gate and is included when the range allows; an h with no
-    measure on [0, L) has z = 1 for every s and yields that lam = 0 alone.
-    At most `count` eigenvalues, ordered by |lam|.  The range must be finite
-    with lam_lo < 0 and lam_hi <= 0.
+    strictly in s.  On the range s_lo = sqrt(-lam_hi) <= s <= s_hi =
+    sqrt(-lam_lo), each k >= 1 with phi(s_lo) <= step k <= phi(s_hi) gives
+    one root, bisected on phi from the previous root (or s_lo) to s_hi
+    until the bracket is 1e-12 wide or its midpoint is an end (adjacent
+    floats).  A root is kept when admit(s) holds, and the first one it
+    refuses ends the scan.  At most count roots, ordered by |lam|.  The
+    range must be finite with lam_lo < 0 and lam_hi <= 0.
     """
     lam_lo, lam_hi = sorted(lam_range)
     if not (math.isfinite(lam_lo) and math.isfinite(lam_hi)) or lam_lo >= 0 or lam_hi > 0:
@@ -317,24 +314,64 @@ def find_periodic_eigenvalues(problem, lam_range, count=8):
             "scan range must be finite and satisfy lam_lo < 0 and lam_hi <= 0, "
             f"got {lam_range}"
         )
-    out = [0.0] if lam_hi == 0 else []
-    walk = problem.h.exp_data(0.0, problem.L)
     atoms, cont = walk
     phi = lambda s: s * cont + sum(math.atan(s * g) for _t, g in atoms)
     s1, s_hi = math.sqrt(-lam_hi), math.sqrt(-lam_lo)
-    k, phi_hi = max(1, math.ceil(phi(s1) / (2 * math.pi))), phi(s_hi)
-    while len(out) < count and 2 * math.pi * k <= phi_hi:
+    k, phi_hi = max(1, math.ceil(phi(s1) / step)), phi(s_hi)
+    out = []
+    while len(out) < count and step * k <= phi_hi:
         a, b = s1, s_hi
         mid = 0.5 * (a + b)
         while b - a > 1e-12 and a < mid < b:
-            a, b = (mid, b) if phi(mid) < 2 * math.pi * k else (a, mid)
+            a, b = (mid, b) if phi(mid) < step * k else (a, mid)
             mid = 0.5 * (a + b)
         s1 = mid
-        if not abs(_periodic_gate(walk, s1) - 1.0) < 1e-9:
+        if not admit(s1):
             break
         out.append(-s1 * s1)
         k += 1
-    return out[:count]
+    return out
+
+
+def find_periodic_eigenvalues(problem, lam_range, count=8):
+    """Real eigenvalues lam <= 0 with exp_h(-sqrt(lam); 0, L) = 1.
+
+    z = exp_h(-is; 0, L) > 0 exactly where phi(s) = 2 pi k, so these are
+    the roots of _phase_roots at step 2 pi.  A root is kept when
+    |z - 1| < 1e-9; since |z| = prod(1 + s^2 gap^2)^(1/2) does not decrease
+    in s, the first root that fails ends the scan.  lam = 0 always
+    satisfies the gate and is included when the range allows; an h with no
+    measure on [0, L) has z = 1 for every s and yields that lam = 0 alone.
+    At most `count` eigenvalues, ordered by |lam|.  The range must be finite
+    with lam_lo < 0 and lam_hi <= 0.
+    """
+    walk = problem.h.exp_data(0.0, problem.L)
+    zero = [0.0] if max(lam_range) == 0 else []
+    admit = lambda s: abs(_periodic_gate(walk, s) - 1.0) < 1e-9
+    return (zero + _phase_roots(walk, lam_range, count - len(zero), 2 * math.pi, admit))[:count]
+
+
+def find_boundary_eigenvalues(problem, lam_range, count=8):
+    """Real eigenvalues lam < 0 of the Dirichlet and Neumann problems, the
+    zeros of sin_h(sqrt(-lam); 0, L) = -Im exp_h(-i sqrt(-lam); 0, L).
+
+    sin_h(L) vanishes exactly where phi(s) = pi m, so these are the roots
+    of _phase_roots at step pi, m >= 1.  A root is kept when _sin_gate
+    admits its lam, so each listed lam solves by dirichlet_solution and
+    neumann_solution; the first root it refuses ends the scan.  At most
+    `count` eigenvalues, ordered by |lam|.  The range must be finite with
+    lam_lo < 0 and lam_hi <= 0.
+    """
+
+    def admit(s):
+        try:
+            _sin_gate(problem, -s * s, "Dirichlet")
+        except GateError:
+            return False
+        return True
+
+    walk = problem.h.exp_data(0.0, problem.L)
+    return _phase_roots(walk, lam_range, count, math.pi, admit)
 
 
 def periodic_solution(problem, lam):

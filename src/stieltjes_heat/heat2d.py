@@ -116,7 +116,7 @@ def _chain_tables(d, top, depth, mesh):
     import numpy as np
 
     nodes = np.asarray(build_grid(d, 0.0, top, mesh=mesh).nodes)
-    gvals = d.eval_array(nodes)
+    gvals = np.array([d.eval(t) for t in nodes])
     gaps = np.array([d.jump(float(t)) for t in nodes])
     cont = np.diff(gvals) - gaps[:-1]
     f_left = np.ones_like(nodes)

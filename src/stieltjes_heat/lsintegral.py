@@ -10,7 +10,6 @@ Gauss-Kronrod 10/21 rule.
 from __future__ import annotations
 
 import bisect
-import functools
 import heapq
 import math
 import operator
@@ -21,13 +20,6 @@ from .errors import DomainError, EvaluationError, NonConvergenceError
 
 DEFAULT_TOL = 1e-10
 _EPS = sys.float_info.epsilon
-
-
-def _is_array(v):
-    """isinstance(v, numpy.ndarray), without importing numpy: no array can
-    exist before numpy is imported, and the scalar paths import none."""
-    numpy = sys.modules.get("numpy")
-    return numpy is not None and isinstance(v, numpy.ndarray)
 
 
 @dataclass
@@ -183,32 +175,25 @@ def integrate(f, a, b, d, tol=DEFAULT_TOL):
     return total
 
 
-@functools.cache
-def _gauss_legendre_64():
-    """The 64-point Gauss-Legendre nodes and weights on [-1, 1]."""
-    import numpy as np
-
-    return np.polynomial.legendre.leggauss(64)
-
-
 def integrate_gauss(f, a, b, d):
-    """Fixed-order (64-point Gauss-Legendre) Stieltjes sum of f over [a, b).
+    """Fixed-order (10-point Gauss, quad's inner rule) Stieltjes sum of f
+    over [a, b).
 
     Non-adaptive on purpose: the integrand may carry difference-quotient
-    noise that adaptive subdivision chases forever.  f maps arrays to arrays:
-    it is called once, on the node arrays of every affine piece end to end,
-    and each piece sums its own slice; f is called on scalars at the atoms,
-    which contribute their left value times the gap.
+    noise that adaptive subdivision chases forever.  f maps a list of points
+    to the list of its values: it is called once, on the nodes of every
+    affine piece end to end, and each piece sums its own ten; f is called on
+    scalars at the atoms, which contribute their left value times the gap.
     """
-    import numpy as np
-
-    z, w = _gauss_legendre_64()
     spans = _affine_spans(d, a, b)
     total = 0.0
     if spans:
-        nodes = np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * z for lo, hi, _ in spans])
-        for (lo, hi, slope), fk in zip(spans, f(nodes).reshape(len(spans), len(z))):
-            total += slope * (0.5 * (hi - lo)) * (w @ fk)
+        nodes = [0.5 * (lo + hi) + 0.5 * (hi - lo) * z for lo, hi, _ in spans
+                 for z in _NODES[1::2]]
+        fs, n = f(nodes), len(_GAUSS)
+        for k, (lo, hi, slope) in enumerate(spans):
+            fk = fs[n * k : n * (k + 1)]
+            total += slope * (0.5 * (hi - lo)) * sum(map(operator.mul, _GAUSS, fk))
     for t, gap in d.atoms_in(a, b):
         total += f(t) * gap
     return total
@@ -222,10 +207,10 @@ def integrate_signed(f, x, y, d, tol=DEFAULT_TOL):
 
 
 def indefinite(f, a, d, tol=DEFAULT_TOL):
-    """t -> integral over [a, t) (signed below a), for a scalar t or an array
-    of them.  The integrals between consecutive knots (a and the ends of the
-    segments) are taken once, on first use, so F(t) integrates only the
-    piece between t and its knot toward a.  Results are memoized."""
+    """t -> integral over [a, t) (signed below a).  The integrals between
+    consecutive knots (a and the ends of the segments) are taken once, on
+    first use, so F(t) integrates only the piece between t and its knot
+    toward a.  Results are memoized."""
     ig = _as_integrand(f)
     a = float(a)
     knots = sorted({a, d.hi} | {s.lo for s in d.segments})
@@ -242,7 +227,8 @@ def indefinite(f, a, d, tol=DEFAULT_TOL):
             vals[j] = vals[j + 1] - integrate(ig, knots[j], knots[j + 1], d, piece_tol)
         at_knot.extend(vals)
 
-    def F1(t):
+    def F(t):
+        t = float(t)
         if t not in cache:
             if not at_knot:
                 fill()
@@ -253,12 +239,5 @@ def indefinite(f, a, d, tol=DEFAULT_TOL):
                 j = bisect.bisect_left(knots, t)
                 cache[t] = at_knot[j] - integrate(ig, t, knots[j], d, piece_tol)
         return cache[t]
-
-    def F(t):
-        if _is_array(t):
-            import numpy as np
-
-            return np.array([F1(s) for s in t.tolist()])
-        return F1(float(t))
 
     return F

@@ -76,7 +76,7 @@ def euler_stieltjes(F, x0, grid):
 
     d = grid.d
     ts = grid.nodes
-    gs = d.eval_array(ts)
+    gs = [d.eval(t) for t in ts]
     x = np.atleast_1d(np.asarray(x0))
     probe = np.asarray(F(ts[0], x))
     dtype = np.result_type(x.dtype, probe.dtype, np.float64)
@@ -134,7 +134,7 @@ def _extrapolated_solve(d, a, b, F, y0, mesh, tol, max_halvings):
             step = 2**k
             nodes = build_grid(d, a, b, mesh, factor=step).nodes
             # the level-0 nodes are every step-th node of level k
-            yield 1.0 / step, _euler_tuple(nodes, d.eval_array(nodes), F, y0)[::step]
+            yield 1.0 / step, _euler_tuple(nodes, [d.eval(t) for t in nodes], F, y0)[::step]
 
     return build_grid(d, a, b, mesh).nodes, _extrapolate(levels(), tol, min_levels=3)
 
@@ -159,7 +159,7 @@ class HermiteCurve:
 
         self.d = d
         self.ts = np.asarray(ts)
-        self.gs = d.eval_array(self.ts)
+        self.gs = [d.eval(t) for t in self.ts]
         self.gaps = np.array([d.jump(t) for t in self.ts])
         self.values = values
         self.slopes = slopes

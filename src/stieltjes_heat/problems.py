@@ -255,16 +255,18 @@ def mode_params(parsed):
 
 
 def scan_params(parsed):
-    """(lam_range, count) of the periodic eigenvalue scan, from the
-    "periodic" object of any separated spec.  The default range reaches
-    -(8.5 pi / L)^2, the default count is 8."""
-    payload = parsed.raw.get("periodic", {})
+    """(lam_range, count) of the eigenvalue scan, from the mode's object of
+    a Dirichlet or Neumann spec and from the "periodic" object of any other
+    separated spec.  The default range reaches -(8.5 pi / L)^2, the default
+    count is 8."""
+    key = parsed.mode if parsed.mode in ("dirichlet", "neumann") else "periodic"
+    payload = parsed.raw.get(key, {})
     if not isinstance(payload, dict):
-        raise SchemaError("periodic must be an object")
+        raise SchemaError(f"{key} must be an object")
     rng = payload.get("lam_range", [-((8.5 * math.pi / parsed.L) ** 2), 0.0])
     if not (isinstance(rng, list) and len(rng) == 2 and all(_is_number(v) for v in rng)):
-        raise SchemaError("periodic.lam_range must be [lo, hi] of finite numbers")
-    return tuple(rng), _count(payload.get("count", 8), "periodic.count")
+        raise SchemaError(f"{key}.lam_range must be [lo, hi] of finite numbers")
+    return tuple(rng), _count(payload.get("count", 8), f"{key}.count")
 
 
 def solve(parsed):

@@ -12,13 +12,12 @@ rate^m / m! stepped in floats.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from dataclasses import dataclass
 
 from .errors import DomainError, EvaluationError, GateError
-from .lsintegral import Integrand, _is_array, integrate
+from .lsintegral import Integrand, integrate
 
 # ---------------------------------------------------------------------------
 # exponential and regressivity
@@ -49,32 +48,12 @@ def exp_walk(p, walk, gap=0.0):
     return val * (1.0 + p * gap) if gap > 0.0 else val
 
 
-def _gexp_array(d, p, a, ts):
-    """exp_d(p; a, t) at a constant rate p for every entry of ts, in closed
-    form from the compiled atoms: with k(t) the atoms in [a, t),
-    cumprod(1 + p gap)[k] * exp(p (g(t) - g(a) - cumgap[k]))."""
-    import numpy as np
-
-    c = d._compiled
-    k0 = bisect.bisect_left(d._atom_t, a)
-    k = np.searchsorted(c.atom_t, ts, side="left") - k0
-    jumps = np.concatenate(([1.0], np.cumprod(1.0 + p * c.gap[k0:])))
-    cum = c.cum_gap[k0:] - c.cum_gap[k0]
-    cont = np.maximum(d.eval_array(ts) - d.eval(a) - cum[k], 0.0)
-    return jumps[k] * np.exp(p * cont)
-
-
 def gexp(d, p, a, t, tol=1e-10):
     """The Stieltjes exponential: product over atoms of (1 + p gap) times
     exp of the atom-free integral of p over [a, t).
 
-    p may be a real/complex constant or a callable.  Requires t >= a.  At a
-    constant rate t may be an array (`_gexp_array`).
+    p may be a real/complex constant or a callable.  Requires t >= a.
     """
-    if _is_array(t) and not callable(p):
-        if (t < a).any():
-            raise DomainError(f"gexp needs t >= a, got a={a}, t={t.min()}")
-        return _gexp_array(d, p, float(a), t.astype(float))
     a, t = float(a), float(t)
     if t < a:
         raise DomainError(f"gexp needs t >= a, got a={a}, t={t}")

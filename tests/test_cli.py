@@ -710,6 +710,24 @@ def test_eigs_classical_values(capsys, spec_file):
         assert got == pytest.approx(ref, abs=1e-9, rel=1e-9)
 
 
+def test_eigs_lists_the_boundary_modes_eigenvalues(capsys, spec_file):
+    # on Dirichlet and Neumann specs the zeros of sin_h(L), -(m pi)^2 for
+    # m >= 1 (no 0, no periodic -(2 pi k)^2 only), the range and count read
+    # from the mode's own object
+    for mode, coef in (("dirichlet", "a"), ("neumann", "b")):
+        spec = dirichlet_spec()
+        spec["mode"] = mode
+        spec[mode] = {"lam": -(math.pi**2), coef: 1.0}
+        rc, out, _ = run(capsys, ["eigs", spec_file(spec)])
+        assert rc == 0
+        want = [-((m * math.pi) ** 2) for m in range(1, 9)]
+        assert [float(v) for v in out.splitlines()[1:]] == pytest.approx(want, rel=1e-9)
+        spec[mode].update(lam_range=[-100.0, -20.0], count=1)
+        rc, out, _ = run(capsys, ["eigs", spec_file(spec)])
+        assert rc == 0
+        assert [float(v) for v in out.splitlines()[1:]] == pytest.approx(want[1:2], rel=1e-9)
+
+
 def test_eigs_requires_separated_problem(capsys, spec_file):
     rc, _, err = run(capsys, ["eigs", spec_file(gpoly_spec())])
     assert rc == 3 and "separated" in err

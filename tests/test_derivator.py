@@ -3,7 +3,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 from conftest import segment_chains
 from hypothesis import example, given, settings
@@ -39,18 +38,13 @@ def test_left_continuity_at_breakpoint_without_atom(plateau_h):
 
 @settings(max_examples=60, deadline=None)
 @given(segment_chains())
-def test_eval_array_matches_scalar(plateau_h, d):
-    ts = [0.0, 0.3, 1.0, 1.2, 1.5, 1.7, 2.5]
-    out = plateau_h.eval_array(ts)
-    assert list(out) == [plateau_h.eval(t) for t in ts]
-    # the list-based scalar path and the numpy path agree bit for bit at the
-    # breakpoints, the atoms and both domain ends pushed out by half the fuzz
+def test_walk_measure_subtracts_the_gaps_in_atom_order(d):
+    # between the breakpoints, the atoms and both domain ends pushed out by
+    # half the fuzz, the walk's continuous measure subtracts the gaps from
+    # the measure in atom order, as continuous_measure always has
     fuzz = 1e-9 * (1.0 + abs(d.lo) + abs(d.hi))
     ts = sorted({s.lo for s in d.segments} | {t for t, _ in d.atoms}
                 | {d.hi, d.lo - fuzz / 2, d.hi + fuzz / 2})
-    assert [float(v).hex() for v in d.eval_array(ts)] == [d.eval(t).hex() for t in ts]
-    # the walk's continuous measure subtracts the gaps from the measure in
-    # atom order, as continuous_measure always has
     for i, a in enumerate(ts):
         for b in ts[i:]:
             m = d.measure(a, b)
@@ -194,20 +188,6 @@ def test_advance_to_value_matches_the_reversed_scan(d, frac):
     for y in _advance_inputs(d, frac):
         got, want = d.advance_to_value(y), _scan_to_value(d, y)
         assert repr(got) == repr(want), (y, got, want)
-
-
-@settings(max_examples=150, deadline=None)
-@example(_DIP, 0.5)
-@example(_rise_to(1.0000000000007), 0.5)
-@example(_rise_to(-0.9999999999988939), 0.5)
-@given(segment_chains(), st.floats(min_value=0.0, max_value=1.0))
-def test_array_advance_to_value_matches_the_scalar_one(d, frac):
-    # bit for bit, entry by entry; nan where the scalar one gives None
-    ys = _advance_inputs(d, frac)
-    got = d.advance_to_value_array(np.array(ys)).tolist()
-    want = [d.advance_to_value(y) for y in ys]
-    assert [None if math.isnan(s) else repr(s) for s in got] == [
-        None if s is None else repr(s) for s in want]
 
 
 def test_translation_condition(staircase, flatstep, jump_g, ident):

@@ -21,6 +21,7 @@ from stieltjes_heat import (
     GateError,
     HeatProblem,
     dirichlet_solution,
+    find_boundary_eigenvalues,
     find_periodic_eigenvalues,
     general_solution,
     gexp,
@@ -759,6 +760,43 @@ def test_neumann_gate_with_an_interior_atom_reads_the_sine():
     sol = neumann_solution(prob, -s * s, b=1.0)
     for t in (0.0, 0.5, 1.0):
         assert abs(sol.dhx_rule(t, 0.0)) < 1e-9 and abs(sol.dhx_rule(t, 1.0)) < 1e-9
+
+
+def test_boundary_eigenvalues_classical(prob_classical):
+    # lam = -(m pi / L)^2, m >= 1, each solved by both modes
+    got = find_boundary_eigenvalues(prob_classical, (-((8.5 * math.pi) ** 2), 0.0))
+    assert len(got) == 8
+    for m, lam in enumerate(got, start=1):
+        assert lam == pytest.approx(-((m * math.pi) ** 2), rel=1e-9)
+        dirichlet_solution(prob_classical, lam, a=1.0)
+        neumann_solution(prob_classical, lam, b=1.0)
+    # the range's upper end and the count cut the list
+    lam_range = (-((8.5 * math.pi) ** 2), -((1.5 * math.pi) ** 2))
+    assert find_boundary_eigenvalues(prob_classical, lam_range, count=3) == pytest.approx(
+        [-((m * math.pi) ** 2) for m in (2, 3, 4)], rel=1e-9)
+
+
+def test_boundary_eigenvalues_with_an_interior_atom():
+    # the zeros of sin_h(s; 0, 1), found here from the sign changes of
+    # gsin_gcos on a grid of s, are not m pi / mu: each solves both modes,
+    # and the midpoints between them are refused
+    h = Derivator.from_pieces([("affine", 0.0, 0.5, 1.0, 0.0), ("affine", 0.5, 1.0, 1.0, 0.5)])
+    prob = HeatProblem(identity(0.0, 1.0), h, 1.0, 1.0, 1.0)
+    got = find_boundary_eigenvalues(prob, (-400.0, 0.0), count=20)
+    sin = lambda s: gsin_gcos(h, s, 1.0)[0]
+    grid = [0.01 * k for k in range(1, 2001)]
+    want = [_root(sin, a, b) for a, b in zip(grid, grid[1:]) if sin(a) * sin(b) < 0]
+    assert len(got) == len(want) == 6
+    for lam, s in zip(got, want):
+        assert math.sqrt(-lam) == pytest.approx(s, abs=1e-9)
+        assert abs(s / math.pi - round(s / math.pi)) > 0.05  # not the atom-free roots
+        dirichlet_solution(prob, lam, a=1.0)
+        neumann_solution(prob, lam, b=1.0)
+    for a, b in zip(got, got[1:]):
+        with pytest.raises(GateError):
+            dirichlet_solution(prob, 0.5 * (a + b), a=1.0)
+        with pytest.raises(GateError):
+            neumann_solution(prob, 0.5 * (a + b), b=1.0)
 
 
 def test_classical_ivp_is_textbook():

@@ -1,11 +1,11 @@
 """What a fresh process imports: numpy only on the paths that build arrays.
 
 The closed forms are evaluated by scalar walks, so importing the CLI, loading
-any spec, solving and evaluating a separated or product-case spec, with or
-without the residual grid of `eval --emit-diagnostics`, and the periodic
-eigenvalue scan leave numpy unimported; the heat-polynomial solve, `check`
-and every array query import it when they first run.  Each test starts its
-own interpreter, since this test process has numpy loaded already.
+any spec, solving, evaluating and checking a separated or product-case spec,
+with or without the residual grid of `eval --emit-diagnostics`, and the
+periodic eigenvalue scan leave numpy unimported; the heat-polynomial solve
+imports it when it first runs.  Each test starts its own interpreter, since
+this test process has numpy loaded already.
 """
 
 import json
@@ -14,10 +14,6 @@ import os
 import pathlib
 import subprocess
 import sys
-
-import numpy as np
-
-from stieltjes_heat import Derivator, gderiv, gexp, indefinite
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SPECS = ROOT / "demos" / "specs"
@@ -69,9 +65,9 @@ def test_scalar_paths_import_no_numpy(tmp_path):
         "                             '--emit-diagnostics']))\n"
         "    rcs.append(cli.main(['eigs', solved[1]]))\n"
         "    seen.append('numpy' in sys.modules)\n"
-        "    # the array paths still import it and run\n"
+        "    # the heat-polynomial series still imports it and runs\n"
         "    rcs.append(cli.main(['eval', sys.argv[3], '--grid', '5x5']))\n"
-        "    rcs.append(cli.main(['check', solved[0]]))\n"
+        "    rcs.append(cli.main(['check', sys.argv[3]]))\n"
         "seen.append('numpy' in sys.modules)\n"
         "print(seen, rcs)\n"
     )
@@ -80,45 +76,16 @@ def test_scalar_paths_import_no_numpy(tmp_path):
     assert last == f"[False, False, False, True] {[0] * (2 * len(solved) + 3)}"
 
 
-JUMP_G = {
-    "segments": [
-        {"from": 0.0, "to": 0.5, "kind": "affine", "slope": 1.0, "intercept": 0.0},
-        {"from": 0.5, "to": 1.0, "kind": "flat", "level": 1.5},
-        {"from": 1.0, "to": 2.0, "kind": "affine", "slope": 2.0, "intercept": -0.5},
-    ],
-    "atoms": [{"t": 0.5, "gap": 1.0}],
-}
-# every array route on one driver with an atom and a flat stretch; run here
-# and in a fresh process, with np, JUMP_G and the package's names in scope
-ARRAY_ROUTES = """
-d = Derivator.from_json(JUMP_G)
-ts = np.array([0.1, 0.3, 0.5, 0.7, 1.2, 1.8])
-cube = lambda s: s * s * s
-results = repr([
-    d.eval_array(ts).tolist(),
-    d.advance_to_value_array(np.array([0.2, 1.0, 1.5, 1.6, 3.0])).tolist(),
-    gexp(d, 0.7, 0.0, ts).tolist(),
-    gexp(d, 0.9j, 0.0, ts).tolist(),
-    gderiv(cube, ts, d).tolist(),
-    indefinite(cube, 0.0, d)(ts).tolist(),
-])
-"""
-
-
-def test_numpy_imported_after_the_package_takes_the_array_routes():
-    """A package imported before numpy must still see arrays as arrays: the
-    same values as in this process, where numpy came first."""
+def test_check_imports_no_numpy_off_the_heat_polynomial_series():
+    # every check row on the separated and product-case demo specs, the
+    # fundamental-theorem and special-function rows included, runs on floats
     code = (
-        "import sys\n"
-        "from stieltjes_heat import Derivator, gderiv, gexp, indefinite\n"
-        "assert 'numpy' not in sys.modules\n"
-        "import numpy as np\n"
-        f"JUMP_G = {JUMP_G!r}\n"
-        + ARRAY_ROUTES
-        + "print(results)\n"
+        "import contextlib, io, sys\n"
+        "import stieltjes_heat.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rcs = [cli.main(['check', path]) for path in sys.argv[1:]]\n"
+        "print(rcs, 'numpy' in sys.modules)\n"
     )
-    here = dict(np=np, Derivator=Derivator, gderiv=gderiv, gexp=gexp,
-                indefinite=indefinite, JUMP_G=JUMP_G)
-    exec(ARRAY_ROUTES, here)
-    assert "nan" in here["results"]  # a value inside the atom's gap
-    assert _run(code) == here["results"]
+    specs = [str(SPECS / f"{n}.json") for n in ("worked_ivp", "periodic_classical",
+                                                 "product_eigen")]
+    assert _run(code, *specs) == "[0, 0, 0] False"

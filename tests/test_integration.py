@@ -19,6 +19,16 @@ from stieltjes_heat import (
 )
 
 
+def _g_at(d, ts):
+    """g at every entry of the array ts, from the segments: a breakpoint
+    takes its left segment's value, as d.eval does."""
+    gv = np.empty_like(ts)
+    for k, s in enumerate(d.segments):
+        m = (ts <= s.hi) if k == 0 else (ts > s.lo) & (ts <= s.hi)
+        gv[m] = s.slope * ts[m] + s.intercept
+    return gv
+
+
 def brute_stieltjes(f, a, b, d, panels=1_000_000):
     """Midpoint Riemann-Stieltjes sum over [a, b) with atoms on nodes.
 
@@ -27,7 +37,7 @@ def brute_stieltjes(f, a, b, d, panels=1_000_000):
     gap, exactly.  Slow but assumption-free.
     """
     edges = np.linspace(a, b, panels + 1)
-    gv = d.eval_array(edges)
+    gv = _g_at(d, edges)
     inc = np.diff(gv)
     # remove atom masses from the panels that contain them
     for t, gap in d.atoms_in(a, b):
@@ -150,7 +160,7 @@ def test_ftc_indefinite_of_derivative_crosses_atoms(jump_g, mixed):
 def test_cached_indefinite_matches_integrate_signed(d, q, data):
     # whole-piece integrals taken once, then one piece per point: at the
     # breakpoints, at the atoms (left-continuous: their mass lies above),
-    # inside pieces and below a, for scalars and for an array
+    # inside pieces and below a
     a = d.lo + q * (d.hi - d.lo)
     f = lambda s: math.cos(3.0 * s) + 0.5 * s
     F = indefinite(f, a, d)
@@ -159,7 +169,6 @@ def test_cached_indefinite_matches_integrate_signed(d, q, data):
     for t in ts + [t for t, _ in d.atoms]:
         ref = integrate_signed(f, a, t, d)
         assert abs(F(t) - ref) <= 1e-12 * (1.0 + abs(ref)), (t, F(t), ref)
-    assert F(np.array(ts)).tolist() == [F(t) for t in ts]
 
 
 def test_indefinite_is_left_continuous_with_atom_steps(jump_g):

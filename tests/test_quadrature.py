@@ -109,15 +109,20 @@ def test_singular_integrand_does_not_converge(lo, hi):
     assert "panels" in str(e.value)
 
 
-def test_gauss_legendre_table_is_built_once(monkeypatch, jump_g):
+def test_gauss_sum_calls_f_once_on_the_nodes_of_every_piece(plateau_h):
+    # ten nodes on each affine piece of [0, 2.5), one call; the atom at 1.5
+    # adds its left value times the gap; the flat piece adds nothing
     calls = []
-    leggauss = np.polynomial.legendre.leggauss
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
-                        lambda n: calls.append(n) or leggauss(n))
-    lsintegral._gauss_legendre_64.cache_clear()
-    first = lsintegral.integrate_gauss(np.cos, 0.0, 1.5, jump_g)
-    assert lsintegral.integrate_gauss(np.cos, 0.0, 1.5, jump_g) == first
-    assert calls == [64]
+
+    def f(s):
+        calls.append(s)
+        return [t**19 for t in s] if isinstance(s, list) else s**19
+
+    got = lsintegral.integrate_gauss(f, 0.0, 2.5, plateau_h)
+    assert [len(calls[0]), calls[1:]] == [20, [1.5]]
+    # the 10-point Gauss rule is exact for degree 19 on each piece
+    want = 1.0 / 20 + 1.5**19 * 1.0 + 2.0 * (2.5**20 - 1.5**20) / 20
+    assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_cli_never_imports_scipy():
