@@ -312,8 +312,6 @@ class Derivator:
         if L <= 0 or self.hi - self.lo <= L:
             raise DomainError("shift L must fit inside the domain")
         if sample_pairs is None:
-            import numpy as np
-
             pts = {self.lo, self.hi - L}
             for s in self.segments:
                 for t in (s.lo, s.hi):
@@ -321,7 +319,9 @@ class Derivator:
                         pts.add(t)
                     if self.lo <= t - L / 2 <= self.hi - L:
                         pts.add(t - L / 2)
-            pts.update(np.linspace(self.lo, self.hi - L, 101))
+            # a uniform grid of 101 points; its last, hi - L, is in already
+            step = (self.hi - L - self.lo) / 100
+            pts.update(self.lo + k * step for k in range(100))
             pts = sorted(pts)
             x0 = pts[0]
             sample_pairs = [(x, x0) for x in pts]

@@ -15,13 +15,14 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .errors import DivergenceError, DomainError, GateError, NonConvergenceError
+from .errors import DivergenceError, DomainError, EvaluationError, GateError, NonConvergenceError
 from .gderiv import HeatResidual
 from .heat1d import _stream
 from .lsintegral import integrate
 from .ode import build_grid
-from .special import classify_regressivity, exp_walk, monomial_table
+from .special import _powers, classify_regressivity, exp_walk, monomial_table
 
 __all__ = [
     "SumDerivator",
@@ -176,15 +177,14 @@ class GPolyContext:
 
 def _ladder_terms(n, c, alpha, w):
     """The terms c^(2k) n!/((n-2k)! k!) alpha w_k, k = 0..n//2, of alpha
-    v_n^G, where w_k = g_k(t) h_{n-2k}(x); w = 1 gives the row of weights.
+    v_n^G, as a list, where w_k = g_k(t) h_{n-2k}(x); w = 1 gives the row
+    of weights.
 
     The integer factor is exact while it fits 900 bits; past that the term
     is assembled in log space, so a huge factor times a tiny c^(2k) alpha
     w_k stays finite.  A vanishing alpha or w_k gives a zero term.
     """
-    import numpy as np
-
-    out = np.zeros(n // 2 + 1, dtype=complex if isinstance(alpha, complex) else float)
+    out = [0j if isinstance(alpha, complex) else 0.0] * (n // 2 + 1)
     if alpha == 0:
         return out
     phase = alpha / abs(alpha)
@@ -205,14 +205,19 @@ def _ladder_terms(n, c, alpha, w):
     return out
 
 
+def _heat_terms(n, c, g_vals, h_vals):
+    """The terms of v_n^G from the lists g_0..g_{n//2} and h_0..h_n at one
+    point."""
+    return _ladder_terms(n, c, 1.0, list(map(mul, g_vals, h_vals[n::-2])))
+
+
 def heat_gpoly(n, t, x, ctx):
     """Heat G-polynomial v_n^G(t,x) = sum_k n! c^(2k)/((n-2k)! k!) g_k(t) h_{n-2k}(x)."""
     if n < 0:
         raise DomainError(f"degree must be >= 0, got {n}")
     G = ctx.G
-    w = (monomial_table(G.g, 0.0).values(n // 2, t)
-         * monomial_table(G.h, 0.0).values(n, x)[n::-2])
-    return float(_ladder_terms(n, ctx.c, 1.0, w).sum())
+    return sum(_heat_terms(n, ctx.c, monomial_table(G.g, 0.0).values(n // 2, t),
+                           monomial_table(G.h, 0.0).values(n, x)))
 
 
 def classical_heat_polynomial(n, tau, xi):
@@ -322,33 +327,47 @@ class GateReport:
     truncation: int
 
 
+def _require_finite(name, table, order, N):
+    """Refuse a monomial table with a non-finite coefficient in its rows
+    0..order, naming the lowest such order and its segment."""
+    table.extend(order)
+    for n in range(order + 1):
+        for j, rows in enumerate(table._coef):
+            if not all(map(math.isfinite, rows[n])):
+                seg = table.d.segments[j]
+                raise EvaluationError(
+                    f"monomial {name}_{n} leaves the float range on segment {j} "
+                    f"[{seg.lo!r}, {seg.hi!r}] of {name}; truncation N = {N} needs "
+                    f"{name}_0..{name}_{order}")
+
+
 class GPolySolution(HeatResidual):
     """Truncated series sum_{n<=N} alpha_n v_n^G with closed-form G-derivatives.
 
-    The series is sum_{m,n} a_{m,n} g_m(t) h_n(x) over m <= N/2, n <= N,
-    with the coefficient grid A[m, n] = a_{m,n} = c^(2m) (n+2m)!/(n! m!)
-    alpha_{n+2m} built once as floats.  The ladders are shifted copies of A
-    (zero-padded to its width): d_Gx h_n = n h_{n-1} shifts columns, d_Gt
-    g_m = m g_{m-1} shifts rows, and by the coefficient law the row shift
-    is c^2 times the d_Gx^2 grid, so the rule residual vanishes.  Sum-case
+    The series is sum_{m,n} a_{m,n} g_m(t) h_n(x) over n + 2m <= N, with
+    the coefficient grid A, row m the list of a_{m,n} = c^(2m) (n+2m)!/(n!
+    m!) alpha_{n+2m}, n = 0..N-2m, built once as floats.  The ladders are
+    shifted copies of A: d_Gx h_n = n h_{n-1} shifts columns, d_Gt g_m = m
+    g_{m-1} shifts rows, and by the coefficient law the row shift is c^2
+    times the d_Gx^2 grid, so the rule residual vanishes.  Sum-case
     G-derivatives reduce to the one-variable ones of g and h, which is what
     the numeric residual differentiates along.
 
-    On a cell (segment i of g, segment j of h) the monomials are
-    polynomials in the local coordinates s, y in [0, 1] of their
-    MonomialTable, so a grid is one bivariate polynomial there, with the
-    coefficient matrix B_ij = C_g[i]^T A C_h[j] ((N/2+1)(N+1) entries),
-    C the tables' coefficient blocks.  A cell is built on first use and
-    kept on the instance, per grid.  The time row is (i, powers of s, a
-    memo of p^T B_ij per grid and j), the space column (j, powers of y),
-    and a value is the row's p^T B_ij times the column's powers; the memo
-    lives as long as its row in the instance's row cache.  a_mn gives the
+    On segment j of h the monomials h_n are polynomials in the local
+    coordinate y in [0, 1] of h's MonomialTable, with the coefficient rows
+    C_h[j], so a grid contracts with them once, into K_j = grid . C_h[j]
+    (row m the coefficients of sum_n grid[m][n] h_n in the powers of y),
+    built on first use and kept on the instance per (grid, j).  The time
+    row is the list g_0(t), ..., g_{N/2}(t) from g's table; the space column
+    is (j, powers of y, a memo of K_j . powers(y) per grid), and every value,
+    slice, rule and residual grid entry is the one contraction
+    g(t) . (K_j . powers(y)).  The memo lives as long as its column in the
+    instance's column cache.  Monomial rows that leave the float range below
+    the orders the series reads raise EvaluationError.  a_mn gives the
     exact rational a_{m,n}.
     """
 
     def __init__(self, ctx, alpha, N, radius, tail_bound):
-        import numpy as np
-
         self.ctx = ctx
         self.g, self.h, self.c = ctx.G.g, ctx.G.h, ctx.c
         self.alpha = alpha
@@ -359,45 +378,44 @@ class GPolySolution(HeatResidual):
         if any(not math.isfinite(z.real) or not math.isfinite(z.imag) for z in a):
             raise DivergenceError("series coefficients are non-finite")
         real = all(z.imag == 0.0 for z in a)
-        self.A = np.zeros((N // 2 + 1, N + 1), dtype=float if real else complex)
+        self.A = [[] for _ in range(N // 2 + 1)]
         for n, z in enumerate(a):
-            k = np.arange(n // 2 + 1)
-            z = z.real if real else z
-            self.A[k, n - 2 * k] = _ladder_terms(n, self.c, z, np.ones(k.size))
-        deg = np.arange(N + 1)
-        Ax, Axx = np.zeros_like(self.A), np.zeros_like(self.A)
-        Ax[:, :-1] = self.A[:, 1:] * deg[1:]
-        Axx[:, :-2] = self.A[:, 2:] * (deg[2:] * deg[1:-1])
+            # row k gains a_{k,n-2k}: in each row the columns arrive in order
+            for k, v in enumerate(_ladder_terms(n, self.c, z.real if real else z,
+                                                [1.0] * (n // 2 + 1))):
+                self.A[k].append(v)
+        Ax = [[v * n for n, v in enumerate(row[1:], 1)] for row in self.A]
+        Axx = [[v * (n * (n - 1)) for n, v in enumerate(row[2:], 2)] for row in self.A]
         self._grids = (self.A, Ax, Axx)
-        self._cells = {}  # (grid, i, j) -> B_ij
+        self._cells = {}  # (grid, j) -> K_j
         self._tg = monomial_table(self.g, 0.0)
         self._th = monomial_table(self.h, 0.0)
-        self._tg.extend(N // 2)
-        self._th.extend(N)
-        self._pg, self._ph = np.arange(N // 2 + 1), deg
+        _require_finite("g", self._tg, N // 2, N)
+        _require_finite("h", self._th, N, N)
 
-    def _build_cell(self, grid, i, j):
-        m, n = self.A.shape
-        return self._tg._coef[i, :m, :m].T @ self._grids[grid] @ self._th._coef[j, :n, :n]
+    def _build_cell(self, grid, j):
+        rows = self._th._coef[j]
+        # column k of C_h[j]: the coefficients of y^k in h_k, ..., h_N
+        cols = [[rows[n][k] for n in range(k, self.N + 1)] for k in range(self.N + 1)]
+        return [[sum(map(mul, row[k:], cols[k])) for k in range(len(row))]
+                for row in self._grids[grid]]
 
     def _row(self, t, right=False):
-        i, s = self._tg._locate(t, right)
-        return i, s ** self._pg, {}
+        return self._tg.values(self.N // 2, t, right)
 
     def _col(self, x, right=False):
         j, y = self._th._locate(x, right)
-        return j, y ** self._ph
+        return j, _powers(y, self.N), {}
 
     def _dot(self, row, col, grid=0):
-        i, p, memo = row
-        j, q = col
-        v = memo.get((grid, j))
+        j, q, memo = col
+        v = memo.get(grid)
         if v is None:
-            cell = self._cells.get((grid, i, j))
+            cell = self._cells.get((grid, j))
             if cell is None:
-                cell = self._cells[grid, i, j] = self._build_cell(grid, i, j)
-            v = memo[grid, j] = p @ cell
-        return (v @ q).item()
+                cell = self._cells[grid, j] = self._build_cell(grid, j)
+            v = memo[grid] = [sum(map(mul, k, q)) for k in cell]
+        return sum(map(mul, row, v))
 
     def _dhx(self, t, x, right=False):
         col = self._col(x, True) if right else self._cached_col(x)
@@ -454,8 +472,9 @@ def gpoly_series_solution(G, alpha, c, T, L, N, n_probe=None):
             f"series gate violated: g(T) = {g_T} is not below sigma/c^2 = "
             f"{report.sigma_gate}/{c}^2 = {report.sigma_gate / c**2}"
         )
-    tail = _tail_bound(ctx, alpha, N, T, L)
-    sol = GPolySolution(ctx, alpha, N, report, tail)
+    # the solution refuses non-finite monomial rows before the tail reads past N
+    sol = GPolySolution(ctx, alpha, N, report, math.nan)
+    sol.tail_bound = tail = _tail_bound(ctx, alpha, N, T, L)
     gate = GateReport(g_T, report.sigma, report.sigma_gate, c, report.trend, True, tail, N)
     return sol, gate
 
@@ -467,10 +486,16 @@ def _tail_bound(ctx, alpha, N, T, L, cap=400, rtol=1e-16):
     the gate holds they decay geometrically, so the partial sum is cut when
     terms stop moving it (relative rtol) or at N + cap with a warning.
     """
+    tg, th = monomial_table(ctx.G.g, 0.0), monomial_table(ctx.G.h, 0.0)
+    g_at_T, h_at_L = tg.values(N // 2, T), th.values(N, L)
     total = 0.0
     stall = 0
     for n in range(N + 1, N + cap + 1):
-        term = abs(_stream(alpha, n)) * heat_gpoly(n, T, L, ctx)
+        # one new table value per order: g_{n/2}(T) at even n, h_n(L)
+        if n % 2 == 0:
+            g_at_T.append(tg.eval(n // 2, T))
+        h_at_L.append(th.eval(n, L))
+        term = abs(_stream(alpha, n)) * sum(_heat_terms(n, ctx.c, g_at_T, h_at_L))
         total += term
         if term <= rtol * (1.0 + total):
             stall += 1

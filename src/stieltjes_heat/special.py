@@ -6,8 +6,10 @@ the exponential at imaginary rate.  Monomials (iterated anchored integrals of
 1) are computed exactly: affine/flat segments are closed under the anchored
 integral operator, so each monomial is a piecewise polynomial; no quadrature
 error enters, which is what lets series tails be certified at high order.
-The series partial sums dot one vector of monomial values with weights
-rate^m / m! stepped in floats.
+The tables are plain lists of coefficient rows, one list per segment, and
+a value is one sum of products per row, so no array library is imported.
+The series partial sums weight the list of monomial values by rate^m / m!
+stepped in floats.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import DomainError, EvaluationError, GateError
 from .lsintegral import Integrand, integrate
@@ -129,57 +132,51 @@ def gsinh_gcosh(d, b, t, a=0.0):
 class MonomialTable:
     """The monomials g_{x0,0}, g_{x0,1}, ... of one (derivator, center).
 
-    One coefficient block per segment is the only store: row j holds the
-    coefficients of g_j in s = (x - seg.lo) / (seg.hi - seg.lo), so the
-    powers of s stay in [0, 1] at any order (the coefficients carry the
-    scale factors (seg.hi - seg.lo)^k, which leave the float range past
-    order 709 / log(seg.hi - seg.lo) on segments longer than 1).  The value
-    at an internal breakpoint comes from the left segment (left continuity).
+    One list of coefficient rows per segment is the only store: row n
+    holds the n + 1 coefficients of g_n in s = (x - seg.lo) / (seg.hi -
+    seg.lo), so the powers of s stay in [0, 1] at any order (the
+    coefficients carry the scale factors (seg.hi - seg.lo)^k, which leave
+    the float range past order 709 / log(seg.hi - seg.lo) on segments
+    longer than 1).  A value is one sum(map(mul, row, powers)) per row.
+    The value at an internal breakpoint comes from the left segment (left
+    continuity).
     """
 
     def __init__(self, d, x0):
-        import numpy as np
-
         d._check_domain(float(x0))
         self.d = d
         self.x0 = float(x0)
         self._anchor = self._locate(self.x0)
         # density of mu_g in s per segment (0 on flat ones), gap at each
         # internal boundary
-        self._density = np.array([s.slope * (s.hi - s.lo) for s in d.segments])
-        self._gaps = np.array([d.jump(s.hi) for s in d.segments[:-1]])
-        self._coef = np.ones((len(d.segments), 1, 1))  # g_0 = 1
-        self._powers = np.arange(1)  # the exponents 0, 1, ... of s, one per row
+        self._density = [s.slope * (s.hi - s.lo) for s in d.segments]
+        self._gaps = [d.jump(s.hi) for s in d.segments[:-1]]
+        self._coef = [[[1.0]] for _ in d.segments]  # g_0 = 1
 
     def extend(self, order):
-        """Build the rows through `order`; a growing block gains at least a
-        quarter, so callers that step the order one by one copy it rarely."""
-        have = self._coef.shape[1]
+        """Append the rows through `order`."""
+        have = len(self._coef[0])
         if order < have:
             return
-        import numpy as np
-
-        rows = max(order + 1, have + have // 4)
-        coef = np.zeros((len(self._density), rows, rows))
-        coef[:, :have, :have] = self._coef
         k0, s0 = self._anchor
-        k = np.arange(1, rows)
-        s0k = s0**k
-        walk = np.zeros(len(self._density))
-        for n in range(have, rows):
+        s0k = [s0**k for k in range(1, order + 1)]
+        for n in range(have, order + 1):
             # g_n = n * integral_{x0}^{x} g_{n-1} dmu_g: termwise in s, then
             # one walk from the anchor's segment that crosses each boundary b
             # with the segment's growth plus n g_{n-1}(b) gap(b); the sums run
             # outward from the anchor, so the two sides never cancel
-            prev = coef[:, n - 1, :n]
-            grow = coef[:, n, 1 : n + 1]
-            grow[...] = (n * self._density)[:, None] * prev / k[:n]
-            steps = grow.sum(axis=1)[:-1] + n * prev.sum(axis=1)[:-1] * self._gaps
-            walk[k0 + 1 :] = steps[k0:].cumsum()
-            walk[:k0] = -steps[:k0][::-1].cumsum()[::-1]
-            coef[:, n, 0] = walk - grow[k0] @ s0k[:n]
-        self._coef = coef
-        self._powers = np.arange(rows)
+            grows = [[n * dens * a / k for k, a in enumerate(rows[n - 1], 1)]
+                     for dens, rows in zip(self._density, self._coef)]
+            steps = [sum(grow) + n * sum(rows[n - 1]) * gap
+                     for grow, rows, gap in zip(grows, self._coef, self._gaps)]
+            walk = [0.0] * len(grows)
+            for i in range(k0 + 1, len(grows)):
+                walk[i] = walk[i - 1] + steps[i - 1]
+            for i in range(k0 - 1, -1, -1):
+                walk[i] = walk[i + 1] - steps[i]
+            at_anchor = sum(map(mul, grows[k0], s0k))
+            for rows, grow, w in zip(self._coef, grows, walk):
+                rows.append([w - at_anchor, *grow])
 
     def _locate(self, x, right=False):
         """(segment index, s) of x; right=True reads a breakpoint from the
@@ -193,17 +190,23 @@ class MonomialTable:
         return i, (x - seg.lo) / (seg.hi - seg.lo)
 
     def eval(self, n, x):
-        """g_n(x) from row n of the block."""
+        """g_n(x) from row n."""
         self.extend(n)
         i, s = self._locate(x)
-        return float(self._coef[i, n, : n + 1] @ s ** self._powers[: n + 1])
+        return sum(map(mul, self._coef[i][n], _powers(s, n)))
 
     def values(self, order, x, right=False):
-        """g_0(x), ..., g_order(x) as one array; right=True gives the right
-        limits g_j(x+), which differ from the values at atoms only."""
+        """[g_0(x), ..., g_order(x)]; right=True gives the right limits
+        g_j(x+), which differ from the values at atoms only."""
         self.extend(order)
         i, s = self._locate(x, right)
-        return self._coef[i, : order + 1, : order + 1] @ s ** self._powers[: order + 1]
+        p = _powers(s, order)
+        return [sum(map(mul, row, p)) for row in self._coef[i][: order + 1]]
+
+
+def _powers(s, order):
+    """[s^0, s^1, ..., s^order], each power taken on its own."""
+    return [s**k for k in range(order + 1)]
 
 
 # Tables are shared by structurally equal derivators.  Each table holds its
@@ -264,21 +267,22 @@ def _series_terms(d, rate, x, top, center):
     """The summands rate^m g_m(x) / m!, m = 0..top, with the weights stepped
     in floats (m! itself leaves the float range at m = 171), and the
     monomial bound gbar = g(x) - g(center)."""
-    import numpy as np
-
     x, center = float(x), float(center)
     if x < center:
         raise DomainError("series identities need x >= center")
-    weights = np.cumprod(np.concatenate(([1.0], rate / np.arange(1, top + 1))))
-    gbar = d.eval(x) - d.eval(center)
-    return weights * monomial_table(d, center).values(top, x), gbar
+    weight, terms = 1.0, []
+    for m, g_m in enumerate(monomial_table(d, center).values(top, x)):
+        if m:
+            weight = weight * (rate / m)
+        terms.append(weight * g_m)
+    return terms, d.eval(x) - d.eval(center)
 
 
 def gexp_series(d, lam, x, order, center=0.0):
     """Partial sum of sum_n lam^n g_n(x)/n! with a certified tail bound
     (monomial bound 0 <= g_n(x) <= gbar(x)^n)."""
     terms, gbar = _series_terms(d, lam, x, order, center)
-    return terms.sum().item(), _exp_tail(abs(lam) * gbar, order + 1)
+    return sum(terms), _exp_tail(abs(lam) * gbar, order + 1)
 
 
 def _alternating_series(d, rate, x, order, center, parity, signed):
@@ -291,8 +295,8 @@ def _alternating_series(d, rate, x, order, center, parity, signed):
     terms, gbar = _series_terms(d, rate, x, top, center)
     terms = terms[parity::2]
     if signed:
-        terms[1::2] *= -1.0
-    return terms.sum().item(), _exp_tail(abs(rate) * gbar, top + 2)
+        terms[1::2] = [-z for z in terms[1::2]]
+    return sum(terms), _exp_tail(abs(rate) * gbar, top + 2)
 
 
 def gsin_series(d, b, x, order, center=0.0):

@@ -134,13 +134,14 @@ def from_zero(d, lift=0.0):
 
 def gpoly_bilinear(sol, t, x, grid, right_t=False, right_x=False):
     """g(t)^T grid h(x) for a heat-polynomial series sol: the monomial
-    vectors g(t) = (g_0(t), ..., g_{N/2}(t)) and h(x) = (h_0(x), ..., h_N(x))
-    from the shared monomial tables, or their right limits, cut to the
-    grid's shape.  With grid = sol.A it is the series value, with the
-    shifted grids its ladders."""
+    lists g(t) = (g_0(t), ..., g_{N/2}(t)) and h(x) = (h_0(x), ..., h_N(x))
+    from the shared monomial tables, or their right limits, against the
+    grid's rows (a list of lists, rows may be shorter than N + 1).  With
+    grid = sol.A it is the series value, with the shifted grids its
+    ladders."""
     gv = monomial_table(sol.g, 0.0).values(sol.N // 2, t, right=right_t)
     hv = monomial_table(sol.h, 0.0).values(sol.N, x, right=right_x)
-    return (gv[: grid.shape[0]] @ grid @ hv[: grid.shape[1]]).item()
+    return sum(gm * sum(a * hn for a, hn in zip(row, hv)) for gm, row in zip(gv, grid))
 
 
 def _outcome(fn):

@@ -869,3 +869,19 @@ def test_malformed_fields_exit_with_one_line(capsys, spec_file, cmd, name, path,
     assert (rc, out) == (want, "")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith("spec error:" if want == 3 else "numeric failure:")
+
+
+@pytest.mark.parametrize("cmd", ["eval", "check"])
+def test_monomial_rows_past_the_float_range_exit_4_with_one_line(spec_file, cmd):
+    # at N = 700 the rows of h's monomial table on its third segment leave
+    # the float range from order 639: no nan value and no warning, but one
+    # stderr line naming the derivator, the segment and the order
+    spec = json.loads((SPECS / "gpoly_gate.json").read_text())
+    spec["gpoly-series"]["N"] = 700
+    env = dict(os.environ, PYTHONPATH=str(SPECS.parent.parent / "src"))
+    argv = [sys.executable, "-m", "stieltjes_heat.cli", cmd, spec_file(spec)]
+    out = subprocess.run(argv + (["--grid", "3x3"] if cmd == "eval" else []),
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert (out.returncode, out.stdout) == (4, "")
+    assert out.stderr.startswith("numeric failure: monomial h_639 ")
+    assert len(out.stderr.splitlines()) == 1 and "segment 2 [1.5, 2.5] of h" in out.stderr

@@ -410,7 +410,7 @@ def test_coefficient_grid_is_the_exact_law_rounded(jump_g, plateau_h, c):
         for m in range(21):
             for n in range(41 - 2 * m):
                 want = complex(sol.a_mn(m, n))
-                assert abs(sol.A[m, n] - want) <= 4e-16 * abs(want)
+                assert abs(sol.A[m][n] - want) <= 4e-16 * abs(want)
 
 
 def test_series_past_the_log_space_cutover(jump_g, plateau_h):
@@ -419,14 +419,15 @@ def test_series_past_the_log_space_cutover(jump_g, plateau_h):
     G = SumDerivator(jump_g, plateau_h)
     N, t, x = 300, 0.15, 2.2
     sol, gate = gpoly_series_solution(G, INV_SQRT_FACT, c=1.0, T=0.2, L=2.3, N=N)
-    assert np.all(np.isfinite(sol.A)) and math.isfinite(gate.tail_bound)
+    assert all(math.isfinite(a) for row in sol.A for a in row)
+    assert math.isfinite(gate.tail_bound)
     logspace = [(m, n) for m in range(0, N // 2 + 1, 7) for n in range(0, N - 2 * m + 1, 11)
                 if (math.factorial(n + 2 * m) // (math.factorial(n) * math.factorial(m))
                     ).bit_length() > 900]
     assert len(logspace) > 20
     for m, n in logspace:
         want = float(sol.a_mn(m, n))
-        assert abs(sol.A[m, n] - want) <= 1e-11 * want
+        assert abs(sol.A[m][n] - want) <= 1e-11 * want
     tg, th = MonomialTable(G.g, 0.0), MonomialTable(G.h, 0.0)
     gk = [tg.eval(m, t) for m in range(N // 2 + 1)]
     hj = [th.eval(j, x) for j in range(N + 1)]
@@ -474,12 +475,10 @@ CELL_ALPHAS = {
 
 def _shifted_grids(sol):
     """The ladder grids from A: d_Gx and d_Gx^2 shift columns, d_Gt rows."""
-    A = sol.A
-    deg = np.arange(sol.N + 1)
     return {
-        "x": A[:, 1:] * deg[1:],
-        "xx": A[:, 2:] * (deg[2:] * deg[1:-1]),
-        "t": A[1:, :] * deg[1 : A.shape[0], None],
+        "x": [[n * a for n, a in enumerate(row) if n >= 1] for row in sol.A],
+        "xx": [[n * (n - 1) * a for n, a in enumerate(row) if n >= 2] for row in sol.A],
+        "t": [[m * a for a in row] for m, row in enumerate(sol.A) if m >= 1],
     }
 
 
@@ -487,9 +486,9 @@ def _shifted_grids(sol):
 @given(g=segment_chains(), h=segment_chains(), N=st.integers(0, 40),
        c=st.floats(0.3, 1.2), kind=st.sampled_from(sorted(CELL_ALPHAS)), data=st.data())
 def test_cell_polynomials_match_the_bilinear_form(g, h, N, c, kind, data):
-    # the per-cell polynomials against g(t)^T A h(x), within 1e-13 of the
-    # series' magnitude sum_mn |a_mn| g_m(t) h_n(x) (|u| when no terms
-    # cancel): the value, the right limits of the row at g's atoms, of
+    # the contraction g(t) . (K_j . powers(y)) against g(t)^T A h(x) from
+    # the tables' value lists, within 1e-13 of the series' magnitude
+    # sum_mn |a_mn| g_m(t) h_n(x) (|u| when no terms cancel): the value, the right limits of the row at g's atoms, of
     # d_h u at h's atoms, and the two closed-form partials, d_g u through
     # the row shift of A
     g, h = from_zero(g), from_zero(h)
@@ -503,12 +502,12 @@ def test_cell_polynomials_match_the_bilinear_form(g, h, N, c, kind, data):
 
     def close(got, grid, t, x, **right):
         want = gpoly_bilinear(sol, t, x, grid, **right)
-        scale = 1.0 + gpoly_bilinear(sol, t, x, np.abs(grid), **right)
+        scale = 1.0 + gpoly_bilinear(sol, t, x, [list(map(abs, row)) for row in grid], **right)
         assert abs(got - want) <= 1e-13 * scale, (got, want, t, x, right)
 
     ts, xs = points(g), points(h)
     for t in ts:
-        row = sol._row(t)  # one row, and its memo, across every column and grid
+        row = sol._row(t)  # one row across every column and grid
         for x in xs:
             close(sol(t, x), sol.A, t, x)
             close(sol.dhx_rule(t, x), grids["x"], t, x)
@@ -533,7 +532,10 @@ def test_residual_grid_builds_each_cell_once():
     ts = [parsed.T * i / 8 for i in range(9)] + [a for a, _ in parsed.g.atoms]
     xs = [parsed.L * j / 8 for j in range(9)] + [b for b, _ in parsed.h.atoms]
     sol.residual_grid(ts, xs)
+    # one K_j per (grid, j); the numeric residual reads the value grid only
     assert built and len(built) == len(set(built))
+    assert {grid for grid, _j in built} == {0}
+    assert len(built) <= len(parsed.h.segments)
 
 
 # ---------------------------------------------------------------------------

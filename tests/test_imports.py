@@ -1,11 +1,12 @@
-"""What a fresh process imports: numpy only on the paths that build arrays.
+"""What a fresh process imports: no numpy on any solve, eval or check path.
 
-The closed forms are evaluated by scalar walks, so importing the CLI, loading
-any spec, solving, evaluating and checking a separated or product-case spec,
-with or without the residual grid of `eval --emit-diagnostics`, and the
-periodic eigenvalue scan leave numpy unimported; the heat-polynomial solve
-imports it when it first runs.  Each test starts its own interpreter, since
-this test process has numpy loaded already.
+The closed forms are evaluated by scalar walks and the heat-polynomial
+series by list contractions, so importing the CLI, loading any spec,
+solving, evaluating and checking every mode, with or without the residual
+grid of `eval --emit-diagnostics`, the periodic eigenvalue scan and the
+radius report leave numpy unimported; only the test oracles in `ode` and
+`G_mn(method="recursion")` import it.  Each test starts its own interpreter,
+since this test process has numpy loaded already.
 """
 
 import json
@@ -65,15 +66,18 @@ def test_scalar_paths_import_no_numpy(tmp_path):
         "                             '--emit-diagnostics']))\n"
         "    rcs.append(cli.main(['eigs', solved[1]]))\n"
         "    seen.append('numpy' in sys.modules)\n"
-        "    # the heat-polynomial series still imports it and runs\n"
+        "    # the heat-polynomial series runs on lists\n"
         "    rcs.append(cli.main(['eval', sys.argv[3], '--grid', '5x5']))\n"
+        "    rcs.append(cli.main(['eval', sys.argv[3], '--grid', '5x5', '--include-atoms',\n"
+        "                         '--emit-diagnostics']))\n"
         "    rcs.append(cli.main(['check', sys.argv[3]]))\n"
+        "    rcs.append(cli.main(['radius', sys.argv[3]]))\n"
         "seen.append('numpy' in sys.modules)\n"
         "print(seen, rcs)\n"
     )
     demos = sorted(str(p) for p in SPECS.glob("*.json"))
     last = _run(code, json.dumps(demos), json.dumps(solved), str(SPECS / "gpoly_gate.json"))
-    assert last == f"[False, False, False, True] {[0] * (2 * len(solved) + 3)}"
+    assert last == f"[False, False, False, False] {[0] * (2 * len(solved) + 5)}"
 
 
 def test_check_imports_no_numpy_off_the_heat_polynomial_series():

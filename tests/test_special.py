@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 from conftest import segment_chains
@@ -204,7 +205,7 @@ def test_monomial_bound(jump_g, x, n):
 @settings(max_examples=60, deadline=None)
 @given(segment_chains(), st.data())
 def test_monomial_values_match_scalar_eval(d, data):
-    # the one-matvec vector of all orders against the per-order Horner path
+    # the list of all orders against the per-order path
     table = MonomialTable(d, 0.0)
     points = [d.lo, d.hi] + [s.lo for s in d.segments[1:]]
     points.append(data.draw(st.floats(min_value=d.lo, max_value=d.hi)))
@@ -212,7 +213,7 @@ def test_monomial_values_match_scalar_eval(d, data):
         for x in points:
             vals = table.values(order, x)
             right = table.values(order, x, right=True)
-            assert vals.shape == (order + 1,)
+            assert len(vals) == len(right) == order + 1
             for j in range(order + 1):
                 want = table.eval(j, x)
                 assert abs(vals[j] - want) <= 1e-12 * (1.0 + abs(want))
@@ -235,6 +236,69 @@ def test_monomial_recursion_against_quadrature(d, data):
         for x in points:
             want = j * integrate_signed(prev, 0.0, x, d, tol=1e-12)
             assert abs(table.eval(j, x) - want) <= 1e-9 * (1.0 + abs(want))
+
+
+def _exact_monomials(d, order):
+    """g_0, ..., g_order of d anchored at 0, exactly: per segment the
+    Fraction coefficients in x itself (not the table's local coordinate),
+    from g_n = n * integral_0^x g_{n-1} dmu_g, with the constants fixed by
+    crossing each breakpoint b outward from 0 with n g_{n-1}(b) gap(b)."""
+    segs = [(Fraction(s.lo), Fraction(s.hi), Fraction(s.slope)) for s in d.segments]
+    gap = {Fraction(t): Fraction(g) for t, g in d.atoms}
+    at = lambda p, x: sum(c * x**k for k, c in enumerate(p))
+    k0 = next(i for i, (_lo, hi, _m) in enumerate(segs) if hi >= 0)
+    polys = [[[Fraction(1)] for _ in segs]]
+    for n in range(1, order + 1):
+        prev = polys[-1]
+        cur = [[Fraction(0)] + [n * m * c / (k + 1) for k, c in enumerate(p)]
+               for p, (_lo, _hi, m) in zip(prev, segs)]
+        cur[k0][0] = -at(cur[k0], Fraction(0))
+        for i in range(k0 + 1, len(segs)):
+            b = segs[i][0]
+            right = at(cur[i - 1], b) + n * at(prev[i - 1], b) * gap.get(b, 0)
+            cur[i][0] = right - at(cur[i], b)
+        for i in range(k0 - 1, -1, -1):
+            b = segs[i][1]
+            left = at(cur[i + 1], b) - n * at(prev[i], b) * gap.get(b, 0)
+            cur[i][0] = left - at(cur[i], b)
+        polys.append(cur)
+    return polys, at
+
+
+@settings(max_examples=40, deadline=None)
+@given(segment_chains(), st.data())
+def test_monomial_rows_match_the_exact_recurrence(d, data):
+    # the float rows in local coordinates against the recurrence run in
+    # exact rationals, at segment ends (values and right limits) and inside
+    order = 6
+    polys, at = _exact_monomials(d, order)
+    table = MonomialTable(d, 0.0)
+    for i, seg in enumerate(d.segments):
+        inner = seg.lo + data.draw(st.floats(0.01, 1.0)) * (seg.hi - seg.lo)
+        for x, k, right in ((seg.hi, i, False), (inner, i, False),
+                            (seg.lo, i, i > 0)):
+            got = table.values(order, x, right=right)
+            for n in range(order + 1):
+                want = float(at(polys[n][k], Fraction(x)))
+                assert abs(got[n] - want) <= 1e-12 * (1.0 + abs(want)), (n, x, right)
+
+
+@settings(max_examples=40, deadline=None)
+@given(segment_chains(), st.data())
+def test_series_match_the_closed_forms_on_random_derivators(d, data):
+    # rates with |rate| (g(x) - g(lo)) <= 4, so no partial sum cancels more
+    # than about e^4 of its terms, and orders from 2 to 30
+    x = data.draw(st.floats(d.lo, d.hi))
+    scale = data.draw(st.floats(-4.0, 4.0)) / (1.0 + d.eval(d.hi) - d.eval(d.lo))
+    order = data.draw(st.integers(2, 30))
+    for lam in (scale, 1j * scale):
+        value, tail = gexp_series(d, lam, x, order, center=d.lo)
+        closed = gexp(d, lam, d.lo, x)
+        assert abs(value - closed) <= tail + 1e-12 * (1.0 + abs(closed))
+    S, C = gsin_gcos(d, scale, x, a=d.lo)
+    for series, closed in ((gsin_series, S), (gcos_series, C)):
+        value, tail = series(d, scale, x, order, center=d.lo)
+        assert abs(value - closed) <= tail + 1e-12 * (1.0 + abs(closed))
 
 
 def test_monomial_rejects_negative_order(jump_g):
