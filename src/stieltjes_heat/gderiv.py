@@ -77,17 +77,11 @@ _THREE_POINT_CFGS = tuple(cfg for _, cfg in THREE_POINT)
 CACHE_SIZE = 1024
 
 
-def _sup(v):
-    # the ODE oracle extrapolates arrays of node values
-    return abs(v) if isinstance(v, (int, float, complex)) else float(abs(v).max())
-
-
 def _extrapolate(pairs, tol, min_levels, scale=1.0):
-    """Neville extrapolation to step 0 over (step, value) pairs.
+    """Neville extrapolation to step 0 over (step, value) pairs of scalars.
 
-    Steps are scalars; values are scalars or arrays of one shape.  The table
-    stops once at least min_levels levels are in and the diagonal moves by
-    at most tol * (scale + |diagonal|), both in the sup norm.
+    The table stops once at least min_levels levels are in and the diagonal
+    moves by at most tol * (scale + |diagonal|).
     """
     xs = []
     prev_row = []
@@ -108,8 +102,8 @@ def _extrapolate(pairs, tol, min_levels, scale=1.0):
         diag = row[-1]
         if prev_row:
             last_two = (prev_row[-1], diag)
-            err = _sup(diag - prev_row[-1])
-            if len(xs) >= min_levels and err <= tol * (scale + _sup(diag)):
+            err = abs(diag - prev_row[-1])
+            if len(xs) >= min_levels and err <= tol * (scale + abs(diag)):
                 return diag
         prev_row = row
     raise NonConvergenceError(
@@ -252,7 +246,7 @@ def _three_point(f, levels, cfg, ft):
             h = 0.5 * (ap + am)
             yield h * h, ((f(sp) - ft) / ap - (ft - f(sm)) / am) / h
 
-    return _extrapolate(pairs(), cfg.tol, cfg.min_levels, 1.0 + _sup(ft))
+    return _extrapolate(pairs(), cfg.tol, cfg.min_levels, 1.0 + abs(ft))
 
 
 def _second(f, t, ft, levels):
@@ -272,7 +266,7 @@ def _second(f, t, ft, levels):
         raise NonConvergenceError(
             f"second derivative at t={t}: " + "; ".join(stalled), estimates=tuple(est)
         )
-    if _sup(est[1] - est[0]) > DEFAULT_OUTER.tol * (1.0 + _sup(est[0])):
+    if abs(est[1] - est[0]) > DEFAULT_OUTER.tol * (1.0 + abs(est[0])):
         raise NonConvergenceError(
             f"second derivative at t={t}: the {name1} three-point ladder "
             f"(step0 {cfg1.step0:g}) gives {est[1]!r}, the {name0} "

@@ -386,8 +386,10 @@ def periodic_solution(problem, lam):
     admits no atom there with s gap above 5e-5; and exp_h(is; 0, L) is the
     conjugate of exp_h(-is; 0, L), so it equals 1 as well.  Hence v(L) = 0 = v(0) and
     v'_h(L) = (exp_h(is) + exp_h(-is)) / 2 = 1 = v'_h(0).  This v is the
-    u0 = 0 representative that ode.solve_periodic_first_order returns for
-    v'_h - is v = exp_h(-is; 0, .), whose homogeneous multiplier is then 1.
+    u0 = 0 representative of the periodic problem v'_h - is v =
+    exp_h(-is; 0, .), whose homogeneous multiplier is then 1; the tests hold
+    it against the shooting solve `solve_periodic_first_order` of
+    tests/oracles.py.
     u(t,0) = u(t,L) and d_h u(t,0) = d_h u(t,L) are re-verified within 1e-6
     at 11 regular times.
     """

@@ -5,23 +5,21 @@ G_{m,n} = g_m(t) h_n(x), heat G-polynomials, and gated polynomial series
 solutions.  The product case G = g(t) h(x) (both strictly positive) yields
 separated solutions through modified one-factor eigenproblems, in closed
 form: an exponential over the measure dg/g^2 in time and a Taylor-stepped
-Bessel-type factor in space.
+Bessel-type factor in space (ode.SpaceFactor).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
-from .errors import DivergenceError, DomainError, EvaluationError, GateError, NonConvergenceError
+from .errors import DivergenceError, DomainError, EvaluationError, GateError
 from .gderiv import HeatResidual
 from .heat1d import _stream
 from .lsintegral import integrate
-from .ode import build_grid
+from .ode import SpaceFactor, independence_determinant
 from .special import _powers, classify_regressivity, exp_walk, monomial_table
 
 __all__ = [
@@ -94,72 +92,14 @@ def _require(G, kind, op):
 # -- sum case: G-polynomials -----------------------------------------------------
 
 
-def _cum_pass(f_left, f_right, gaps, cont):
-    """One cumulative Stieltjes integration: F(nodes[k]) = integral over
-    [nodes[0], nodes[k]) of the previous level.
-
-    Trapezoid on the continuous part of each panel (using the right limit at
-    the left node), exact atom terms with left values.  Returns left values
-    and right limits of F at the nodes.
-    """
-    import numpy as np
-
-    mids = 0.5 * (f_right[:-1] + f_left[1:])
-    inc = mids * cont + f_left[:-1] * gaps[:-1]
-    left = np.concatenate(([0.0], np.cumsum(inc)))
-    right = left + f_left * gaps
-    return left, right
-
-
-def _chain_tables(d, top, depth, mesh):
-    """Monomial values d_1(top), ..., d_depth(top) by iterated midpoint
-    integration at the given measure mesh."""
-    import numpy as np
-
-    nodes = np.asarray(build_grid(d, 0.0, top, mesh=mesh).nodes)
-    gvals = np.array([d.eval(t) for t in nodes])
-    gaps = np.array([d.jump(float(t)) for t in nodes])
-    cont = np.diff(gvals) - gaps[:-1]
-    f_left = np.ones_like(nodes)
-    f_right = np.ones_like(nodes)
-    out = []
-    for m in range(1, depth + 1):
-        left, right = _cum_pass(f_left, f_right, gaps, cont)
-        f_left, f_right = m * left, m * right
-        out.append(f_left[-1])
-    return out
-
-
-def _monomials_numeric(d, top, depth, mesh):
-    """Recursion-path monomials with one Richardson step (mesh, mesh/2)."""
-    if top == 0.0:
-        return [0.0] * depth
-    coarse = _chain_tables(d, top, depth, mesh)
-    fine = _chain_tables(d, top, depth, 0.5 * mesh)
-    return [(4.0 * f - c) / 3.0 for c, f in zip(coarse, fine)]
-
-
-def G_mn(m, n, t, x, G, method="product", mesh=1e-3):
-    """Two-variable monomial G_{m,n}(t, x) for the sum derivator.
-
-    The recursion G_{m,0} = m I G_{m-1,0}, G_{m,n} = n K G_{m,n-1} and the
-    closed form g_m(t) h_n(x) are both implemented; "product" is the exact
-    fast path, "recursion" integrates the defining operators numerically
-    (Richardson-extrapolated trapezoid sums at the given measure mesh) and
-    serves as the independent oracle.
-    """
+def G_mn(m, n, t, x, G):
+    """Two-variable monomial G_{m,n}(t, x) = g_m(t) h_n(x) for the sum
+    derivator G = g + h: the closed form of the recursion G_{m,0} =
+    m I G_{m-1,0}, G_{m,n} = n K G_{m,n-1}."""
     if m < 0 or n < 0:
         raise DomainError(f"monomial degrees must be >= 0, got ({m}, {n})")
     _require(G, "sum", "G_mn")
-    if method == "product":
-        return monomial_table(G.g, 0.0).eval(m, t) * monomial_table(G.h, 0.0).eval(n, x)
-    if method != "recursion":
-        raise DomainError(f"unknown method {method!r}")
-    gm = 1.0 if m == 0 else _monomials_numeric(G.g, float(t), m, mesh)[-1]
-    if n == 0:
-        return gm
-    # the K-chain is linear in its start, the x-constant function G_{m,0}(t, .) = gm
-    return gm * _monomials_numeric(G.h, float(x), n, mesh)[-1]
+    return monomial_table(G.g, 0.0).eval(m, t) * monomial_table(G.h, 0.0).eval(n, x)
 
 
 @dataclass(frozen=True)
@@ -430,6 +370,8 @@ class GPolySolution(HeatResidual):
 
     def a_mn(self, m, n):
         """Exact rational coefficient a_{m,n} of G_{m,n} in the double series."""
+        from fractions import Fraction  # only here: a fresh eval never loads it
+
         if m < 0 or n < 0:
             raise DomainError(f"indices must be >= 0, got ({m}, {n})")
         if n + 2 * m > self.N:
@@ -523,92 +465,6 @@ def _inverse_square_walk(g, t):
     atoms = [(s, gap, g.eval(s)) for s, gap in g.atoms_in(0.0, t)]
     cont = m / (g0 * (g0 + m)) - sum(gap / (gs * (gs + gap)) for _, gap, gs in atoms)
     return [(s, gap / gs**2) for s, gap, gs in atoms], max(cont, 0.0)
-
-
-def _taylor_step(lam, y0, v, dv, z):
-    """The coefficients a_n of y v_yy = lam v about y0 from (a_0, a_1) =
-    (v, v_h), cut after two successive terms n a_n z^n below
-    1e-17 (|v| + |z v_h|) at y0 + z, and the state (v, v_h) there.  A series
-    that does not settle to a finite state within 400 terms raises."""
-    a, val, der, zp, quiet = [v, dv], v + dv * z, dv, z, 0  # zp = z^(n-1)
-    for n in range(2, 400):
-        a.append((lam * a[n - 2] - (n - 1) * (n - 2) * a[n - 1]) / (y0 * n * (n - 1)))
-        val, der, zp = val + a[n] * zp * z, der + n * a[n] * zp, zp * z
-        small = abs(n * a[n] * zp) <= 1e-17 * (abs(val) + abs(z * der)) < math.inf
-        quiet = quiet + 1 if small else 0
-        if quiet == 2:
-            return a, (val, der)
-    raise NonConvergenceError(f"space-factor series about h = {y0} did not settle to a "
-                              f"finite state within 400 terms at step {z}")
-
-
-class SpaceFactor:
-    """v on [0, h.hi] with v''_h = (lam/h) v, v(0) = v0 and v'_h(0) = dv0.
-
-    On an affine piece y = h(x) is linear and the equation is y v_yy = lam v,
-    of Bessel type (Abramowitz & Stegun, ch. 9).  y >= min h > 0, so its
-    Taylor series about a node y0 converges for |y - y0| < y0, with
-    y0 (n+2)(n+1) a_{n+2} = lam a_n - (n+1) n a_{n+1}.  Nodes sit at most
-    min(y0/2, sqrt(y0/|lam|)) apart.  Flat pieces hold (v, v_h); an atom at
-    xi applies [[1, gap], [lam gap/h(xi), 1]].  A value is one partial step
-    from the node on its left, so at an atom it reads the piece on its left;
-    the right limit of v'_h reads the cell that starts there.
-    """
-
-    def __init__(self, h, lam, v0, dv0):
-        self.h = h
-        # cells (start x, node value of h, coefficients); cell 0 is x = 0 itself
-        cells, state = [(0.0, h.eval(0.0), [v0, dv0])], (v0, dv0)
-        for seg in (s for s in h.segments if s.hi > 0.0):
-            x = max(seg.lo, 0.0)
-            if (gap := h.jump(x)) > 0.0:
-                state = self._atom(lam, gap, h.eval(x), *state)
-            y, top = seg.value(x), seg.value(seg.hi)
-            while True:
-                rem = top - y
-                bound = min(0.5 * y, math.sqrt(y / abs(lam)) if lam else math.inf)
-                # halve a remainder below two bounds: no sliver of a last step
-                step = rem if rem <= bound else min(bound, 0.5 * rem)
-                coef, state = _taylor_step(lam, y, *state, step)
-                cells.append((x, y, coef))
-                if step == rem:
-                    break
-                y += step
-                x = (y - seg.intercept) / seg.slope
-        self._xs, self._ys, self._coef = zip(*cells)
-
-    @staticmethod
-    def _atom(lam, gap, h_xi, v, dv):
-        """(v, v_h) across an atom: [[1, gap], [lam gap/h(xi), 1]] (v, v_h)."""
-        return v + gap * dv, dv + lam * gap / h_xi * v
-
-    def _cell(self, x, right):
-        y = self.h.eval(x) + (self.h.jump(x) if right else 0.0)  # refuses x past hi
-        if x < 0.0 and (x := self.h._check_domain(x)) < 0.0:  # x within fuzz reads lo
-            raise DomainError(f"x={x} is left of the space factor's anchor 0")
-        k = (bisect.bisect_right(self._xs, x) - 1 if right
-             else max(bisect.bisect_left(self._xs, x) - 1, 0))
-        return self._coef[k], y - self._ys[k]
-
-    def __call__(self, x):
-        coef, z = self._cell(x, False)
-        out = 0.0
-        for a in reversed(coef):
-            out = out * z + a
-        return out
-
-    def derivative(self, x, right=False):
-        """v'_h(x), or its right limit."""
-        coef, z = self._cell(x, right)
-        out = 0.0
-        for n in range(len(coef) - 1, 0, -1):
-            out = out * z + n * coef[n]
-        return out
-
-
-def independence_determinant(v1, v2, x=0.0):
-    """v1(x) v2'_h(x) - v2(x) v1'_h(x); nonzero certifies independence."""
-    return v1(x) * v2.derivative(x) - v2(x) * v1.derivative(x)
 
 
 class ProductCaseSolution(HeatResidual):

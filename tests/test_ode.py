@@ -1,21 +1,19 @@
-"""Stieltjes-Euler integration: convergence, jumps, dense output, shooting."""
+"""The Stieltjes-Euler oracle of tests/oracles.py: convergence, jumps, dense
+output, shooting."""
 
 import math
 
 import numpy as np
 import pytest
+from oracles import build_grid, euler_stieltjes, solve_periodic_first_order, solve_second_order
 
 from stieltjes_heat import (
     DivergenceError,
     NoSolutionError,
-    build_grid,
-    euler_stieltjes,
     gexp,
     gsinh_gcosh,
     identity,
     regular_points,
-    solve_periodic_first_order,
-    solve_second_order,
 )
 
 

@@ -151,16 +151,19 @@ def test_regular_entries_take_the_shared_samples(name, monkeypatch):
 
 def test_check_still_fails_a_stalled_product_residual(tmp_path, capsys):
     # at lam = 1000 the time ladders of the product case stall; the row
-    # names the first raising entry in row order
+    # names the first raising entry in row order.  The Wronskian's rounding
+    # bound there is far above 1e-6 |P|, so that row cannot certify either
     spec = json.loads((SPECS / "product_eigen.json").read_text())
     spec["product-eigen"]["lam"] = 1000.0
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert cli.main(["check", str(path)]) == 1
-    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
-    assert len(fails) == 1 and "pde-residual" in fails[0]
-    assert "numeric residual at (t, x) = (0.252, 0.252)" in fails[0]
-    assert "stalled at change 2.650e+94" in fails[0]
+    fails = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("FAIL")}
+    assert sorted(fails) == ["independence-determinant", "pde-residual"]
+    assert "cannot certify" in fails["independence-determinant"]
+    assert "numeric residual at (t, x) = (0.252, 0.252)" in fails["pde-residual"]
+    assert "stalled at change 2.650e+94" in fails["pde-residual"]
 
 
 def _cache_sizes(sol):
