@@ -27,7 +27,7 @@ from .heat1d import find_boundary_eigenvalues, find_periodic_eigenvalues
 from .heat2d import _gate_verdict, radius_sigma
 from .lsintegral import indefinite, integrate_gauss
 from .ode import SpaceFactor
-from .problems import load_problem, mode_params, scan_params, solve
+from .problems import TWO_VAR_MODES, load_problem, mode_params, scan_params, solve
 from .special import gexp
 
 _PARSE_ERRORS = (SchemaError, DomainError, InvariantError)
@@ -361,7 +361,7 @@ def cmd_radius(args, parsed):
 
 
 def cmd_eigs(args, parsed):
-    if parsed.problem is None:
+    if parsed.mode in TWO_VAR_MODES:
         raise SchemaError("eigs requires a separated problem (fields g and h)")
     mode_params(parsed)  # validate the mode payload, as eval and check do
     lam_range, count = scan_params(parsed)

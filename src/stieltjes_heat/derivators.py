@@ -12,7 +12,6 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import DomainError, InvariantError, SchemaError
@@ -23,15 +22,52 @@ from .errors import DomainError, InvariantError, SchemaError
 _GAP_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One piece of a derivator: affine (slope >= 0) or flat."""
+def _is_number(v):
+    """A JSON number other than NaN and +-Infinity, which json also reads;
+    every number of a spec must be one."""
+    if isinstance(v, float):
+        return math.isfinite(v)
+    return isinstance(v, int) and not isinstance(v, bool)
 
-    lo: float
-    hi: float
-    kind: str  # "affine" | "flat"
-    slope: float = 0.0
-    intercept: float = 0.0  # absolute: value(t) = slope * t + intercept
+
+def _read_number(obj, key):
+    v = obj[key]
+    if not _is_number(v):
+        raise ValueError(f"{key!r} must be a finite number, got {v!r}")
+    return float(v)
+
+
+class _Slotted:
+    """Base of the records the ladders read once per sample or level: a
+    slot read costs under half a namedtuple field's.  Records are equal,
+    and hash alike, when their fields in __slots__ order are."""
+
+    __slots__ = ()
+
+    def _key(self):
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+
+class Segment(_Slotted):
+    """One piece of a derivator: kind "affine" (slope >= 0) or "flat", with
+    value(t) = slope * t + intercept on [lo, hi], the intercept absolute."""
+
+    __slots__ = ("lo", "hi", "kind", "slope", "intercept")
+
+    def __init__(self, lo, hi, kind, slope=0.0, intercept=0.0):
+        self.lo, self.hi, self.kind, self.slope, self.intercept = lo, hi, kind, slope, intercept
 
     def value(self, t):
         return self.slope * t + self.intercept
@@ -369,12 +405,12 @@ class Derivator:
         segs = []
         for i, rs in enumerate(raw_segs):
             try:
-                lo, hi, kind = float(rs["from"]), float(rs["to"]), rs["kind"]
+                lo, hi, kind = _read_number(rs, "from"), _read_number(rs, "to"), rs["kind"]
                 if kind == "affine":
-                    segs.append(Segment.affine(lo, hi, float(rs["slope"]),
-                                               float(rs["intercept"])))
+                    segs.append(Segment.affine(lo, hi, _read_number(rs, "slope"),
+                                               _read_number(rs, "intercept")))
                 elif kind == "flat":
-                    segs.append(Segment.flat(lo, hi, float(rs["level"])))
+                    segs.append(Segment.flat(lo, hi, _read_number(rs, "level")))
                 else:
                     raise SchemaError(f"segment {i}: unknown kind {kind!r}")
             except (KeyError, TypeError, ValueError) as e:
@@ -387,7 +423,7 @@ class Derivator:
         atoms = []
         for i, ra in enumerate(raw_atoms):
             try:
-                atoms.append((float(ra["t"]), float(ra["gap"])))
+                atoms.append((_read_number(ra, "t"), _read_number(ra, "gap")))
             except (KeyError, TypeError, ValueError) as e:
                 raise SchemaError(f"atom {i} malformed: {e}") from e
         d = cls(segs, atoms)
@@ -395,9 +431,9 @@ class Derivator:
         if dom is not None:
             if (
                 not isinstance(dom, (list, tuple)) or len(dom) != 2
-                or not all(isinstance(v, (int, float)) for v in dom)
+                or not all(_is_number(v) for v in dom)
             ):
-                raise SchemaError("'domain' must be [lo, hi]")
+                raise SchemaError("'domain' must be [lo, hi] of finite numbers")
             if not (math.isclose(dom[0], d.lo) and math.isclose(dom[1], d.hi)):
                 raise SchemaError(
                     f"'domain' {dom} does not match segment cover [{d.lo}, {d.hi}]"

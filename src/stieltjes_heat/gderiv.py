@@ -28,8 +28,8 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass, replace
 
+from .derivators import _Slotted
 from .errors import DomainError, NonConvergenceError, StieltjesError
 
 # a side with at most _MIN_ROOM (1 + |g(t)|) of measure room counts as having
@@ -40,13 +40,20 @@ from .errors import DomainError, NonConvergenceError, StieltjesError
 _MIN_ROOM = 1e-6
 
 
-@dataclass(frozen=True)
-class DiffConfig:
-    step0: float = 0.05  # initial step, in g-units
-    shrink: float = 0.5
-    max_levels: int = 10
-    min_levels: int = 3
-    tol: float = 1e-8
+class DiffConfig(_Slotted):
+    """Ladder settings: the initial step step0, in g-units, the factor
+    shrink per level, at most max_levels and at least min_levels levels,
+    and the extrapolation target tol."""
+
+    __slots__ = ("step0", "shrink", "max_levels", "min_levels", "tol")
+
+    def __init__(self, step0=0.05, shrink=0.5, max_levels=10, min_levels=3, tol=1e-8):
+        self.step0, self.shrink, self.tol = step0, shrink, tol
+        self.max_levels, self.min_levels = max_levels, min_levels
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed."""
+        return DiffConfig(**dict(zip(self.__slots__, self._key()), **changes))
 
 
 DEFAULT = DiffConfig()
@@ -61,8 +68,8 @@ DEFAULT_INNER = DiffConfig(step0=0.05, tol=1e-10)
 # 0.7 times them; each settles to 1e-9 (a much tighter target runs into the
 # rounding of the second difference)
 THREE_POINT = (
-    ("first", replace(DEFAULT_OUTER, tol=1e-9)),
-    ("second", replace(DEFAULT_OUTER, step0=0.7 * DEFAULT_OUTER.step0, tol=1e-9)),
+    ("first", DEFAULT_OUTER._replace(tol=1e-9)),
+    ("second", DEFAULT_OUTER._replace(step0=0.7 * DEFAULT_OUTER.step0, tol=1e-9)),
 )
 # the three-point ladders need this much measure room on each side: their
 # rounding error, about 4 eps |f| / step^2, must stay under their target for
@@ -120,7 +127,7 @@ def _next_breakpoint(d, t):
 def _limit_cfg(cfg):
     """Tighter settings for one-point limits: jump quotients divide by an
     exact gap, so the limit itself should carry near machine accuracy."""
-    return replace(cfg, tol=min(cfg.tol * 1e-3, 1e-11), max_levels=max(cfg.max_levels, 12))
+    return cfg._replace(tol=min(cfg.tol * 1e-3, 1e-11), max_levels=max(cfg.max_levels, 12))
 
 
 def right_limit_of(f, t, d, cfg=None):

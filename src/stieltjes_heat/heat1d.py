@@ -11,9 +11,9 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .derivators import Derivator, regular_points
+from .derivators import regular_points
 from .errors import DivergenceError, DomainError, EvaluationError, GateError
 from .gderiv import HeatResidual, _tidy
 from .special import exp_walk
@@ -34,22 +34,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HeatProblem:
+class HeatProblem(namedtuple("HeatProblem", "g h c T L")):
     """Rectangle [0, T] x [0, L] with time derivator g and space derivator h."""
 
-    g: Derivator
-    h: Derivator
-    c: float
-    T: float
-    L: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.c > 0:
-            raise DomainError(f"diffusion constant must be positive, got {self.c}")
-        if not (self.T > 0 and self.L > 0):
-            raise DomainError(f"need T, L > 0, got T={self.T}, L={self.L}")
-        for d, end, label in ((self.g, self.T, "T"), (self.h, self.L, "L")):
+    def __init__(self, g, h, c, T, L):
+        if not c > 0:
+            raise DomainError(f"diffusion constant must be positive, got {c}")
+        if not (T > 0 and L > 0):
+            raise DomainError(f"need T, L > 0, got T={T}, L={L}")
+        for d, end, label in ((g, T, "T"), (h, L, "L")):
             if d.lo > 0.0 or d.hi < end:
                 raise DomainError(
                     f"derivator domain [{d.lo}, {d.hi}] does not cover "
@@ -63,7 +58,7 @@ class HeatProblem:
                     f"{label}={end} lies in the jump/constancy set of its "
                     "derivator; endpoint derivatives are not two-sided there",
                     UserWarning,
-                    stacklevel=3,
+                    stacklevel=2,
                 )
 
 
@@ -198,23 +193,15 @@ def solve_ivp(problem: HeatProblem, u0_spec) -> HeatSolution:
     return HeatSolution(problem, terms)
 
 
-@dataclass(frozen=True)
-class SeriesDiagnostics:
-    """Sup-norm tail estimates for a truncated separated series.
+SeriesDiagnostics = namedtuple("SeriesDiagnostics", "truncation value_tail dgt_tail "
+                               "dhx_tail dhx2_tail tail_ratio contracting")
+SeriesDiagnostics.__doc__ = """Sup-norm tail estimates for a truncated separated series.
 
-    Tails are trailing five-term sup-norm sums on a regular probe grid, for
-    the value and for each differentiated series.  `contracting` applies the
-    trailing ratio < 0.9 heuristic; it is a diagnostic, not a proof of
-    convergence of the infinite series.
-    """
-
-    truncation: int
-    value_tail: float
-    dgt_tail: float
-    dhx_tail: float
-    dhx2_tail: float
-    tail_ratio: float
-    contracting: bool
+Tails are trailing five-term sup-norm sums on a regular probe grid, for the
+value and for each differentiated series.  `contracting` applies the
+trailing ratio < 0.9 heuristic; it is a diagnostic, not a proof of
+convergence of the infinite series.
+"""
 
 
 def _stream(s, n):

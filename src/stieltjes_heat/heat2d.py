@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .errors import DivergenceError, DomainError, EvaluationError, GateError
@@ -102,17 +102,15 @@ def G_mn(m, n, t, x, G):
     return monomial_table(G.g, 0.0).eval(m, t) * monomial_table(G.h, 0.0).eval(n, x)
 
 
-@dataclass(frozen=True)
-class GPolyContext:
+class GPolyContext(namedtuple("GPolyContext", "G c")):
     """Sum derivator plus diffusion constant, as used by heat G-polynomials."""
 
-    G: SumDerivator
-    c: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require(self.G, "sum", "GPolyContext")
-        if not self.c > 0:
-            raise DomainError(f"diffusion constant must be positive, got {self.c}")
+    def __init__(self, G, c):
+        _require(G, "sum", "GPolyContext")
+        if not c > 0:
+            raise DomainError(f"diffusion constant must be positive, got {c}")
 
 
 def _ladder_terms(n, c, alpha, w):
@@ -187,21 +185,15 @@ def iterated_integral(H, t, x, G, order="IK", tol=1e-10):
 # -- sum case: radius estimate and gated series -----------------------------------
 
 
-@dataclass(frozen=True)
-class RadiusReport:
-    """Estimate of sigma with 1/sigma = lim 2n |alpha_n|^(2/n) / e.
+RadiusReport = namedtuple("RadiusReport", "sigma sigma_gate trend n_probe r_tail")
+RadiusReport.__doc__ = """Estimate of sigma with 1/sigma = lim 2n |alpha_n|^(2/n) / e.
 
-    `sigma` is 1 over the mean of the last-quarter ratio values (inf when
-    they vanish, nan when the trend oscillates); `sigma_gate` uses the
-    largest recent ratio and is the conservative value gates should use.
-    `trend` is one of converged/increasing/decreasing/oscillating.
-    """
-
-    sigma: float
-    sigma_gate: float
-    trend: str
-    n_probe: int
-    r_tail: tuple
+`sigma` is 1 over the mean of the last-quarter ratio values (inf when they
+vanish, nan when the trend oscillates); `sigma_gate` uses the largest recent
+ratio and is the conservative value gates should use.  `trend` is one of
+converged/increasing/decreasing/oscillating, and `r_tail` the tuple of the
+last-quarter ratios.
+"""
 
 
 def radius_sigma(alpha, n_probe=200):
@@ -253,18 +245,9 @@ def _gate_verdict(report, g_T, c):
     return "pass" if g_T < report.sigma_gate / c**2 else "fail"
 
 
-@dataclass(frozen=True)
-class GateReport:
-    """Outcome of the g(T) < sigma/c^2 admissibility gate for a G-poly series."""
-
-    g_T: float
-    sigma: float
-    sigma_gate: float
-    c: float
-    trend: str
-    ok: bool
-    tail_bound: float
-    truncation: int
+GateReport = namedtuple("GateReport",
+                        "g_T sigma sigma_gate c trend ok tail_bound truncation")
+GateReport.__doc__ = """Outcome of the g(T) < sigma/c^2 admissibility gate for a G-poly series."""
 
 
 def _require_finite(name, table, order, N):

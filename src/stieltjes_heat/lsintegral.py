@@ -14,7 +14,7 @@ import heapq
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, EvaluationError, NonConvergenceError
 
@@ -22,16 +22,12 @@ DEFAULT_TOL = 1e-10
 _EPS = sys.float_info.epsilon
 
 
-@dataclass
-class Integrand:
-    """An integrand with its atom-handling convention.
+Integrand = namedtuple("Integrand", "f exclude_atoms", defaults=(False,))
+Integrand.__doc__ = """An integrand f with its atom-handling convention.
 
-    exclude_atoms=True integrates over [a, b) \\ D_g, which is what the
-    continuous factor of the exponential needs.
-    """
-
-    f: callable
-    exclude_atoms: bool = False
+exclude_atoms=True integrates over [a, b) \\ D_g, which is what the
+continuous factor of the exponential needs.
+"""
 
 
 def _as_integrand(f):

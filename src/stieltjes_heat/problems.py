@@ -13,9 +13,9 @@ are written as [re, im] pairs.
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .derivators import Derivator
+from .derivators import Derivator, _is_number
 from .errors import SchemaError
 from .heat1d import (
     HeatProblem,
@@ -39,13 +39,6 @@ TWO_VAR_MODES = ("gpoly-series", "product-eigen")
 # ratios; larger counts are refused rather than left to exhaust memory
 MAX_TRUNCATION = 1000
 MAX_PROBE = 100_000
-
-
-def _is_number(v):
-    """A JSON number other than NaN and +-Infinity, which json also reads."""
-    if isinstance(v, float):
-        return math.isfinite(v)
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _number(obj, path):
@@ -125,26 +118,20 @@ def _term_triple(obj, path):
     return lam, a, b
 
 
-@dataclass
-class ParsedProblem:
-    """Validated problem: drivers, constants, mode and its raw payload."""
+class ParsedProblem(namedtuple("ParsedProblem", "mode c T L payload problem G raw")):
+    """Validated problem: mode, constants, the mode's payload, the
+    HeatProblem of the drivers g, h on [0, T] x [0, L], the two-variable
+    derivator G (None in a separated mode) and the full description raw."""
 
-    mode: str
-    c: float
-    T: float
-    L: float
-    payload: dict
-    problem: HeatProblem = None  # separated modes
-    G: object = None  # two-variable modes
-    raw: dict = None  # the full validated description
+    __slots__ = ()
 
     @property
     def g(self):
-        return self.problem.g if self.problem is not None else self.G.g
+        return self.problem.g
 
     @property
     def h(self):
-        return self.problem.h if self.problem is not None else self.G.h
+        return self.problem.h
 
 
 def load_problem(obj):
@@ -185,14 +172,11 @@ def load_problem(obj):
             raise SchemaError("mode 'gpoly-series' requires G.kind 'sum'")
         if mode == "product-eigen" and kind != "product":
             raise SchemaError("mode 'product-eigen' requires G.kind 'product'")
-        return ParsedProblem(mode=mode, c=c, T=T, L=L, payload=payload, G=G, raw=obj)
-
-    g = _derivator(_field(obj, "g", "problem"), "g")
-    h = _derivator(_field(obj, "h", "problem"), "h")
-    problem = HeatProblem(g, h, c, T, L)
-    return ParsedProblem(
-        mode=mode, c=c, T=T, L=L, payload=payload, problem=problem, raw=obj
-    )
+    else:
+        G = None
+        g = _derivator(_field(obj, "g", "problem"), "g")
+        h = _derivator(_field(obj, "h", "problem"), "h")
+    return ParsedProblem(mode, c, T, L, payload, HeatProblem(g, h, c, T, L), G, obj)
 
 
 def _claim(obj, path):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .errors import DomainError, EvaluationError, GateError
@@ -79,10 +79,11 @@ def gexp_right_limit(d, p, a, t, tol=1e-10):
     return val
 
 
-@dataclass
-class RegressivityReport:
-    kind: str  # "strongly_regressive" | "regressive" | "degenerate"
-    witness: float | None = None  # atom where 1 + p gap vanishes
+class RegressivityReport(namedtuple("RegressivityReport", "kind witness", defaults=(None,))):
+    """kind is "strongly_regressive", "regressive" or "degenerate"; witness
+    is the atom where 1 + p gap vanishes, None when none does."""
+
+    __slots__ = ()
 
     @property
     def is_regressive(self):

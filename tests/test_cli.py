@@ -814,6 +814,48 @@ def test_non_finite_payload_numbers_exit_3(capsys, spec_file, cmd, name, path, v
     assert err.startswith("spec error:") and "finite" in err
 
 
+# a string or a boolean equal to the demo's number: each read as that float before
+NOT_NUMBERS = {
+    "g-from-string": _set(["g", "segments", 0, "from"], "0"),
+    "g-slope-true": _set(["g", "segments", 0, "slope"], True),
+    "g-gap-string": _set(["g", "atoms", 0, "gap"], "1.0"),
+    "h-level-string": _set(["h", "segments", 1, "level"], "3"),
+    "g-domain-false": _set(["g", "domain", 0], False),
+}
+
+
+@pytest.mark.parametrize("cmd", ["eval", "check", "radius", "eigs"])
+@pytest.mark.parametrize("case", sorted(NOT_NUMBERS))
+def test_derivator_numbers_must_be_json_numbers(capsys, spec_file, case, cmd):
+    """A derivator reads its numbers by the rule of every other spec number:
+    a string or a boolean is a spec error, not the float it spells."""
+    spec = json.loads((SPECS / "worked_ivp.json").read_text())
+    NOT_NUMBERS[case](spec)
+    rc, out, err = run(capsys, [cmd, spec_file(spec)])
+    assert (rc, out) == (3, "")
+    assert err.startswith(f"spec error: {case[0]}: ") and "finite number" in err
+
+
+@pytest.mark.parametrize("cmd", ["eval", "check", "radius"])
+@pytest.mark.parametrize("name, key, value, want", [
+    ("product_eigen", "T", 50, "derivator domain [0.0, 2.0] does not cover [0, 50.0] required by T"),
+    ("product_eigen", "T", 0, "need T, L > 0, got T=0.0, L=1.8"),
+    ("product_eigen", "L", 0, "need T, L > 0, got T=1.8, L=0.0"),
+    ("gpoly_gate", "T", 0, "need T, L > 0, got T=0.0, L=2.3"),
+    ("gpoly_gate", "L", 0, "need T, L > 0, got T=0.2, L=0.0"),
+    ("gpoly_gate", "L", 50, "does not cover [0, 50.0] required by L"),
+])
+def test_two_variable_specs_keep_the_rectangle_rule(capsys, spec_file, cmd, name, key, value, want):
+    """Every mode checks its drivers on [0, T] x [0, L] as a separated spec
+    does: T, L > 0 and domains that cover the rectangle, else exit 3 with the
+    separated spec's message."""
+    spec = json.loads((SPECS / f"{name}.json").read_text())
+    spec[key] = value
+    rc, out, err = run(capsys, [cmd, spec_file(spec)])
+    assert (rc, out) == (3, "")
+    assert err.startswith("spec error: ") and want in err and len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # fuzz: one field of a demo spec deleted or replaced
 

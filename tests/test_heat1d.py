@@ -879,3 +879,11 @@ def test_problem_validation():
             [("affine", 0.0, 1.0, 1.0, 0.0), ("affine", 1.0, 2.0, 1.0, 2.0)]
         )
         HeatProblem(g, identity(0.0, 1.0), 1.0, 1.0, 1.0)
+
+
+def test_endpoint_warning_points_at_the_line_that_builds_the_problem():
+    # T at the atom of g: the warning names this file, not the record's own code
+    g = Derivator.from_pieces([("affine", 0.0, 1.0, 1.0, 0.0), ("affine", 1.0, 2.0, 1.0, 0.5)])
+    with pytest.warns(UserWarning, match="T=1.0 lies in the jump/constancy set") as seen:
+        HeatProblem(g, identity(0.0, 2.0), 1.0, 1.0, 1.0)
+    assert [w.filename for w in seen] == [__file__]

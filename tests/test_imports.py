@@ -11,9 +11,12 @@ dependency.  The numeric oracles the tests hold the closed forms against
 monomials) live in tests/oracles.py, with numpy; a static test reads every
 module under src/ and finds no import of numpy or of a module under tests/.
 `fractions` (and with it `decimal`) is loaded only by the exact coefficients
-`GPolySolution.a_mn` that check's coefficient-claim rows read.  The dynamic
-tests each start their own interpreter, since this test process has numpy
-and the oracles loaded already.
+`GPolySolution.a_mn` that check's coefficient-claim rows read.  The records
+are namedtuples and slotted classes, so a fresh import of the CLI loads no
+`dataclasses` and none of the modules it pulls in (`inspect`, `ast`, `dis`,
+`tokenize`): only the standard modules of CLI_IMPORTS.  The dynamic tests
+each start their own interpreter, since this test process has numpy and the
+oracles loaded already.
 """
 
 import ast
@@ -26,6 +29,20 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SPECS = ROOT / "demos" / "specs"
+
+
+# every module a fresh `import stieltjes_heat.cli` may load besides the
+# package, on Python 3.10 to 3.13, beyond what an interpreter started without
+# site (-S) has loaded: the standard modules that modules under src/ import,
+# then those these import, with their C parts
+CLI_IMPORTS = {
+    "__future__", "argparse", "bisect", "cmath", "collections", "functools",
+    "heapq", "itertools", "json", "math", "operator", "warnings",
+    "_bisect", "_collections", "_collections_abc", "_functools", "_heapq", "_json",
+    "_locale", "_operator", "_sre", "_stat", "copyreg", "enum", "genericpath",
+    "gettext", "keyword", "os", "posixpath", "re", "reprlib", "sre_compile",
+    "sre_constants", "sre_parse", "stat", "types",
+}
 
 
 def _run(code, *args):
@@ -106,8 +123,27 @@ def test_no_module_under_src_imports_numpy_or_the_tests():
                 names = [node.module]
             else:
                 continue
-            bad += [(path.name, n) for n in names if n.split(".")[0] in tests | {"numpy"}]
+            bad += [(path.name, n) for n in names
+                    if n.split(".")[0] in tests | {"numpy", "dataclasses"}]
     assert bad == []
+
+
+def test_a_fresh_cli_import_loads_only_the_standard_modules_it_needs():
+    # -I -S: no site, no user site and no PYTHONPATH, so what a .pth file of
+    # this environment imports cannot hide a module the package loads
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "bare = set(sys.modules)\n"
+        "import stieltjes_heat.cli\n"
+        "print(sorted(m for m in set(sys.modules) - bare if m.split('.')[0] != 'stieltjes_heat'))\n"
+    )
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    loaded = {m.split(".")[0] for m in ast.literal_eval(out.stdout)}
+    assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+    assert loaded - CLI_IMPORTS == set()
 
 
 def test_check_imports_no_numpy_off_the_heat_polynomial_series():
