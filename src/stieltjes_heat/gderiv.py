@@ -4,7 +4,11 @@ Difference quotients are taken in measure units: sample points are chosen so
 that g(s) - g(t) hits a prescribed step, which makes flat stretches invisible
 and keeps the quotient well conditioned.  Steps are clipped so samples never
 cross an atom; at atoms the derivative is the exact jump quotient.  A Neville
-table extrapolates the quotients to step zero with a convergence check.
+table extrapolates the quotients to step zero with a convergence check.  The
+two-sided ladders (central first differences, three-point second ones) step
+both sides by the same eta, so between samples with no atom inside their
+error is even in the mean step h and their tables run in h^2; one-sided
+ladders and right limits carry every power of their step and run in it.
 
 Second derivatives at a regular point with measure room on both sides come
 from one ladder of three-point second divided differences in g-units: between
@@ -87,6 +91,10 @@ CACHE_SIZE = 1024
 def _extrapolate(pairs, tol, min_levels, scale=1.0):
     """Neville extrapolation to step 0 over (step, value) pairs of scalars.
 
+    The table fits a polynomial in the step it is given: the one-sided
+    ladders pass their step h, the two-sided ones h^2, since their error
+    has no odd powers (a table in h would spend every second level on an
+    odd power that is already zero, and amplify the rounding with it).
     The table stops once at least min_levels levels are in and the diagonal
     moves by at most tol * (scale + |diagonal|).
     """
@@ -229,11 +237,16 @@ def _levels(d, t, gb, rooms, cfg, probes=None):
 
 
 def _central(f, levels, cfg):
-    """First derivative from the central quotients over the level pairs."""
+    """First derivative from the central quotients (f(s+) - f(s-))/(a+ + a-)
+    over the level pairs.  _levels steps both sides by the same eta, below
+    either room, so a+ and a- differ by rounding only: the error is even in
+    the mean step h = (a+ + a-)/2 and the table extrapolates in h^2, as
+    _three_point's does."""
 
     def pairs():
         for (sp, ap), (sm, am) in levels:
-            yield 0.5 * (ap + am), (f(sp) - f(sm)) / (ap + am)
+            h = 0.5 * (ap + am)
+            yield h * h, (f(sp) - f(sm)) / (ap + am)
 
     return _extrapolate(pairs(), cfg.tol, cfg.min_levels)
 
@@ -243,8 +256,7 @@ def _three_point(f, levels, cfg, ft):
     differences 2((f(s+) - f(t))/a+ - (f(t) - f(s-))/a-)/(a+ + a-) over the
     level pairs; ft is f(t).  Both sides step by the same eta, so the error
     is even in the mean step h = (a+ + a-)/2 and the table extrapolates in
-    h^2: a table in h spends a level on each odd power and amplifies the
-    rounding with it.  The target is relative to 1 + |f(t)| + |d_g^2 f|: the
+    h^2.  The target is relative to 1 + |f(t)| + |d_g^2 f|: the
     rounding in a difference of f values grows with |f|, not with the second
     derivative."""
 

@@ -34,22 +34,29 @@ __all__ = [
 ]
 
 
+def _check_rectangle(g, h, c, T, L):
+    """The rule every mode's rectangle keeps: c > 0, T, L > 0, and the
+    domains of g and h cover [0, T] and [0, L]; DomainError otherwise."""
+    if not c > 0:
+        raise DomainError(f"diffusion constant must be positive, got {c}")
+    if not (T > 0 and L > 0):
+        raise DomainError(f"need T, L > 0, got T={T}, L={L}")
+    for d, end, label in ((g, T, "T"), (h, L, "L")):
+        if d.lo > 0.0 or d.hi < end:
+            raise DomainError(
+                f"derivator domain [{d.lo}, {d.hi}] does not cover "
+                f"[0, {end}] required by {label}"
+            )
+
+
 class HeatProblem(namedtuple("HeatProblem", "g h c T L")):
     """Rectangle [0, T] x [0, L] with time derivator g and space derivator h."""
 
     __slots__ = ()
 
     def __init__(self, g, h, c, T, L):
-        if not c > 0:
-            raise DomainError(f"diffusion constant must be positive, got {c}")
-        if not (T > 0 and L > 0):
-            raise DomainError(f"need T, L > 0, got T={T}, L={L}")
+        _check_rectangle(g, h, c, T, L)
         for d, end, label in ((g, T, "T"), (h, L, "L")):
-            if d.lo > 0.0 or d.hi < end:
-                raise DomainError(
-                    f"derivator domain [{d.lo}, {d.hi}] does not cover "
-                    f"[0, {end}] required by {label}"
-                )
             # terminal instants inside a jump or a constancy run make the
             # endpoint derivative one-sided in a degenerate way; warn, and
             # leave pointwise operations to their own domain checks

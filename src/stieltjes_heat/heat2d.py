@@ -17,7 +17,7 @@ from operator import mul
 
 from .errors import DivergenceError, DomainError, EvaluationError, GateError
 from .gderiv import HeatResidual
-from .heat1d import _stream
+from .heat1d import _check_rectangle, _stream
 from .lsintegral import integrate
 from .ode import SpaceFactor, independence_determinant
 from .special import _powers, classify_regressivity, exp_walk, monomial_table
@@ -380,6 +380,7 @@ def gpoly_series_solution(G, alpha, c, T, L, N, n_probe=None):
     sum_{n>N} |alpha_n| v_n^G(T, L).
     """
     _require(G, "sum", "gpoly_series_solution")
+    _check_rectangle(G.g, G.h, c, T, L)
     ctx = GPolyContext(G, c)
     if N < 0:
         raise DomainError(f"truncation must be >= 0, got {N}")
@@ -511,8 +512,7 @@ def solve_product_case(G, lam, c, x0, v0, T, L):
     IC pairs may fail to span the solution space.
     """
     _require(G, "product", "solve_product_case")
-    if not c > 0:
-        raise DomainError(f"diffusion constant must be positive, got {c}")
+    _check_rectangle(G.g, G.h, c, T, L)
     g, h = G.g, G.h
 
     def p(t):

@@ -214,23 +214,49 @@ def test_eval_emit_diagnostics_fills_residual(capsys, spec_file):
 
 
 def test_eval_reports_rule_residual_fallbacks(capsys, spec_file):
-    # at lam = 1000 the time quotients of the product case stall on 17 of the
-    # 25 rows; they keep the rule residual (0 by construction) in the CSV,
-    # and one stderr line says how many, where the first was and why
+    # at lam = 1000 the numeric residual of the product case stalls on the
+    # 9 rows of the t = 0 row (one-sided d_g) and the x = 0 column (the
+    # nested d_h^2 route); they keep the rule residual (0 by construction) in
+    # the CSV, and one stderr line says how many, where the first was and why
     spec = json.loads((SPECS / "product_eigen.json").read_text())
     spec["product-eigen"]["lam"] = 1000.0
     argv = ["eval", spec_file(spec), "--grid", "5x5", "--emit-diagnostics"]
     rc, out, err = run(capsys, argv)
     assert rc == 0
     rows = list(csv.reader(io.StringIO(out)))[1:]
-    assert len(rows) == 25 and sum(r[4] == "0.0" for r in rows) == 17
+    assert len(rows) == 25
+    assert [r[4] == "0.0" for r in rows] == [float(r[0]) == 0.0 or float(r[1]) == 0.0
+                                            for r in rows]
     assert len(err.splitlines()) == 1
-    assert err.startswith("eval: 17 of 25 grid rows carry the rule residual (0 by construction)")
+    assert err.startswith("eval: 9 of 25 grid rows carry the rule residual (0 by construction)")
     assert "first at (t, x) = (0.0, 0.0)" in err and "stalled" in err
     # no fallback, no line
     rc, _, err = run(capsys, ["eval", str(SPECS / "worked_ivp.json"), "--grid", "5x5",
                               "--emit-diagnostics"])
     assert rc == 0 and err == ""
+
+
+@pytest.mark.parametrize(
+    "name", ["worked_ivp", "periodic_classical", "product_eigen", "gpoly_gate"]
+)
+def test_diagnostic_eval_of_the_demo_specs_has_no_fallback_rows(capsys, name):
+    # every numeric residual of a 30x30 grid with its atom rows settles, so
+    # no row falls back to the rule and stderr stays empty
+    argv = ["eval", str(SPECS / f"{name}.json"), "--grid", "30x30", "--include-atoms",
+            "--emit-diagnostics"]
+    rc, out, err = run(capsys, argv)
+    assert rc == 0 and err == ""
+    assert len(out.splitlines()) >= 1 + 900
+
+
+@pytest.mark.parametrize("lam", [1.0, 50.0, 200.0, 1000.0])
+def test_check_passes_the_product_residual_at_every_lambda(capsys, spec_file, lam):
+    # the time factor grows by hundreds of orders of magnitude over [0, T] at
+    # lam = 1000; the central d_g ladders still settle on check's grid
+    spec = json.loads((SPECS / "product_eigen.json").read_text())
+    spec["product-eigen"]["lam"] = lam
+    _, out, _ = run(capsys, ["check", spec_file(spec)])
+    assert check_rows(out)["pde-residual"] == "PASS"
 
 
 def test_eval_is_deterministic(capsys, spec_file):

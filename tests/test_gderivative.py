@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from conftest import plain_residual, segment_chains
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stieltjes_heat import (
@@ -70,6 +70,27 @@ def test_exponential_is_own_derivative(jump_g, mixed, flatstep):
         f = lambda t: gexp(d, lam, d.lo, t)
         for t in regular_points(d, d.lo, d.hi, 7):
             assert abs(gderiv(f, t, d) - lam * f(t)) < 1e-7 * (1 + abs(f(t)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(segment_chains())
+def test_central_ladders_reach_near_machine_accuracy_in_few_levels(d):
+    # between atoms the exponential is smooth in g, so the central quotient's
+    # error is even in the step, and its table in h^2 settles within 1e-12
+    # in at most 4 levels (8 samples)
+    assume(any(seg.kind == "affine" for seg in d.segments))
+    for p in (0.8, -2.0, 0.9j, 3.0, -0.5 + 2j):
+        for t in regular_points(d, d.lo, d.hi, 7):
+            samples = []
+
+            def f(s):
+                samples.append(s)
+                return gexp(d, p, d.lo, s)
+
+            got = gderiv(f, t, d)
+            want = p * gexp(d, p, d.lo, t)
+            assert abs(got - want) <= 1e-12 * (1 + abs(want)), (p, t)
+            assert len(samples) <= 8, (p, t)
 
 
 def test_near_edge_points_still_converge(jump_g, mixed):

@@ -706,3 +706,20 @@ def test_product_case_zero_independence_factor_warns():
     with pytest.warns(UserWarning, match="independence factor vanishes"):
         sol = solve_product_case(G, lam=2.0, c=1.0, x0=1.0, v0=0.0, T=1.0, L=2.0)
     assert any(f == 0.0 for _, f in sol.independence)
+
+
+@pytest.mark.parametrize(
+    "T, L, match",
+    [(0.0, 1.0, "need T, L > 0"), (0.1, 0.0, "need T, L > 0"), (0.0, 0.0, "need T, L > 0"),
+     (-0.1, 1.0, "need T, L > 0"), (math.nan, 1.0, "need T, L > 0"),
+     (50.0, 1.0, "does not cover"), (0.1, 50.0, "does not cover")],
+)
+def test_library_two_variable_solvers_keep_the_rectangle_rule(T, L, match):
+    # called from the library, the sum and product solvers refuse the
+    # rectangles HeatProblem (and so the CLI) refuses
+    gate = load_problem((SPECS / "gpoly_gate.json").read_text())
+    with pytest.raises(DomainError, match=match):
+        gpoly_series_solution(gate.G, INV_SQRT_FACT, gate.c, T, L, 10)
+    prod = load_problem((SPECS / "product_eigen.json").read_text())
+    with pytest.raises(DomainError, match=match):
+        solve_product_case(prod.G, lam=1.0, c=prod.c, x0=1.0, v0=0.0, T=T, L=L)

@@ -149,21 +149,21 @@ def test_regular_entries_take_the_shared_samples(name, monkeypatch):
     assert calls.count("gderiv") >= len(xs) and calls.count("gderiv2") >= len(ts)
 
 
-def test_check_still_fails_a_stalled_product_residual(tmp_path, capsys):
-    # at lam = 1000 the time ladders of the product case stall; the row
-    # names the first raising entry in row order.  The Wronskian's rounding
-    # bound there is far above 1e-6 |P|, so that row cannot certify either
+def test_check_fails_only_the_uncertified_determinant_at_large_lambda(tmp_path, capsys):
+    # at lam = 1000 the time factor grows by hundreds of orders of magnitude
+    # over [0, T]; the central d_g ladders, extrapolated in h^2, still settle
+    # on the 5x5 regular grid, so pde-residual PASSes.  The Wronskian's
+    # rounding bound there is far above 1e-6 |P|, so that row cannot certify
     spec = json.loads((SPECS / "product_eigen.json").read_text())
     spec["product-eigen"]["lam"] = 1000.0
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert cli.main(["check", str(path)]) == 1
-    fails = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()
-             if line.startswith("FAIL")}
-    assert sorted(fails) == ["independence-determinant", "pde-residual"]
+    out = capsys.readouterr().out
+    fails = {line.split()[1]: line for line in out.splitlines() if line.startswith("FAIL")}
+    assert sorted(fails) == ["independence-determinant"]
     assert "cannot certify" in fails["independence-determinant"]
-    assert "numeric residual at (t, x) = (0.252, 0.252)" in fails["pde-residual"]
-    assert "stalled at change 2.650e+94" in fails["pde-residual"]
+    assert "PASS  pde-residual" in out
 
 
 def _cache_sizes(sol):
