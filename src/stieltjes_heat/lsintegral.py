@@ -5,6 +5,12 @@ f(t) * gap termwise, each affine segment contributes an ordinary weighted
 integral (density = slope), flat segments contribute nothing.  Only the
 smooth per-segment part needs quadrature, which `quad` does with an adaptive
 Gauss-Kronrod 10/21 rule.
+
+`indefinite` integrates once for all its points: it tiles the affine pieces
+with panels on which f is interpolated at the Chebyshev points and the
+interpolant integrated termwise (Clenshaw & Curtis 1960; Trefethen,
+Approximation Theory and Approximation Practice, ch. 19), so that F(t) is a
+panel lookup plus one Clenshaw sum.
 """
 
 from __future__ import annotations
@@ -90,6 +96,17 @@ _KRONROD = _WGK[:10] + _WGK[10::-1]
 _GAUSS = _WG + _WG[::-1]
 _MAX_PANELS = 200
 
+# indefinite's panel rule: the degree-16 interpolant on the Chebyshev points
+# of the first kind, which like the Gauss-Kronrod nodes leave out the panel
+# ends; row k of _CHEB_COS maps the values to the coefficient of T_k
+_DEGREE = 16
+_CHEB_X = tuple(math.cos(math.pi * (j + 0.5) / (_DEGREE + 1)) for j in range(_DEGREE + 1))
+_CHEB_COS = tuple(
+    tuple(2.0 / (_DEGREE + 1) * math.cos(math.pi * k * (j + 0.5) / (_DEGREE + 1))
+          for j in range(_DEGREE + 1))
+    for k in range(_DEGREE + 1)
+)
+
 
 def _gk21(f, lo, hi):
     """(Kronrod value, QUADPACK error estimate) of f on [lo, hi]."""
@@ -148,14 +165,20 @@ def _affine_spans(d, a, b):
     return spans
 
 
+def _check_span(name, a, b, d):
+    """(a, b) as floats; raises DomainError unless a <= b, both in domain."""
+    a, b = float(a), float(b)
+    if b < a:
+        raise DomainError(f"{name} needs a <= b, got [{a}, {b})")
+    d._check_domain(a)
+    d._check_domain(b)
+    return a, b
+
+
 def integrate(f, a, b, d, tol=DEFAULT_TOL):
     """integral over [a, b) of f d(mu_g).  Requires a <= b, both in domain."""
     ig = _as_integrand(f)
-    a, b = float(a), float(b)
-    if b < a:
-        raise DomainError(f"integrate needs a <= b, got [{a}, {b}); use integrate_signed")
-    d._check_domain(a)
-    d._check_domain(b)
+    a, b = _check_span("integrate", a, b, d)
     if a == b:
         return 0.0
 
@@ -180,7 +203,9 @@ def integrate_gauss(f, a, b, d):
     to the list of its values: it is called once, on the nodes of every
     affine piece end to end, and each piece sums its own ten; f is called on
     scalars at the atoms, which contribute their left value times the gap.
+    Requires a <= b, both in domain, as integrate does.
     """
+    a, b = _check_span("integrate_gauss", a, b, d)
     spans = _affine_spans(d, a, b)
     total = 0.0
     if spans:
@@ -202,38 +227,126 @@ def integrate_signed(f, x, y, d, tol=DEFAULT_TOL):
     return -integrate(f, y, x, d, tol=tol)
 
 
-def indefinite(f, a, d, tol=DEFAULT_TOL):
-    """t -> integral over [a, t) (signed below a).  The integrals between
-    consecutive knots (a and the ends of the segments) are taken once, on
-    first use, so F(t) integrates only the piece between t and its knot
-    toward a.  Results are memoized."""
-    ig = _as_integrand(f)
-    a = float(a)
-    knots = sorted({a, d.hi} | {s.lo for s in d.segments})
-    piece_tol = tol / len(knots)  # at most len(knots) pieces add up
-    at_knot = []  # F at each knot
-    cache = {}
+def _cheb_panel(f, lo, hi):
+    """f's degree-_DEGREE Chebyshev interpolant on [lo, hi], integrated
+    termwise: (mid, half, b, err, absint), where b holds the coefficients of
+    the antiderivative from lo in T_k((s - mid) / half), err weighs the
+    interpolant's last three coefficients and absint estimates the integral
+    of |f|."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fv = [f(mid + half * x) for x in _CHEB_X]
+    c = [sum(map(operator.mul, row, fv)) for row in _CHEB_COS]
+    c[0] *= 0.5
+    c += (0.0, 0.0)
+    # T_k integrates to T_{k+1} / (2 (k+1)) - T_{k-1} / (2 (k-1)), T_0 to T_1
+    b = [0.0, half * (c[0] - 0.5 * c[2])]
+    b += [half * (c[k - 1] - c[k + 1]) / (2 * k) for k in range(2, _DEGREE + 2)]
+    b[0] = sum(b[1::2]) - sum(b[2::2])  # zero at s = lo
+    err = half * sum(map(abs, c[_DEGREE - 2 : _DEGREE + 1]))
+    return mid, half, b, err, 2.0 * half * sum(map(abs, fv)) / len(fv)
 
-    def fill():
+
+def _clenshaw(b, x):
+    """sum of b[k] T_k(x)."""
+    b1 = b2 = 0.0
+    for c in b[:0:-1]:
+        b1, b2 = 2.0 * x * b1 - b2 + c, b1
+    return x * b1 - b2 + b[0]
+
+
+def _cheb_panels(f, lo, hi, tol):
+    """Chebyshev panels tiling [lo, hi] from left to right, each
+    (lo, mid, half, b, integral) with b as _cheb_panel's.  A panel is
+    bisected until its error estimate is within its share of tol by width,
+    or within 1e-14 of the integral of |f| over it; 200 panels, or a panel
+    too narrow to split in floating point, raise NonConvergenceError."""
+    done, todo = [], [(lo, hi)]
+    while todo:
+        x, y = todo.pop()
+        mid, half, b, err, absint = _cheb_panel(f, x, y)
+        if err <= max(tol * (y - x) / (hi - lo), 1e-14 * absint):
+            done.append((x, mid, half, b, sum(b)))
+            continue
+        count = len(done) + len(todo) + 1
+        if count >= _MAX_PANELS or y - x <= 1e4 * _EPS * max(abs(x), abs(y)):
+            raise NonConvergenceError(
+                f"Chebyshev panels on [{lo}, {hi}] did not reach tolerance: error "
+                f"estimate {err:.3g} on [{x}, {y}] after {count} panels"
+            )
+        m = 0.5 * (x + y)
+        todo += ((m, y), (x, m))
+    return done
+
+
+def indefinite(f, a, d, tol=DEFAULT_TOL):
+    """t -> integral over [a, t) (signed below a), as a piecewise Chebyshev
+    antiderivative.
+
+    On the first call every stretch between consecutive knots (a and the
+    segment ends) on an affine segment is tiled by _cheb_panels, the
+    stretches sharing tol by width.  The knot values are sums of whole
+    panels and of the atoms' f(t) gap (none for Integrand(f,
+    exclude_atoms=True)).  After that F(t) is its panel's value plus one
+    Clenshaw sum, without a call of f.  F is left-continuous at atoms, and
+    real or complex as f is."""
+    ig = _as_integrand(f)
+    try:
+        a = d._check_domain(float(a))
+    except DomainError:
+        raise DomainError(
+            f"indefinite anchor a={a} outside derivator domain [{d.lo}, {d.hi}]"
+        ) from None
+    knots = sorted({a, d.hi} | {s.lo for s in d.segments})
+    # per panel (a flat stretch is one): its left end, F there, F just above
+    # (past an atom at a knot) and (mid, half, slope * b), None if flat; the
+    # domain's upper end closes the list
+    starts, lefts, bases, cheb = [], [], [], []
+
+    def build():
+        func = _checked(ig.f)
+        length = sum(s.hi - s.lo for s in d.segments if s.kind == "affine")
+        pieces = []  # per stretch: the atom's mass at its knot, its panels
+        for lo, hi in zip(knots, knots[1:]):
+            seg = d.segments[d._seg_index(hi)]
+            gap = 0.0 if ig.exclude_atoms else d.jump(lo)
+            atom = func(lo) * gap if gap else 0.0
+            if seg.kind == "affine":
+                panels = [(x, (mid, half, [seg.slope * v for v in b]), seg.slope * integral)
+                          for x, mid, half, b, integral
+                          in _cheb_panels(func, lo, hi, tol * (hi - lo) / length)]
+            else:
+                panels = [(lo, None, 0.0)]
+            pieces.append((atom, panels))
+        # the knot values, walking out from a
         i = knots.index(a)
-        vals = [0.0] * len(knots)
-        for j in range(i + 1, len(knots)):
-            vals[j] = vals[j - 1] + integrate(ig, knots[j - 1], knots[j], d, piece_tol)
+        whole = [atom + sum(p[2] for p in panels) for atom, panels in pieces]
+        at_knot = [0.0] * len(knots)
+        for j in range(i, len(pieces)):
+            at_knot[j + 1] = at_knot[j] + whole[j]
         for j in range(i - 1, -1, -1):
-            vals[j] = vals[j + 1] - integrate(ig, knots[j], knots[j + 1], d, piece_tol)
-        at_knot.extend(vals)
+            at_knot[j] = at_knot[j + 1] - whole[j]
+        for (atom, panels), value in zip(pieces, at_knot):
+            left, value = value, value + atom
+            for x, coef, integral in panels:
+                starts.append(x)
+                lefts.append(left)
+                bases.append(value)
+                cheb.append(coef)
+                value += integral
+                left = value
+        starts.append(d.hi)
+        lefts.append(at_knot[-1])
 
     def F(t):
-        t = float(t)
-        if t not in cache:
-            if not at_knot:
-                fill()
-            if t >= a:
-                j = bisect.bisect_right(knots, t) - 1
-                cache[t] = at_knot[j] + integrate(ig, knots[j], t, d, piece_tol)
-            else:
-                j = bisect.bisect_left(knots, t)
-                cache[t] = at_knot[j] - integrate(ig, t, knots[j], d, piece_tol)
-        return cache[t]
+        t = d._check_domain(float(t))
+        if not starts:
+            build()
+        p = bisect.bisect_right(starts, t) - 1
+        if t == starts[p]:
+            return lefts[p]
+        if cheb[p] is None:
+            return bases[p]
+        mid, half, b = cheb[p]
+        return bases[p] + _clenshaw(b, (t - mid) / half)
 
     return F

@@ -669,6 +669,17 @@ def test_check_ftc_stall_is_a_fail_row(capsys, spec_file, monkeypatch):
     assert out.count("extrapolation to step 0 stalled") == 4
 
 
+@pytest.mark.parametrize("name", ["worked_ivp", "periodic_classical", "product_eigen",
+                                  "gpoly_gate"])
+def test_check_ftc_derivative_rows_stay_tight(capsys, name):
+    # the rows pass below 1e-6; the antiderivative keeps them near 1e-13
+    rc, out, _ = run(capsys, ["check", str(SPECS / f"{name}.json")])
+    assert rc == 0
+    devs = dict(re.findall(r"ftc-derivative-of-integral\((g|h)\)\s+max dev (\S+)", out))
+    assert sorted(devs) == ["g", "h"]
+    assert all(float(v) <= 1e-12 for v in devs.values()), devs
+
+
 def test_check_residual_raise_is_a_fail_row(capsys, monkeypatch):
     # the rule residual is 0 by construction: a numeric residual that raises
     # must FAIL pde-residual, naming the point, not pass on a stand-in zero.

@@ -9,9 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stieltjes_heat import (
+    DomainError,
+    EvaluationError,
     Integrand,
+    NonConvergenceError,
     gderiv,
     gexp,
+    identity,
     indefinite,
     integrate,
     integrate_signed,
@@ -201,3 +205,90 @@ def test_nonnegative_integrand_monotone(staircase, b):
     f = lambda x: 1.0 + math.cos(x) ** 2
     assert integrate(f, 0.0, b, staircase) >= 0.0
     assert integrate(f, 0.0, b, staircase) <= integrate(f, 0.0, 4.0, staircase) + 1e-12
+
+
+# -- indefinite: the piecewise Chebyshev antiderivative -----------------------
+
+
+def _points(d, a, inner):
+    """Breakpoints, the domain end, a, the atoms, and inner points (some of
+    them below a when a > d.lo)."""
+    return [s.lo for s in d.segments] + [d.hi, a] + [t for t, _ in d.atoms] + inner
+
+
+@settings(max_examples=50, deadline=None)
+@given(segment_chains(), st.floats(min_value=0.0, max_value=1.0), st.booleans(),
+       st.sampled_from([lambda s: complex(math.cos(3.0 * s), s * s - 0.5),
+                        lambda s: math.cos(40.0 * s)]), st.data())
+def test_indefinite_matches_integrate_signed(d, q, exclude, f, data):
+    # a complex integrand, and cos(40 s), whose pieces need panel splits,
+    # with and without the atoms
+    a = d.lo + q * (d.hi - d.lo)
+    f = Integrand(f, exclude_atoms=exclude)
+    F = indefinite(f, a, d)
+    inner = data.draw(st.lists(st.floats(min_value=d.lo, max_value=d.hi), max_size=6))
+    for t in _points(d, a, inner):
+        ref = integrate_signed(f, a, t, d)
+        assert abs(F(t) - ref) <= 1e-12 * (1.0 + abs(ref)), (t, F(t), ref)
+
+
+def test_indefinite_oscillatory_against_closed_form():
+    # cos(40 s) over [0, 3) turns 19 times: one degree-16 panel cannot hold it
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return math.cos(40.0 * s)
+
+    F = indefinite(f, 0.0, identity(0.0, 3.0))
+    for k in range(61):
+        t = 0.05 * k
+        assert abs(F(t) - math.sin(40.0 * t) / 40.0) <= 1e-13, t
+    assert len(calls) > 10 * 17
+
+
+@settings(max_examples=20, deadline=None)
+@given(segment_chains(), st.floats(min_value=0.0, max_value=1.0), st.data())
+def test_indefinite_calls_f_on_its_first_call_only(d, q, data):
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return math.exp(-s) + s
+
+    a = d.lo + q * (d.hi - d.lo)
+    F = indefinite(f, a, d)
+    assert calls == []
+    F(a)
+    built = len(calls)
+    inner = data.draw(st.lists(st.floats(min_value=d.lo, max_value=d.hi), max_size=8))
+    for t in _points(d, a, inner):
+        F(t)
+    assert len(calls) == built
+
+
+def test_indefinite_refusals():
+    d = identity(-1.0, 3.0)
+    F = indefinite(lambda s: s, 0.0, d)
+    with pytest.raises(DomainError):
+        F(3.5)
+    with pytest.raises(DomainError):
+        F(-1.5)
+    # within the domain fuzz the ends clamp, as d._check_domain does
+    assert F(3.0 + 1e-12) == F(3.0)
+    with pytest.raises(EvaluationError):
+        indefinite(lambda s: math.inf if s > 1.0 else 1.0, 0.0, d)(0.5)
+    for lo in (0.0, 1.3):
+        with pytest.raises(NonConvergenceError, match="panels"):
+            indefinite(lambda s: 1.0 / (s - lo), lo, d)(lo + 0.5)
+
+
+def test_indefinite_checks_its_anchor(jump_g):
+    # the anchor is refused when F is made, under its own name, not as the
+    # t of the first call
+    with pytest.raises(DomainError, match=r"anchor a=-1\.0"):
+        indefinite(lambda s: 1.0, -1.0, jump_g)
+    with pytest.raises(DomainError, match="anchor"):
+        indefinite(lambda s: 1.0, 1.6, jump_g)
+    # within the fuzz it reads the domain end
+    assert indefinite(lambda s: 1.0, 1.5 + 1e-12, jump_g)(0.5) == pytest.approx(-2.0)

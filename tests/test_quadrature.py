@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stieltjes_heat import Derivator, Integrand, identity, integrate, lsintegral
-from stieltjes_heat.errors import NonConvergenceError
+from stieltjes_heat.errors import DomainError, NonConvergenceError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -123,6 +123,17 @@ def test_gauss_sum_calls_f_once_on_the_nodes_of_every_piece(plateau_h):
     # the 10-point Gauss rule is exact for degree 19 on each piece
     want = 1.0 / 20 + 1.5**19 * 1.0 + 2.0 * (2.5**20 - 1.5**20) / 20
     assert got == pytest.approx(want, rel=1e-14)
+
+
+def test_gauss_sum_refuses_what_integrate_refuses(jump_g):
+    # reversed ends and ends outside the domain [0, 1.5] raise, as in
+    # integrate, instead of summing the pieces the span happens to meet
+    one = lambda s: [1.0] * len(s) if isinstance(s, list) else 1.0
+    assert lsintegral.integrate_gauss(one, 0.0, 1.5, jump_g) == pytest.approx(2.5)
+    for a, b in ((1.0, 0.5), (0.0, 6.5), (-1.0, 1.0)):
+        for rule in (integrate, lsintegral.integrate_gauss):
+            with pytest.raises(DomainError):
+                rule(one, a, b, jump_g)
 
 
 def test_cli_never_imports_scipy():
