@@ -224,7 +224,7 @@ class Derivator:
         if self.lo <= t <= self.hi:
             return t
         fuzz = 1e-9 * (1.0 + abs(self.lo) + abs(self.hi))
-        if t < self.lo - fuzz or t > self.hi + fuzz:
+        if not self.lo - fuzz <= t <= self.hi + fuzz:  # nan too
             raise DomainError(f"t={t} outside derivator domain [{self.lo}, {self.hi}]")
         return min(max(t, self.lo), self.hi)
 

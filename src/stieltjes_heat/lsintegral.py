@@ -3,20 +3,19 @@
 The measure splits exactly along the stored structure: atoms contribute
 f(t) * gap termwise, each affine segment contributes an ordinary weighted
 integral (density = slope), flat segments contribute nothing.  Only the
-smooth per-segment part needs quadrature, which `quad` does with an adaptive
-Gauss-Kronrod 10/21 rule.
-
-`indefinite` integrates once for all its points: it tiles the affine pieces
-with panels on which f is interpolated at the Chebyshev points and the
+smooth per-segment part needs quadrature, and there is one adaptive rule for
+it: panels on which f is interpolated at the Chebyshev points and the
 interpolant integrated termwise (Clenshaw & Curtis 1960; Trefethen,
-Approximation Theory and Approximation Practice, ch. 19), so that F(t) is a
-panel lookup plus one Clenshaw sum.
+Approximation Theory and Approximation Practice, ch. 19), bisected until
+their error estimates meet the tolerance.  `integrate` sums the panels of
+each affine piece (`quad`); `indefinite` keeps them, so that F(t) is a panel
+lookup plus one Clenshaw sum.  `integrate_gauss` is the fixed 10-point Gauss
+sum for integrands too noisy to adapt on.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 import operator
 import sys
@@ -53,34 +52,14 @@ def _checked(f):
     return wrapped
 
 
-# QUADPACK's qk21 (Piessens et al., 1983): the 21-point Kronrod abscissae on
-# [0, 1] in decreasing order, the last one 0; the 10-point Gauss rule uses
-# every second one, starting from the second.
-_XGK = (
-    0.995657163025808080735527280689003,
+# the 10-point Gauss rule on [-1, 1], from QUADPACK's qk21 (Piessens et al.,
+# 1983): its positive nodes in decreasing order and their weights
+_GAUSS_X = (
     0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508,
     0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042,
     0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694,
     0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866,
     0.148874338981631210884826001129720,
-    0.0,
-)
-_WGK = (
-    0.011694638867371874278064396062192,
-    0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580,
-    0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366,
-    0.109387158802297641899210590325805,
-    0.123491976262065851077208980102141,
-    0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717,
-    0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
 )
 _WG = (
     0.066671344308688137593568809893332,
@@ -89,16 +68,13 @@ _WG = (
     0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
 )
-# the rule on [-1, 1]: nodes -x_1 .. -x_10, 0, x_10 .. x_1, so that the Gauss
-# nodes sit at the odd positions
-_NODES = tuple(-x for x in _XGK[:10]) + _XGK[10::-1]
-_KRONROD = _WGK[:10] + _WGK[10::-1]
+_GAUSS_NODES = tuple(-x for x in _GAUSS_X) + _GAUSS_X[::-1]
 _GAUSS = _WG + _WG[::-1]
 _MAX_PANELS = 200
 
-# indefinite's panel rule: the degree-16 interpolant on the Chebyshev points
-# of the first kind, which like the Gauss-Kronrod nodes leave out the panel
-# ends; row k of _CHEB_COS maps the values to the coefficient of T_k
+# the panel rule: the degree-16 interpolant on the Chebyshev points of the
+# first kind, which leave out the panel ends; row k of _CHEB_COS maps the
+# values to the coefficient of T_k
 _DEGREE = 16
 _CHEB_X = tuple(math.cos(math.pi * (j + 0.5) / (_DEGREE + 1)) for j in range(_DEGREE + 1))
 _CHEB_COS = tuple(
@@ -108,48 +84,11 @@ _CHEB_COS = tuple(
 )
 
 
-def _gk21(f, lo, hi):
-    """(Kronrod value, QUADPACK error estimate) of f on [lo, hi]."""
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    fv = [f(mid + half * x) for x in _NODES]
-    resk = sum(map(operator.mul, _KRONROD, fv))
-    err = abs((resk - sum(map(operator.mul, _GAUSS, fv[1::2]))) * half)
-    mean = 0.5 * resk
-    resasc = abs(half) * sum([w * abs(v - mean) for w, v in zip(_KRONROD, fv)])
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return resk * half, err
-
-
 def quad(f, lo, hi, eps):
-    """Adaptive Gauss-Kronrod 10/21 integral of f over [lo, hi].
-
-    f returns real or complex scalars.  The panel with the largest error
-    estimate is bisected until the summed estimate is at most
-    max(eps, 1e-12 |integral|); 200 panels, or a panel too narrow to split
-    in floating point, raise NonConvergenceError.
-    """
-    val, err = _gk21(f, lo, hi)
-    panels = [(-err, lo, hi, val)]  # a heap: the worst panel first
-    total, errsum = val, err
-    while errsum > max(eps, 1e-12 * abs(total)):
-        a, b = panels[0][1:3]
-        # the halves of a narrower panel would round their outer nodes onto
-        # their ends
-        if len(panels) >= _MAX_PANELS or b - a <= 1e4 * _EPS * max(abs(a), abs(b)):
-            raise NonConvergenceError(
-                f"quadrature on [{lo}, {hi}] did not reach tolerance: error "
-                f"estimate {errsum:.3g} > {max(eps, 1e-12 * abs(total)):.3g} after "
-                f"{len(panels)} panels (worst panel [{a}, {b}])"
-            )
-        heapq.heappop(panels)
-        m = 0.5 * (a + b)
-        for x, y in ((a, m), (m, b)):
-            v, e = _gk21(f, x, y)
-            heapq.heappush(panels, (-e, x, y, v))
-        total = sum(p[3] for p in panels)
-        errsum = sum(-p[0] for p in panels)
-    return total
+    """Adaptive integral of f over [lo, hi], lo < hi: the sum of the
+    _cheb_panels that indefinite tiles an affine stretch with, for a total
+    error estimate within eps.  f returns real or complex scalars."""
+    return sum(p[4] for p in _cheb_panels(f, lo, hi, eps))
 
 
 def _affine_spans(d, a, b):
@@ -189,14 +128,14 @@ def integrate(f, a, b, d, tol=DEFAULT_TOL):
             total += func(t) * gap
 
     spans = _affine_spans(d, a, b)
+    length = sum(hi - lo for lo, hi, _ in spans)
     for lo, hi, slope in spans:
-        total += slope * quad(func, lo, hi, tol / len(spans))
+        total += slope * quad(func, lo, hi, tol * (hi - lo) / length)
     return total
 
 
 def integrate_gauss(f, a, b, d):
-    """Fixed-order (10-point Gauss, quad's inner rule) Stieltjes sum of f
-    over [a, b).
+    """Fixed-order (10-point Gauss) Stieltjes sum of f over [a, b).
 
     Non-adaptive on purpose: the integrand may carry difference-quotient
     noise that adaptive subdivision chases forever.  f maps a list of points
@@ -210,7 +149,7 @@ def integrate_gauss(f, a, b, d):
     total = 0.0
     if spans:
         nodes = [0.5 * (lo + hi) + 0.5 * (hi - lo) * z for lo, hi, _ in spans
-                 for z in _NODES[1::2]]
+                 for z in _GAUSS_NODES]
         fs, n = f(nodes), len(_GAUSS)
         for k, (lo, hi, slope) in enumerate(spans):
             fk = fs[n * k : n * (k + 1)]
@@ -268,9 +207,11 @@ def _cheb_panels(f, lo, hi, tol):
             done.append((x, mid, half, b, sum(b)))
             continue
         count = len(done) + len(todo) + 1
+        # the halves of a narrower panel would round their outer nodes onto
+        # their ends
         if count >= _MAX_PANELS or y - x <= 1e4 * _EPS * max(abs(x), abs(y)):
             raise NonConvergenceError(
-                f"Chebyshev panels on [{lo}, {hi}] did not reach tolerance: error "
+                f"quadrature on [{lo}, {hi}] did not reach tolerance: error "
                 f"estimate {err:.3g} on [{x}, {y}] after {count} panels"
             )
         m = 0.5 * (x + y)

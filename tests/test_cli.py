@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stieltjes_heat import HeatSolution, ProductCaseSolution, cli
+from stieltjes_heat import HeatSolution, ProductCaseSolution, cli, lsintegral
 from stieltjes_heat.problems import load_problem, solve
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "specs"
@@ -534,6 +534,23 @@ def test_exit_code_matrix_on_the_demo_specs(cmd, name, want):
         assert lines == []
     else:
         assert len(lines) == 1 and re.match(r"[a-z]+ error: \S", lines[0]), out.stderr
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_no_subcommand_runs_the_adaptive_quadrature(capsys, monkeypatch, name):
+    # integrate's adaptive panels (lsintegral.quad) serve library callers
+    # only: every subcommand on every demo spec exits as in the matrix above
+    # with quad raising, the 9x9 diagnostic eval included
+    def refuse(*args):
+        raise AssertionError("lsintegral.quad ran")
+
+    monkeypatch.setattr(lsintegral, "quad", refuse)
+    spec = str(SPECS / f"{name}.json")
+    diag = ["--grid", "9x9", "--include-atoms", "--emit-diagnostics"]
+    for cmd, extra in (("eval", []), ("eval", diag), ("check", []), ("radius", []),
+                       ("eigs", [])):
+        rc, _, err = run(capsys, [cmd, spec, *extra])
+        assert rc == EXIT_CODES[cmd][DEMOS.index(name)], (cmd, err)
 
 
 def test_check_dirichlet_spec_past_order_170(capsys, spec_file):

@@ -12,11 +12,15 @@ from stieltjes_heat import (
     Derivator,
     DomainError,
     SchemaError,
+    gexp,
     identity,
+    indefinite,
+    integrate,
     load_problem,
     regular_points,
 )
 from stieltjes_heat.derivators import Segment
+from stieltjes_heat.lsintegral import integrate_gauss
 
 
 def test_left_continuity_at_atom(jump_g):
@@ -62,6 +66,34 @@ def test_domain_is_enforced(jump_g):
         jump_g.eval(1.6)
     with pytest.raises(DomainError):
         jump_g.right_limit(1.5)  # nothing beyond the upper edge
+
+
+def _one(s):
+    return [1.0] * len(s) if isinstance(s, list) else 1.0
+
+
+@pytest.mark.parametrize("route", [
+    lambda d: d.eval(math.nan),
+    lambda d: d.measure(0.0, math.nan),
+    lambda d: d.measure(math.nan, 1.0),
+    lambda d: integrate(_one, math.nan, 1.0, d),
+    lambda d: integrate(_one, 0.0, math.nan, d),
+    lambda d: integrate_gauss(_one, math.nan, 1.0, d),
+    lambda d: integrate_gauss(_one, 0.0, math.nan, d),
+    lambda d: indefinite(_one, math.nan, d),
+    lambda d: indefinite(_one, 0.0, d)(math.nan),
+    lambda d: gexp(d, 1.0, 0.0, math.nan),
+    lambda d: gexp(d, 1.0, math.nan, 1.0),
+    lambda d: gexp(d, lambda s: 1.0, 0.0, math.nan),
+    lambda d: gexp(d, lambda s: 1.0, math.nan, 1.0),
+], ids=["eval", "measure-b", "measure-a", "integrate-a", "integrate-b",
+        "integrate_gauss-a", "integrate_gauss-b", "indefinite-anchor", "indefinite-t",
+        "gexp-const-t", "gexp-const-a", "gexp-callable-t", "gexp-callable-a"])
+def test_nan_is_outside_the_domain(jump_g, route):
+    # nan compares false with both domain ends: it must fail an in-domain
+    # test rather than slip past an out-of-domain one, on every route
+    with pytest.raises(DomainError):
+        route(jump_g)
 
 
 def test_atoms_in_is_half_open(jump_g, staircase):

@@ -37,8 +37,8 @@ SPECS = ROOT / "demos" / "specs"
 # then those these import, with their C parts
 CLI_IMPORTS = {
     "__future__", "argparse", "bisect", "cmath", "collections", "functools",
-    "heapq", "itertools", "json", "math", "operator", "warnings",
-    "_bisect", "_collections", "_collections_abc", "_functools", "_heapq", "_json",
+    "itertools", "json", "math", "operator", "warnings",
+    "_bisect", "_collections", "_collections_abc", "_functools", "_json",
     "_locale", "_operator", "_sre", "_stat", "copyreg", "enum", "genericpath",
     "gettext", "keyword", "os", "posixpath", "re", "reprlib", "sre_compile",
     "sre_constants", "sre_parse", "stat", "types",

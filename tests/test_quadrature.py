@@ -1,9 +1,11 @@
-"""The adaptive Gauss-Kronrod rule behind `integrate`, held against QUADPACK.
+"""The one adaptive rule, Chebyshev panels behind `integrate` and
+`indefinite`, held against QUADPACK.
 
 tests/data/qags_reference.json freezes 200 Stieltjes integrals computed with
 QAGS (see tests/data/make_qags_reference.py, the only file that writes it);
-`integrate` must reproduce each within 1e-12 (1 + |ref|).  When scipy is
-installed, the same comparison also runs live on random `segment_chains()`.
+`integrate` and `indefinite` must each reproduce every one within
+1e-12 (1 + |ref|).  When scipy is installed, the same comparison also runs
+live on random `segment_chains()`.
 """
 
 import importlib.util
@@ -21,7 +23,7 @@ from conftest import segment_chains
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stieltjes_heat import Derivator, Integrand, identity, integrate, lsintegral
+from stieltjes_heat import Derivator, Integrand, identity, indefinite, integrate, lsintegral
 from stieltjes_heat.errors import DomainError, NonConvergenceError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -36,18 +38,29 @@ def _gap(got, want):
     return abs(got - want) / (1.0 + abs(want))
 
 
-def test_integrate_matches_frozen_qags():
+def _frozen_misses(rule):
+    """The frozen QAGS cases that rule(integrand, a, b, d) misses."""
     cases = json.loads((DATA / "qags_reference.json").read_text())["cases"]
     assert len(cases) == 200
     bad = []
     for i, c in enumerate(cases):
         f = ref.FAMILIES[c["family"]](c["params"])
-        got = integrate(Integrand(f, c["exclude_atoms"]), c["a"], c["b"],
-                        Derivator.from_pieces(c["pieces"]))
+        got = rule(Integrand(f, c["exclude_atoms"]), c["a"], c["b"],
+                   Derivator.from_pieces(c["pieces"]))
         want = complex(*c["ref"]) if isinstance(c["ref"], list) else c["ref"]
         if not _gap(got, want) <= 1e-12:
             bad.append((i, c["family"], got, want))
-    assert not bad
+    return bad
+
+
+def test_integrate_matches_frozen_qags():
+    assert not _frozen_misses(integrate)
+
+
+def test_indefinite_matches_frozen_qags():
+    # integrate_signed, which test_integration holds F against, runs the
+    # same panels, so F needs a reference of its own
+    assert not _frozen_misses(lambda f, a, b, d: indefinite(f, a, d)(b))
 
 
 @settings(max_examples=40, deadline=None)
@@ -63,27 +76,41 @@ def test_integrate_matches_live_qags(d, seed, exclude):
 
 
 def test_rule_is_exact_on_polynomials():
-    # Kronrod 21 integrates degree <= 31 exactly, its Gauss 10 degree <= 19
-    for k in range(32):
+    # a Chebyshev panel (degree 16) integrates degree <= 16 exactly, the
+    # 10-point Gauss sum degree <= 19
+    xs = np.array(lsintegral._GAUSS_NODES)
+    for k in range(20):
         exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-        xs = np.array(lsintegral._NODES)
-        assert abs(np.dot(lsintegral._KRONROD, xs**k) - exact) < 1e-15
-        if k < 20:
-            assert abs(np.dot(lsintegral._GAUSS, xs[1::2] ** k) - exact) < 1e-15
+        assert abs(np.dot(lsintegral._GAUSS, xs**k) - exact) < 1e-15
+        if k <= 16:
+            panel = lsintegral._cheb_panel(lambda s: s**k, -1.0, 1.0)
+            assert abs(sum(panel[2]) - exact) < 1e-15
 
 
-@pytest.mark.parametrize("f, lo, hi, calls", [
-    (lambda s: math.sin(s) + 0.25 * s, 0.0, 2.0, 21),
-    (lambda s: math.cos(9 * s) * math.exp(-s), 0.0, 3.0, 147),
-    (lambda s: math.cos(40 * s), 0.0, 3.0, 651),
-    (lambda s: 1.0 / (1.0 + s) ** 2, 0.0, 5.0, 105),
-])
-def test_panels_match_qags(f, lo, hi, calls):
-    # QAGS (epsabs 1e-10, epsrel 1e-12) spends the same number of integrand
-    # calls on these: the error estimate and the stop rule are QUADPACK's
-    seen = []
-    lsintegral.quad(lambda s: seen.append(s) or f(s), lo, hi, 1e-10)
-    assert len(seen) == calls
+@pytest.mark.parametrize("kind", ["real", "complex", "exclude_atoms"])
+@pytest.mark.parametrize("w", [1.0, 40.0])
+@pytest.mark.parametrize("name", ["jump_g", "plateau_h", "mixed"])
+def test_integrate_and_indefinite_run_one_rule(name, w, kind, request):
+    # over the whole domain both tile each affine piece with the same panels
+    # (tol shared by width) and add the same atoms: f sees the same points,
+    # and the sums differ only in the order of their terms; w = 40 needs
+    # panel splits
+    d = request.getfixturevalue(name)
+    seen = {"integrate": [], "indefinite": []}
+
+    def make(route):
+        def f(s):
+            seen[route].append(s)
+            v = math.cos(w * s) + 0.25 * s
+            return complex(v, math.sin(w * s)) if kind == "complex" else v
+
+        return Integrand(f, kind == "exclude_atoms")
+
+    got = integrate(make("integrate"), d.lo, d.hi, d)
+    want = indefinite(make("indefinite"), d.lo, d)(d.hi)
+    assert sorted(seen["integrate"]) == sorted(seen["indefinite"])
+    assert len(seen["integrate"]) >= 17 * sum(s.kind == "affine" for s in d.segments)
+    assert abs(got - want) <= 1e-15 * (1.0 + abs(want))
 
 
 def test_complex_integrand_is_one_pass():
@@ -95,7 +122,7 @@ def test_complex_integrand_is_one_pass():
 
     got = lsintegral.quad(f, 0.0, 1.0, 1e-10)
     assert abs(got - (np.exp(3j) - 1) / 3j) < 1e-14
-    assert len(calls) == 21  # one panel, real and imaginary parts together
+    assert len(calls) == 17  # one panel, real and imaginary parts together
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, 0.7), (1.3, 2.0), (-0.9, 0.4)])
