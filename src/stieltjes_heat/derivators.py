@@ -298,7 +298,9 @@ class Derivator:
         return self._runs
 
     def t_star(self, t):
-        """t itself off the constancy set, else the right endpoint of its run."""
+        """t itself off the constancy set, else the right endpoint of its run;
+        DomainError outside the domain (nan too), as for eval."""
+        t = self._check_domain(t)
         run = self.constancy_run(t)
         return t if run is None else run[1]
 

@@ -20,11 +20,19 @@ second derivative is the quotient of the first-derivative function (the jump
 quotient at an atom).
 
 gderiv on a list of points runs the scalar route once per point, so f sees
-floats only.  HeatResidual.residual_grid lists the ladder levels of every t
-and every x of a grid once, through the route decision gderiv2 takes
-(_ladders), and extrapolates each entry's own ladders from them, each time
-row and space column taken once; the points that take another route run the
-scalar gderiv or gderiv2 on the same shared rows and columns.
+floats only.  The numeric residual of a solution whose time row and space
+column are numbers or lists of numbers (every separated mode, the product
+case) differentiates the factors, not the product: d_g of each row
+component through the public gderiv, once per t, and d_h^2 of each column
+component through the public gderiv2, once per x, each kept per coordinate,
+so a grid of nt x nx points runs nt + nx ladder sets.  The heat-polynomial
+series keeps the ladders on the contracted slices (its row components reach
+1e22 at N = 100 and cancel in the contraction), and its
+HeatResidual.residual_grid lists the ladder levels of every t and every x of
+a grid once, through the route decision gderiv2 takes (_ladders), and
+extrapolates each entry's own ladders from them; the points that take
+another route run the scalar gderiv or gderiv2 on the same shared rows and
+columns.
 """
 
 from __future__ import annotations
@@ -271,7 +279,8 @@ def _three_point(f, levels, cfg, ft):
 def _second(f, t, ft, levels):
     """The limit of the THREE_POINT ladders at t, one level-pair sequence
     each: the first one's when both settle and agree within
-    DEFAULT_OUTER.tol, else NonConvergenceError naming the ladder, with both
+    DEFAULT_OUTER.tol (1 + |f(t)| + |limit|), the scale of the ladders' own
+    targets, else NonConvergenceError naming the ladder, with both
     estimates."""
     (name0, cfg0), (name1, cfg1) = THREE_POINT
     est, stalled = [], []
@@ -285,7 +294,7 @@ def _second(f, t, ft, levels):
         raise NonConvergenceError(
             f"second derivative at t={t}: " + "; ".join(stalled), estimates=tuple(est)
         )
-    if abs(est[1] - est[0]) > DEFAULT_OUTER.tol * (1.0 + abs(est[0])):
+    if abs(est[1] - est[0]) > DEFAULT_OUTER.tol * (1.0 + abs(ft) + abs(est[0])):
         raise NonConvergenceError(
             f"second derivative at t={t}: the {name1} three-point ladder "
             f"(step0 {cfg1.step0:g}) gives {est[1]!r}, the {name0} "
@@ -381,9 +390,10 @@ def gderiv2(f, t, d, *, lo=None):
     At a regular point with at least THREE_POINT_ROOM of measure room on
     each side: the three-point ladder, run from each starting step of
     THREE_POINT; the first one's limit stands when both settle and agree
-    within DEFAULT_OUTER.tol, and otherwise NonConvergenceError names the
-    ladder and carries both estimates.  Elsewhere: the derivative machinery
-    applied to s -> gderiv(f, s), the exact jump quotient of it at an atom.
+    within DEFAULT_OUTER.tol (1 + |f(t)| + |limit|), and otherwise
+    NonConvergenceError names the ladder and carries both estimates.
+    Elsewhere: the derivative machinery applied to s -> gderiv(f, s), the
+    exact jump quotient of it at an atom.
     No sample lies below lo, as in gderiv.
     """
     t = float(t)
@@ -416,6 +426,17 @@ def _tidy(z):
     return z
 
 
+def _factor(deriv, vec, p, d):
+    """deriv (gderiv or gderiv2) at p of the cached row or column vec, no
+    sample below 0: the list of each component's derivative when vec(p) is
+    a list, else the derivative of vec itself.  Every component reads vec
+    at the same samples, so the cache builds each sample once."""
+    v = vec(p)
+    if not isinstance(v, list):
+        return deriv(vec, p, d, lo=0.0)
+    return [deriv(lambda s, k=k: vec(s)[k], p, d, lo=0.0) for k in range(len(v))]
+
+
 class HeatResidual:
     """One solution interface: u(t, x) = <time row, space column>, checked
     against d_g u - c^2 d_h^2 u by rule, numerically and at the atoms.
@@ -432,17 +453,29 @@ class HeatResidual:
     and its derivators g, h and diffusion constant c.  The slices, the
     numeric residual and the atom rows are written here once: a time atom
     row takes the jump quotient of u, a space atom row that of d_h u, over
-    the gap of the scaled slice.  residual_grid is the numeric residual
-    over a grid in one pass, from the same scalar hooks, each row and
-    column taken once: each entry equals residual_numeric(t, x), or raises
-    its error.
+    the gap of the scaled slice.
+
+    The numeric residual differentiates the factors, not the product.  A
+    row and a column that are numbers or lists of numbers make u a sum of
+    products w_k(t) v_k(x), and each partial derivative acts on one factor:
+    the residual is _dot(d_g row(t), col(x))/sx - c^2 _dot(row(t), d_h^2
+    col(x))/st^2, with d_g of each row component from gderiv and d_h^2 of
+    each column component from gderiv2.  A class whose contraction cancels
+    between components sets _factor_ladders False and keeps the ladders on
+    the slices u(., x) and u(t, .): the heat-polynomial series, whose row
+    components reach 1e22 at N = 100.  residual_grid is the numeric
+    residual over a grid: each entry equals residual_numeric(t, x), or
+    raises its error.
 
     Rows and columns are pure functions of their coordinate, so each
     instance keeps its last CACHE_SIZE left rows and columns (_cached_row,
-    _cached_col): values, slices, rules and the left row of a time atom
-    read them there, and on a tensor grid each row and column is built
-    once per coordinate.  Right limits are not kept.
+    _cached_col) and as many row and column derivatives (_dg_row,
+    _dh2_col): values, slices, rules, residuals and the left row of a time
+    atom read them there, and on a tensor grid each row, column and factor
+    derivative is built once per coordinate.  Right limits are not kept.
     """
+
+    _factor_ladders = True
 
     # made on first use, per instance (a class-level cache would keep every
     # instance alive); typed, so a numpy scalar coordinate gets the row it
@@ -454,6 +487,16 @@ class HeatResidual:
     @functools.cached_property
     def _cached_col(self):
         return functools.lru_cache(CACHE_SIZE, typed=True)(self._col)
+
+    @functools.cached_property
+    def _dg_row(self):
+        return functools.lru_cache(CACHE_SIZE, typed=True)(
+            lambda t: _factor(gderiv, self._cached_row, t, self.g))
+
+    @functools.cached_property
+    def _dh2_col(self):
+        return functools.lru_cache(CACHE_SIZE, typed=True)(
+            lambda x: _factor(gderiv2, self._cached_col, x, self.h))
 
     def _slice_scales(self, t, x):
         return 1.0, 1.0
@@ -480,16 +523,49 @@ class HeatResidual:
         return self.dgt_rule(t, x) - self.c**2 * self.dhx2_rule(t, x)
 
     def residual_numeric(self, t, x):
-        """The residual from difference quotients along the slices, each
-        divided by its slice scale.  The slices walk from 0, so no ladder
-        samples below it."""
-        du = gderiv(self.along_t(x), t, self.g, lo=0.0)
-        d2 = gderiv2(self.along_x(t), x, self.h, lo=0.0)
+        """The residual from difference quotients, each divided by its
+        slice scale: of the factors, contracted with the other factor's
+        values, or (without _factor_ladders) along the slices.  The slices
+        walk from 0, so no ladder samples below it."""
+        if self._factor_ladders:
+            col = self._cached_col(x)
+            du = self._dot(self._dg_row(t), col)
+            d2 = self._dot(self._cached_row(t), self._dh2_col(x))
+        else:
+            du = gderiv(self.along_t(x), t, self.g, lo=0.0)
+            d2 = gderiv2(self.along_x(t), x, self.h, lo=0.0)
         sx, st = self._slice_scales(t, x)
         return du / sx - self.c * self.c * (d2 / st**2)
 
     def residual_grid(self, ts, xs):
-        """residual_numeric at every (t, x) of the grid ts x xs, in one pass.
+        """residual_numeric at every (t, x) of the grid ts x xs.
+
+        Returns the len(ts) rows of len(xs) entries, as lists, and the
+        row-major list of (i, j, error) for the entries that raised; those
+        entries read nan.  On the factor ladders the entries are
+        residual_numeric's own, whose caches take each t's row derivatives
+        and each x's column derivatives once (while xs has at most
+        CACHE_SIZE points); without them, _listed_entry's.
+        """
+        ts, xs = [float(t) for t in ts], [float(x) for x in xs]
+        if self._factor_ladders:
+            entry = lambda i, j: self.residual_numeric(ts[i], xs[j])
+        else:
+            entry = self._listed_entry(ts, xs)
+        out, errors = [], []
+        for i in range(len(ts)):
+            out.append([])
+            for j in range(len(xs)):
+                try:
+                    out[i].append(entry(i, j))
+                except StieltjesError as e:
+                    errors.append((i, j, e))
+                    out[i].append(math.nan)
+        return out, errors
+
+    def _listed_entry(self, ts, xs):
+        """The slice route's residual at (ts[i], xs[j]), as a function of
+        (i, j), for a grid pass.
 
         The d_g ladder's samples depend on t only and the three-point
         ladders' on x only, so each point's ladder levels are listed once
@@ -500,9 +576,7 @@ class HeatResidual:
         in constancy runs, one-sided or with less than THREE_POINT_ROOM of
         room take the scalar gderiv and gderiv2 on the same shared rows and
         columns.  So every entry gets exactly the floats
-        residual_numeric(t, x) gets, or raises its error.  Returns the
-        len(ts) rows of len(xs) entries, as lists, and the row-major list of
-        (i, j, error) for the entries that raised; those entries read nan.
+        residual_numeric(t, x) gets, or raises its error.
         """
 
         def listed(d, p, cfgs, room=0.0):
@@ -510,35 +584,30 @@ class HeatResidual:
             ladders = _ladders(d, p, cfgs, 0.0, room)[1] if d.lo <= p <= d.hi else None
             return None if ladders is None else [list(levels) for levels in ladders]
 
-        ts, xs = [float(t) for t in ts], [float(x) for x in xs]
         t_lv = [listed(self.g, t, (DEFAULT,)) for t in ts]
         x_lv = [listed(self.h, x, _THREE_POINT_CFGS, THREE_POINT_ROOM) for x in xs]
         row, col = functools.cache(self._row), functools.cache(self._col)
         dot, c2 = self._dot, self.c * self.c
-        out, errors = [], []
-        for i, t in enumerate(ts):
-            out.append([])
-            for j, x in enumerate(xs):
-                # residual_numeric's steps in its order, so a raise is its raise
-                try:
-                    cx = col(x)
-                    along_t = lambda s: dot(row(s), cx)
-                    if t_lv[i] is None:
-                        du = gderiv(along_t, t, self.g, lo=0.0)
-                    else:
-                        du = _central(along_t, t_lv[i][0], DEFAULT)
-                    rt = row(t)
-                    along_x = lambda y: dot(rt, col(y))
-                    if x_lv[j] is None:
-                        d2 = gderiv2(along_x, x, self.h, lo=0.0)
-                    else:
-                        d2 = _second(along_x, x, along_x(x), x_lv[j])
-                    sx, st = self._slice_scales(t, x)
-                    out[i].append(du / sx - c2 * (d2 / st**2))
-                except StieltjesError as e:
-                    errors.append((i, j, e))
-                    out[i].append(math.nan)
-        return out, errors
+
+        def entry(i, j):
+            # residual_numeric's steps in its order, so a raise is its raise
+            t, x = ts[i], xs[j]
+            cx = col(x)
+            along_t = lambda s: dot(row(s), cx)
+            if t_lv[i] is None:
+                du = gderiv(along_t, t, self.g, lo=0.0)
+            else:
+                du = _central(along_t, t_lv[i][0], DEFAULT)
+            rt = row(t)
+            along_x = lambda y: dot(rt, col(y))
+            if x_lv[j] is None:
+                d2 = gderiv2(along_x, x, self.h, lo=0.0)
+            else:
+                d2 = _second(along_x, x, along_x(x), x_lv[j])
+            sx, st = self._slice_scales(t, x)
+            return du / sx - c2 * (d2 / st**2)
+
+        return entry
 
     def residual(self, t, x, mode="rule"):
         if mode == "rule":

@@ -288,7 +288,13 @@ class GPolySolution(HeatResidual):
     instance's column cache.  Monomial rows that leave the float range below
     the orders the series reads raise EvaluationError.  a_mn gives the
     exact rational a_{m,n}.
+
+    The numeric residual differentiates the slices, not the factors: the
+    row components g_m(t) reach 1e22 at N = 100 and cancel in the
+    contraction, so their own ladders' rounding would swamp it.
     """
+
+    _factor_ladders = False
 
     def __init__(self, ctx, alpha, N, radius, tail_bound):
         self.ctx = ctx

@@ -6,8 +6,10 @@ satisfy the translation condition exactly; `mixed` stacks every segment kind.
 `segment_chains` is the hypothesis strategy for random derivators and
 `from_zero` moves one to start at 0.  `residual_both_routes` runs a numeric
 residual row through a solution's slices and through `plain_residual` on
-plain evaluations, and `gpoly_bilinear` is the oracle of the heat-polynomial
-series: its coefficient grid between two monomial vectors.
+plain evaluations, `factor_routes` runs one through a solution's factor
+ladders and through independent ladders on its plain rows and columns, and
+`gpoly_bilinear` is the oracle of the heat-polynomial series: its
+coefficient grid between two monomial vectors.
 """
 
 import pytest
@@ -189,3 +191,27 @@ def residual_both_routes(sol, t, x):
         del sol.along_t, sol.along_x
     plain = _outcome(lambda: plain_residual(plain_u, t, x, sol.g, sol.h, sol.c))
     return (sliced, n[0]), (plain, n[1])
+
+
+def factor_routes(sol, t, x):
+    """(outcome of sol.residual_numeric(t, x), outcome of the same residual
+    from independent factor ladders: gderiv of each component of the plain,
+    uncached time row sol._row and gderiv2 of each component of the plain
+    space column sol._col (of the row or the column itself when it is a
+    number), no sample below 0, contracted with sol._dot and divided by the
+    slice scales)."""
+
+    def each(deriv, vec, p, d):
+        v = vec(p)
+        if not isinstance(v, list):
+            return deriv(vec, p, d, lo=0.0)
+        return [deriv(lambda s, k=k: vec(s)[k], p, d, lo=0.0) for k in range(len(v))]
+
+    def factors():
+        col = sol._col(x)
+        du = sol._dot(each(gderiv, sol._row, t, sol.g), col)
+        d2 = sol._dot(sol._row(t), each(gderiv2, sol._col, x, sol.h))
+        sx, st = sol._slice_scales(t, x)
+        return du / sx - sol.c * sol.c * (d2 / st**2)
+
+    return _outcome(lambda: sol.residual_numeric(t, x)), _outcome(factors)

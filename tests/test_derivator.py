@@ -133,6 +133,17 @@ def test_constancy_run_and_t_star(plateau_h, mixed):
     assert mixed.constancy_run(1.25) == (1.0, 1.5)
 
 
+def test_t_star_refuses_what_the_domain_check_refuses(jump_g, plateau_h):
+    # jump_g lives on [0, 1.5]: nan and points past either end are refused,
+    # points within the domain check's fuzz read the end
+    for t in (math.nan, 5.0, -3.0, 1.5 + 1e-6, -1e-6):
+        with pytest.raises(DomainError):
+            jump_g.t_star(t)
+    assert jump_g.t_star(1.5 + 1e-12) == 1.5 and jump_g.t_star(-1e-12) == 0.0
+    with pytest.raises(DomainError):
+        plateau_h.t_star(math.nan)
+
+
 def test_atom_stepping(staircase):
     assert staircase.next_atom(0.0) == 0.5
     assert staircase.next_atom(0.5) == 1.5

@@ -612,10 +612,13 @@ def test_product_slices_and_numeric_residual_read_the_plain_values():
         ut = sol.along_t(x)
         for s in ts + [0.0, 0.6, T]:
             assert repr(ut(s)) == repr(sol(s, x)), (s, x)
+    # the numeric residual differentiates the factors w and v, each read
+    # plain, and rescales by the slice scales h(x) and g(t)^2
+    w, v = sol._row, sol._col
     for t in ts[1:3] + [0.6]:
         for x in xs[1:3] + [0.9]:
-            dt = gderiv(lambda s: sol(s, x), t, g) / h.eval(x)
-            dxx = gderiv2(lambda y: sol(t, y), x, h) / g.eval(t) ** 2
+            dt = gderiv(w, t, g, lo=0.0) * v(x) / h.eval(x)
+            dxx = w(t) * gderiv2(v, x, h, lo=0.0) / g.eval(t) ** 2
             assert repr(sol.residual_numeric(t, x)) == repr(dt - c * c * dxx), (t, x)
 
 

@@ -106,19 +106,43 @@ def test_regular_point_takes_one_cheap_accurate_ladder_pair(plateau_h):
         assert n[0] <= 30
 
 
-def test_disagreeing_second_ladder_is_refused_by_name(plateau_h, monkeypatch):
+def _skew_second_ladder(monkeypatch, rel):
+    """Make the second three-point ladder's limit rel (relative) off."""
     three_point = gd._three_point
 
     def off(f, levels, cfg, ft):
         got = three_point(f, levels, cfg, ft)
-        return got * (1.0 + 1e-5) if cfg.step0 != gd.DEFAULT_OUTER.step0 else got
+        return got * (1.0 + rel) if cfg.step0 != gd.DEFAULT_OUTER.step0 else got
 
     monkeypatch.setattr(gd, "_three_point", off)
+
+
+def test_disagreeing_second_ladder_is_refused_by_name(plateau_h, monkeypatch):
+    # f = exp_h(0.3; 0, x): at x = 0.7, f = 1.23 and d^2 f = 0.111, so a
+    # second ladder 1e-4 off (1.1e-5) is ten times the agreement bound
+    # DEFAULT_OUTER.tol (1 + |f| + |d^2 f|) = 1.2e-6
+    _skew_second_ladder(monkeypatch, 1e-4)
     f = lambda x: gexp(plateau_h, 0.3, 0.0, x)
     with pytest.raises(NonConvergenceError, match="the second three-point ladder") as err:
         gderiv2(f, 0.7, plateau_h)
     first, second = err.value.estimates
-    assert second == pytest.approx(first * (1.0 + 1e-5), rel=1e-8)
+    assert second == pytest.approx(first * (1.0 + 1e-4), rel=1e-8)
+
+
+def test_second_ladder_agreement_takes_the_value_scale(plateau_h, monkeypatch):
+    # the two ladders' targets scale with 1 + |f(t)| + |d^2 f|, and so does
+    # their agreement: f = 10 + exp_h(0.3; 0, x) at x = 0.7 has f = 11.2 and
+    # d^2 f = 0.111, and a second ladder 1e-5 off (1.1e-6) is inside
+    # DEFAULT_OUTER.tol (1 + |f| + |d^2 f|) = 6.2e-6, though not inside
+    # DEFAULT_OUTER.tol (1 + |d^2 f|) = 5.6e-7; the first ladder's limit stands
+    _skew_second_ladder(monkeypatch, 1e-5)
+    e = lambda x: gexp(plateau_h, 0.3, 0.0, x)
+    got = gderiv2(lambda x: 10.0 + e(x), 0.7, plateau_h)
+    assert got == pytest.approx(0.09 * e(0.7), rel=1e-7)
+    monkeypatch.undo()
+    _skew_second_ladder(monkeypatch, 1e-4)
+    with pytest.raises(NonConvergenceError, match="the second three-point ladder"):
+        gderiv2(lambda x: 10.0 + e(x), 0.7, plateau_h)
 
 
 def test_stalled_ladder_is_refused_by_name_with_both_estimates():
