@@ -91,6 +91,10 @@ class Derivator:
         segment boundary.  g(t+) - g(t) = gap there.
     """
 
+    # the ladder-sample memo of a sampling view (gderiv._sampling_view);
+    # a plain derivator keeps no samples
+    _samples = None
+
     def __init__(self, segments, atoms=()):
         segments = tuple(
             Segment.affine(s.lo, s.hi, s.slope, s.intercept) if s.kind == "affine" else s
@@ -255,7 +259,9 @@ class Derivator:
         return float(t) in self._atom_gap
 
     def atoms_in(self, a, b):
-        """Atoms (t, gap) with a <= t < b."""
+        """Atoms (t, gap) with a <= t < b; DomainError when a or b is nan."""
+        if a != a or b != b:
+            raise DomainError(f"atoms_in needs numbers, got [{a}, {b})")
         i = bisect.bisect_left(self._atom_t, a)
         j = bisect.bisect_left(self._atom_t, b)
         return self.atoms[i:j]
@@ -286,8 +292,11 @@ class Derivator:
         return self.exp_data(a, b)[1]
 
     def constancy_run(self, t):
-        """The open interval (a, b) of the constancy set containing t, or None."""
+        """The open interval (a, b) of the constancy set containing t, or None;
+        DomainError when t is nan."""
         t = float(t)
+        if t != t:
+            raise DomainError(f"t={t} is not a number")
         for a, b in self._runs:
             if a < t < b:
                 return (a, b)

@@ -24,20 +24,22 @@ floats only.  The numeric residual of a solution whose time row and space
 column are numbers or lists of numbers (every separated mode, the product
 case) differentiates the factors, not the product: d_g of each row
 component through the public gderiv, once per t, and d_h^2 of each column
-component through the public gderiv2, once per x, each kept per coordinate,
-so a grid of nt x nx points runs nt + nx ladder sets.  The heat-polynomial
-series keeps the ladders on the contracted slices (its row components reach
-1e22 at N = 100 and cancel in the contraction), and its
-HeatResidual.residual_grid lists the ladder levels of every t and every x of
-a grid once, through the route decision gderiv2 takes (_ladders), and
-extrapolates each entry's own ladders from them; the points that take
-another route run the scalar gderiv or gderiv2 on the same shared rows and
-columns.
+component through the public gderiv2, once per x, each kept per coordinate
+(a raise too), so a grid of nt x nx points runs nt + nx ladder sets.  The
+heat-polynomial series keeps the ladders on the contracted slices (its row
+components reach 1e22 at N = 100 and cancel in the contraction): every entry
+runs gderiv on u(., x) and gderiv2 on u(t, .), but on the solution's
+sampling views of g and h, which keep each point's probe and ladder levels.
+The d_g samples depend on t only and the three-point ones on x only, so a
+solution samples each coordinate once, and only f's values are new per
+entry.  Plain derivators keep nothing; gderiv and gderiv2 are the one route
+decision for views and plain derivators alike.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import math
 
@@ -228,11 +230,28 @@ def _one_sided(f, base, d, cfg, side, gb, rooms, probe):
     return _extrapolate(pairs(), cfg.tol, cfg.min_levels)
 
 
-def _levels(d, t, gb, rooms, cfg, probes=None):
+def _levels(d, t, gb, rooms, cfg, lo, probes=None):
     """The (forward, backward) sample pairs of a two-sided ladder, one per
-    level that finds both sides.  probes, the pair at step0 when the caller
-    already took it, is the first level when the room allows step0."""
-    eta = min(cfg.step0, 0.9 * rooms[0], 0.9 * rooms[1])
+    level that finds both sides, from the first step min(step0, 0.9 room)
+    down by shrink.  probes, the pair at step0 when the caller already took
+    it, is the first level when the room allows step0.  A sampling view
+    takes each (t, lo, first step, shrink, max_levels) sequence once, level
+    by level as its ladders ask for them, and replays it: two ladders of a
+    point whose rooms clip them to one first step share their samples."""
+    eta0 = min(cfg.step0, 0.9 * rooms[0], 0.9 * rooms[1])
+    memo = d._samples
+    if memo is None:
+        return _sample_levels(d, t, gb, rooms, eta0, cfg, probes)
+    key = (t, lo, eta0, cfg.shrink, cfg.max_levels)
+    kept = memo.get(key)
+    if kept is None:
+        kept = _keep(memo, key, ([], _sample_levels(d, t, gb, rooms, eta0, cfg, probes)))
+    else:
+        memo.move_to_end(key)
+    return _replay(*kept)
+
+
+def _sample_levels(d, t, gb, rooms, eta, cfg, probes):
     for _ in range(cfg.max_levels):
         if probes is not None and eta == cfg.step0:
             fwd, bwd = probes
@@ -242,6 +261,36 @@ def _levels(d, t, gb, rooms, cfg, probes=None):
         if fwd is not None and bwd is not None:
             yield fwd, bwd
         eta *= cfg.shrink
+
+
+def _replay(got, more):
+    """The pairs kept in got, then those of the sampling generator more,
+    each kept in got as it is drawn.  No two ladders of one point and
+    sequence are open at once, so nothing is drawn past another reader."""
+    yield from got
+    for pair in more:
+        got.append(pair)
+        yield pair
+
+
+def _keep(memo, key, value):
+    memo[key] = value
+    if len(memo) > CACHE_SIZE:
+        memo.popitem(last=False)
+    return value
+
+
+def _sampling_view(d):
+    """A copy of the derivator d that keeps the ladder samples it takes: the
+    probe of each (t, lo, step0) and the level pairs of each two-sided
+    sequence, for its last CACHE_SIZE keys (least recently used out).  A
+    ladder at a point the view sampled before replays them, so gderiv and
+    gderiv2 give on a view the floats they give on d.  d itself, like every
+    plain derivator, keeps nothing (its _samples is None)."""
+    view = object.__new__(type(d))
+    view.__dict__.update(vars(d))
+    view._samples = collections.OrderedDict()
+    return view
 
 
 def _central(f, levels, cfg):
@@ -306,41 +355,32 @@ def _second(f, t, ft, levels):
 
 def _probe(d, t, cfg, lo=None):
     """(g(t), rooms, forward sample, backward sample) at a regular point, the
-    samples taken at step0 (None on a side without room)."""
+    samples taken at step0 (None on a side without room); a sampling view
+    takes them once per (t, lo, step0)."""
+    memo = d._samples
+    if memo is not None:
+        key = (t, lo, cfg.step0)
+        kept = memo.get(key)
+        if kept is not None:
+            memo.move_to_end(key)
+            return kept
     gb = d.eval(t)
     rooms = _rooms(d, t, gb, lo)
-    fwd = _forward_sample(d, t, gb, cfg.step0, rooms)
-    bwd = _backward_sample(d, t, gb, cfg.step0, rooms)
-    return gb, rooms, fwd, bwd
+    probe = (gb, rooms, _forward_sample(d, t, gb, cfg.step0, rooms),
+             _backward_sample(d, t, gb, cfg.step0, rooms))
+    return probe if memo is None else _keep(memo, key, probe)
 
 
-def _regular(f, t, d, cfg, gb, rooms, fwd, bwd):
+def _regular(f, t, d, cfg, lo, gb, rooms, fwd, bwd):
     """First derivative at a regular point: two-sided when both probes found
     a sample, else one-sided on the side that did."""
     if fwd is not None and bwd is not None:
-        return _central(f, _levels(d, t, gb, rooms, cfg, (fwd, bwd)), cfg)
+        return _central(f, _levels(d, t, gb, rooms, cfg, lo, (fwd, bwd)), cfg)
     if fwd is not None:
         return _one_sided(f, t, d, cfg, +1, gb, rooms, fwd)
     if bwd is not None:
         return _one_sided(f, t, d, cfg, -1, gb, rooms, bwd)
     raise DomainError(f"no measure room around t={t} for a difference quotient")
-
-
-def _ladders(d, t, cfgs, lo, room=0.0):
-    """The route decision of the two-sided ladders at the regular point t:
-    (probe, ladders), probe _probe's tuple at the first config's step0 and
-    ladders one _levels generator per config of cfgs, the first reusing the
-    probe pair.  probe is None at an atom or in a constancy run; ladders is
-    None there, without a probe on both sides, or with less than room of
-    measure room on a side."""
-    if d.is_atom(t) or d.constancy_run(t) is not None:
-        return None, None
-    probe = gb, rooms, fwd, bwd = _probe(d, t, cfgs[0], lo)
-    if fwd is None or bwd is None or min(rooms[:2]) < room:
-        return probe, None
-    probes = (fwd, bwd)
-    return probe, [_levels(d, t, gb, rooms, cfg, probes if k == 0 else None)
-                   for k, cfg in enumerate(cfgs)]
 
 
 def gderiv(f, t, d, cfg=None, *, lo=None):
@@ -381,7 +421,7 @@ def _gderiv(f, t, d, cfg, lo):
         rooms = _rooms(d, b, gb, lo)
         probe = _forward_sample(d, b, gb, cfg.step0, rooms)
         return _one_sided(f, b, d, cfg, +1, gb, rooms, probe)
-    return _regular(f, t, d, cfg, *_probe(d, t, cfg, lo))
+    return _regular(f, t, d, cfg, lo, *_probe(d, t, cfg, lo))
 
 
 def gderiv2(f, t, d, *, lo=None):
@@ -402,14 +442,16 @@ def gderiv2(f, t, d, *, lo=None):
     def D(s):
         return gderiv(f, s, d, DEFAULT_INNER, lo=lo)
 
+    if d.is_atom(t) or d.constancy_run(t) is not None:
+        return gderiv(D, t, d, DEFAULT_OUTER, lo=lo)
     # the first ladder starts at DEFAULT_OUTER's step0: one probe pair for
     # both ladders and for the nested route
-    probe, ladders = _ladders(d, t, _THREE_POINT_CFGS, lo, THREE_POINT_ROOM)
-    if ladders is not None:
-        return _second(f, t, f(t), ladders)
-    if probe is None:
-        return gderiv(D, t, d, DEFAULT_OUTER, lo=lo)
-    return _regular(D, t, d, DEFAULT_OUTER, *probe)
+    probe = gb, rooms, fwd, bwd = _probe(d, t, DEFAULT_OUTER, lo)
+    if fwd is None or bwd is None or min(rooms[:2]) < THREE_POINT_ROOM:
+        return _regular(D, t, d, DEFAULT_OUTER, lo, *probe)
+    levels = [_levels(d, t, gb, rooms, cfg, lo, (fwd, bwd) if k == 0 else None)
+              for k, cfg in enumerate(_THREE_POINT_CFGS)]
+    return _second(f, t, f(t), levels)
 
 
 def _atom_gap(d, s, name):
@@ -435,6 +477,27 @@ def _factor(deriv, vec, p, d):
     if not isinstance(v, list):
         return deriv(vec, p, d, lo=0.0)
     return [deriv(lambda s, k=k: vec(s)[k], p, d, lo=0.0) for k in range(len(v))]
+
+
+def _kept_per_point(fn):
+    """fn with its last CACHE_SIZE values kept per argument (least recently
+    used out; a kept value is a plain lru_cache hit) and the last CACHE_SIZE
+    StieltjesErrors it raised, which every later call at that argument
+    raises again."""
+    errors = collections.OrderedDict()
+
+    @functools.lru_cache(CACHE_SIZE, typed=True)
+    def kept(p):
+        error = errors.get(p)
+        if error is not None:
+            raise error.with_traceback(None)
+        try:
+            return fn(p)
+        except StieltjesError as e:
+            _keep(errors, p, e)
+            raise
+
+    return kept
 
 
 class HeatResidual:
@@ -463,16 +526,20 @@ class HeatResidual:
     each column component from gderiv2.  A class whose contraction cancels
     between components sets _factor_ladders False and keeps the ladders on
     the slices u(., x) and u(t, .): the heat-polynomial series, whose row
-    components reach 1e22 at N = 100.  residual_grid is the numeric
+    components reach 1e22 at N = 100.  It runs gderiv and gderiv2 on
+    sampling views of g and h (_views), which keep the probe and ladder
+    levels of each point, so it samples each t and each x once and only
+    evaluates the slice anew per entry.  residual_grid is the numeric
     residual over a grid: each entry equals residual_numeric(t, x), or
     raises its error.
 
     Rows and columns are pure functions of their coordinate, so each
     instance keeps its last CACHE_SIZE left rows and columns (_cached_row,
     _cached_col) and as many row and column derivatives (_dg_row,
-    _dh2_col): values, slices, rules, residuals and the left row of a time
-    atom read them there, and on a tensor grid each row, column and factor
-    derivative is built once per coordinate.  Right limits are not kept.
+    _dh2_col, each a value or the error it raised): values, slices, rules,
+    residuals and the left row of a time atom read them there, and on a
+    tensor grid each row, column and factor derivative is built once per
+    coordinate.  Right limits are not kept.
     """
 
     _factor_ladders = True
@@ -490,13 +557,15 @@ class HeatResidual:
 
     @functools.cached_property
     def _dg_row(self):
-        return functools.lru_cache(CACHE_SIZE, typed=True)(
-            lambda t: _factor(gderiv, self._cached_row, t, self.g))
+        return _kept_per_point(lambda t: _factor(gderiv, self._cached_row, t, self.g))
 
     @functools.cached_property
     def _dh2_col(self):
-        return functools.lru_cache(CACHE_SIZE, typed=True)(
-            lambda x: _factor(gderiv2, self._cached_col, x, self.h))
+        return _kept_per_point(lambda x: _factor(gderiv2, self._cached_col, x, self.h))
+
+    @functools.cached_property
+    def _views(self):
+        return _sampling_view(self.g), _sampling_view(self.h)
 
     def _slice_scales(self, t, x):
         return 1.0, 1.0
@@ -525,15 +594,20 @@ class HeatResidual:
     def residual_numeric(self, t, x):
         """The residual from difference quotients, each divided by its
         slice scale: of the factors, contracted with the other factor's
-        values, or (without _factor_ladders) along the slices.  The slices
+        values, or (without _factor_ladders) along the slices along_t(x)
+        and along_x(t), through the sampling views of g and h.  The slices
         walk from 0, so no ladder samples below it."""
+        return self._numeric(t, x, self.along_t, self.along_x)
+
+    def _numeric(self, t, x, along_t, along_x):
         if self._factor_ladders:
             col = self._cached_col(x)
             du = self._dot(self._dg_row(t), col)
             d2 = self._dot(self._cached_row(t), self._dh2_col(x))
         else:
-            du = gderiv(self.along_t(x), t, self.g, lo=0.0)
-            d2 = gderiv2(self.along_x(t), x, self.h, lo=0.0)
+            g, h = self._views
+            du = gderiv(along_t(x), t, g, lo=0.0)
+            d2 = gderiv2(along_x(t), x, h, lo=0.0)
         sx, st = self._slice_scales(t, x)
         return du / sx - self.c * self.c * (d2 / st**2)
 
@@ -545,69 +619,39 @@ class HeatResidual:
         entries read nan.  On the factor ladders the entries are
         residual_numeric's own, whose caches take each t's row derivatives
         and each x's column derivatives once (while xs has at most
-        CACHE_SIZE points); without them, _listed_entry's.
+        CACHE_SIZE points).  On the slices each entry runs residual_numeric's
+        body on slices over rows and columns that this call keeps in its own
+        unbounded cache: a sweep over more distinct samples than CACHE_SIZE
+        (a 100x100 grid takes more) would miss on every read of the
+        instance's least-recently-used caches.  The sampling views take the
+        ladder samples of each t and each x once while they hold the grid's
+        probes and level sequences, about 2 len(ts) + 3 len(xs) keys.
         """
         ts, xs = [float(t) for t in ts], [float(x) for x in xs]
         if self._factor_ladders:
-            entry = lambda i, j: self.residual_numeric(ts[i], xs[j])
+            entry = self.residual_numeric
         else:
-            entry = self._listed_entry(ts, xs)
+            row, col, dot = functools.cache(self._row), functools.cache(self._col), self._dot
+
+            def along_t(x):
+                cx = col(x)
+                return lambda s: dot(row(s), cx)
+
+            def along_x(t):
+                rt = row(t)
+                return lambda y: dot(rt, col(y))
+
+            entry = lambda t, x: self._numeric(t, x, along_t, along_x)
         out, errors = [], []
-        for i in range(len(ts)):
+        for i, t in enumerate(ts):
             out.append([])
-            for j in range(len(xs)):
+            for j, x in enumerate(xs):
                 try:
-                    out[i].append(entry(i, j))
+                    out[i].append(entry(t, x))
                 except StieltjesError as e:
                     errors.append((i, j, e))
                     out[i].append(math.nan)
         return out, errors
-
-    def _listed_entry(self, ts, xs):
-        """The slice route's residual at (ts[i], xs[j]), as a function of
-        (i, j), for a grid pass.
-
-        The d_g ladder's samples depend on t only and the three-point
-        ladders' on x only, so each point's ladder levels are listed once
-        for the whole grid, through the route decision gderiv2 takes
-        (_ladders), and the time row once per t-sample and the space column
-        once per x-sample; each entry contracts them with _dot and
-        extrapolates its own ladders.  Points outside the domain, at atoms,
-        in constancy runs, one-sided or with less than THREE_POINT_ROOM of
-        room take the scalar gderiv and gderiv2 on the same shared rows and
-        columns.  So every entry gets exactly the floats
-        residual_numeric(t, x) gets, or raises its error.
-        """
-
-        def listed(d, p, cfgs, room=0.0):
-            # past the domain the scalar route names the error
-            ladders = _ladders(d, p, cfgs, 0.0, room)[1] if d.lo <= p <= d.hi else None
-            return None if ladders is None else [list(levels) for levels in ladders]
-
-        t_lv = [listed(self.g, t, (DEFAULT,)) for t in ts]
-        x_lv = [listed(self.h, x, _THREE_POINT_CFGS, THREE_POINT_ROOM) for x in xs]
-        row, col = functools.cache(self._row), functools.cache(self._col)
-        dot, c2 = self._dot, self.c * self.c
-
-        def entry(i, j):
-            # residual_numeric's steps in its order, so a raise is its raise
-            t, x = ts[i], xs[j]
-            cx = col(x)
-            along_t = lambda s: dot(row(s), cx)
-            if t_lv[i] is None:
-                du = gderiv(along_t, t, self.g, lo=0.0)
-            else:
-                du = _central(along_t, t_lv[i][0], DEFAULT)
-            rt = row(t)
-            along_x = lambda y: dot(rt, col(y))
-            if x_lv[j] is None:
-                d2 = gderiv2(along_x, x, self.h, lo=0.0)
-            else:
-                d2 = _second(along_x, x, along_x(x), x_lv[j])
-            sx, st = self._slice_scales(t, x)
-            return du / sx - c2 * (d2 / st**2)
-
-        return entry
 
     def residual(self, t, x, mode="rule"):
         if mode == "rule":

@@ -12,6 +12,7 @@ import cmath
 import math
 import warnings
 from collections import namedtuple
+from operator import mul
 
 from .derivators import regular_points
 from .errors import DivergenceError, DomainError, EvaluationError, GateError
@@ -153,7 +154,7 @@ class HeatSolution(HeatResidual):
 
     @staticmethod
     def _dot(row, col):
-        return _tidy(sum((w * v for w, v in zip(row, col)), 0.0))
+        return _tidy(sum(map(mul, row, col), 0.0))
 
     def _dhx(self, t, x, right=False):
         ws = self._cached_row(t)

@@ -291,7 +291,11 @@ class GPolySolution(HeatResidual):
 
     The numeric residual differentiates the slices, not the factors: the
     row components g_m(t) reach 1e22 at N = 100 and cancel in the
-    contraction, so their own ladders' rounding would swamp it.
+    contraction, so their own ladders' rounding would swamp it.  Its
+    ladders run on the instance's sampling views of g and h, so each t and
+    each x is sampled once per solution, and residual_grid keeps the rows
+    and columns of one call in an unbounded cache of its own (see
+    HeatResidual).
     """
 
     _factor_ladders = False

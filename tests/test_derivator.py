@@ -86,9 +86,13 @@ def _one(s):
     lambda d: gexp(d, 1.0, math.nan, 1.0),
     lambda d: gexp(d, lambda s: 1.0, 0.0, math.nan),
     lambda d: gexp(d, lambda s: 1.0, math.nan, 1.0),
+    lambda d: d.atoms_in(math.nan, 1.0),
+    lambda d: d.atoms_in(0.0, math.nan),
+    lambda d: d.constancy_run(math.nan),
 ], ids=["eval", "measure-b", "measure-a", "integrate-a", "integrate-b",
         "integrate_gauss-a", "integrate_gauss-b", "indefinite-anchor", "indefinite-t",
-        "gexp-const-t", "gexp-const-a", "gexp-callable-t", "gexp-callable-a"])
+        "gexp-const-t", "gexp-const-a", "gexp-callable-t", "gexp-callable-a",
+        "atoms_in-a", "atoms_in-b", "constancy_run"])
 def test_nan_is_outside_the_domain(jump_g, route):
     # nan compares false with both domain ends: it must fail an in-domain
     # test rather than slip past an out-of-domain one, on every route

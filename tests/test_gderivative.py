@@ -1,5 +1,6 @@
 """Derivatives with respect to a driver: quotients, atoms, rests."""
 
+import importlib
 import math
 
 import numpy as np
@@ -19,6 +20,8 @@ from stieltjes_heat import (
     identity,
     regular_points,
 )
+
+gd = importlib.import_module("stieltjes_heat.gderiv")  # the module, not the function
 
 
 def test_matches_closed_form_on_affine_pieces(jump_g):
@@ -191,6 +194,13 @@ def _cubic(s):
     return 0.5 + s * (1.5 - s * (0.25 + 0.125 * s))
 
 
+def _outcome(fn):
+    try:
+        return repr(fn())
+    except StieltjesError as e:
+        return f"{type(e).__name__}: {e}"
+
+
 def _outcomes(fn):
     try:
         return [repr(v) for v in fn()]
@@ -211,6 +221,29 @@ def test_batched_gderiv_matches_the_scalar_one(d, fracs):
     scalar = _outcomes(lambda: [gderiv(_cubic, t, d) for t in pts])
     assert _outcomes(lambda: gderiv(_cubic, pts, d)) == scalar
     assert _outcomes(lambda: gderiv(_cubic, tuple(pts), d)) == scalar
+
+
+@settings(max_examples=30, deadline=None)
+@given(segment_chains(atoms=True), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+def test_sampling_views_replay_the_plain_ladders(d, fracs):
+    # a sampling view keeps each point's probe and ladder levels; at points
+    # revisited with other functions, which settle at other levels, gderiv
+    # and gderiv2 on the view give by repr what they give on d, at regular,
+    # one-sided (the ends, 1e-13 off an atom) and nested-route (1e-3 off an
+    # atom, the atoms) points, on either lower end; d itself keeps nothing
+    view = gd._sampling_view(d)
+    pts = [d.lo + q * (d.hi - d.lo) for q in fracs] + [0.0]
+    for a in [d.lo, d.hi] + [t for t, _ in d.atoms]:
+        pts += [a, a - 1e-13, a + 1e-13, a - 1e-3, a + 1e-3]
+    pts = [t for t in pts if d.lo <= t <= d.hi]
+    fs = [_cubic, lambda s: math.exp(2.0 * s), lambda s: 1e3 * math.sin(7.0 * s), _cubic]
+    for f in fs:
+        for t in pts:
+            for lo in (None, 0.0):
+                for deriv in (gd.gderiv, gd.gderiv2):
+                    want = _outcome(lambda: deriv(f, t, d, lo=lo))
+                    assert _outcome(lambda: deriv(f, t, view, lo=lo)) == want, (t, lo)
+    assert d._samples is None and view._samples
 
 
 def test_batched_gderiv_calls_f_on_floats_only(jump_g):

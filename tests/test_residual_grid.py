@@ -131,11 +131,11 @@ def test_grid_names_every_raise_with_the_scalar_error(jump_g, plateau_h):
 def test_regular_entries_take_the_shared_samples(name, monkeypatch):
     # check's 5x5 regular grid on a solution with k row components takes
     # each t's row derivatives and each x's column derivatives once: 5 k
-    # gderiv and 5 k gderiv2 calls.  The heat-polynomial series (k = 0 here)
-    # lists its slice ladders' levels for the whole grid and runs no scalar
-    # ladder.  On an eval grid the t = 0 row and the x = 0 column are
-    # one-sided, so every solution runs gderiv and gderiv2 there
-    k = {"worked_ivp": 2, "periodic_classical": 1, "product_eigen": 1, "gpoly_gate": 0}[name]
+    # gderiv and 5 k gderiv2 calls.  The heat-polynomial series differentiates
+    # its slices, one gderiv and one gderiv2 call per entry (25 each), through
+    # its sampling views.  On an eval grid the t = 0 row and the x = 0 column
+    # are one-sided, so every solution runs gderiv and gderiv2 there
+    n = {"worked_ivp": 10, "periodic_classical": 5, "product_eigen": 5, "gpoly_gate": 25}[name]
     parsed = load_problem((SPECS / f"{name}.json").read_text())
     sol, _info = solve(parsed)
     calls = []
@@ -148,13 +148,78 @@ def test_regular_entries_take_the_shared_samples(name, monkeypatch):
     _grid, errors = sol.residual_grid(regular_points(parsed.g, 0.0, parsed.T, 5),
                                       regular_points(parsed.h, 0.0, parsed.L, 5))
     assert errors == []
-    assert calls.count("gderiv") == 5 * k and calls.count("gderiv2") == 5 * k
-    assert len(calls) == 10 * k
+    assert calls.count("gderiv") == n and calls.count("gderiv2") == n
+    assert len(calls) == 2 * n
     ts = [parsed.T * i / 3 for i in range(4)]
     xs = [parsed.L * j / 3 for j in range(4)]
     _grid, errors = sol.residual_grid(ts, xs)
     assert errors == []
     assert calls.count("gderiv") >= len(xs) and calls.count("gderiv2") >= len(ts)
+
+
+def test_gpoly_ladders_take_each_sample_once(monkeypatch):
+    # on check's 5x5 grid of gpoly_gate, by one residual_grid pass or by
+    # residual_numeric at every entry, the sampling views take each t's d_g
+    # samples and each x's three-point samples once per solution: no
+    # (derivator, point, side, step) sample is taken twice
+    parsed = load_problem((SPECS / "gpoly_gate.json").read_text())
+    ts = regular_points(parsed.g, 0.0, parsed.T, 5)
+    xs = regular_points(parsed.h, 0.0, parsed.L, 5)
+    taken = []
+
+    def recorded(name, fn):
+        def sample(d, base, gb, eta, rooms):
+            taken.append((id(d), name, base, eta))
+            return fn(d, base, gb, eta, rooms)
+        return sample
+
+    for name in ("_forward_sample", "_backward_sample"):
+        monkeypatch.setattr(gd, name, recorded(name, getattr(gd, name)))
+    for by_entry in (False, True):
+        sol, _info = solve(parsed)
+        taken.clear()
+        if by_entry:
+            for t in ts:
+                for x in xs:
+                    sol.residual_numeric(t, x)
+        else:
+            assert sol.residual_grid(ts, xs)[1] == []
+        assert taken and len(set(taken)) == len(taken)
+
+
+def test_a_factor_derivative_that_raises_is_kept(monkeypatch):
+    # at lam = 1000 the time factors of product_eigen's three earliest grid
+    # times stall.  Each factor derivative, settling or raising, runs once:
+    # one outermost gderiv per t and one gderiv2 per x on a 30x30 grid, and
+    # every entry that reads a stalled factor raises its error again
+    spec = json.loads((SPECS / "product_eigen.json").read_text())
+    spec["product-eigen"]["lam"] = 1000.0
+    parsed = load_problem(json.dumps(spec))
+    (sol, _info), (fresh, _info) = solve(parsed), solve(parsed)
+    ts = [parsed.T * i / 29 for i in range(30)]
+    xs = [parsed.L * j / 29 for j in range(30)]
+    depth, calls = [0], []
+
+    def counted(name, fn):
+        def outermost(*a, **kw):
+            calls.append(name if depth[0] == 0 else None)
+            depth[0] += 1
+            try:
+                return fn(*a, **kw)
+            finally:
+                depth[0] -= 1
+        return outermost
+
+    for fn in ("gderiv", "gderiv2"):
+        monkeypatch.setattr(gd, fn, counted(fn, getattr(gd, fn)))
+    _grid, errors = sol.residual_grid(ts, xs)
+    assert calls.count("gderiv") == len(ts) and calls.count("gderiv2") == len(xs)
+    assert {i for i, _j, _e in errors} == {0, 1, 2} and len(errors) == 3 * len(xs)
+    for i, j, e in errors:
+        with pytest.raises(type(e)) as info:
+            fresh.residual_numeric(ts[i], xs[j])
+        assert str(info.value) == str(e)
+        assert info.value.estimates == e.estimates
 
 
 @st.composite
