@@ -19,21 +19,21 @@ with room on one side only or with less than THREE_POINT_ROOM on a side, the
 second derivative is the quotient of the first-derivative function (the jump
 quotient at an atom).
 
-gderiv on a list of points runs the scalar route once per point, so f sees
-floats only.  The numeric residual of a solution whose time row and space
-column are numbers or lists of numbers (every separated mode, the product
-case) differentiates the factors, not the product: d_g of each row
-component through the public gderiv, once per t, and d_h^2 of each column
-component through the public gderiv2, once per x, each kept per coordinate
-(a raise too), so a grid of nt x nx points runs nt + nx ladder sets.  The
-heat-polynomial series keeps the ladders on the contracted slices (its row
-components reach 1e22 at N = 100 and cancel in the contraction): every entry
-runs gderiv on u(., x) and gderiv2 on u(t, .), but on the solution's
-sampling views of g and h, which keep each point's probe and ladder levels.
-The d_g samples depend on t only and the three-point ones on x only, so a
-solution samples each coordinate once, and only f's values are new per
-entry.  Plain derivators keep nothing; gderiv and gderiv2 are the one route
-decision for views and plain derivators alike.
+gderiv and gderiv2 take one point and call f on floats only.  The numeric
+residual of a solution whose time row and space column are numbers or lists
+of numbers (every separated mode, the product case) differentiates the
+factors, not the product: d_g of each row component through the public
+gderiv, once per t, and d_h^2 of each column component through the public
+gderiv2, once per x, each kept per coordinate (a raise too), so a grid of
+nt x nx points runs nt + nx ladder sets.  The heat-polynomial series keeps
+the ladders on the contracted slices (its row components reach 1e22 at
+N = 100 and cancel in the contraction): every entry runs gderiv on u(., x)
+and gderiv2 on u(t, .), but on the solution's sampling views of g and h,
+which keep each point's probe and ladder levels.  The d_g samples depend on
+t only and the three-point ones on x only, so a solution samples each
+coordinate once, and only f's values are new per entry.  Plain derivators
+keep nothing; gderiv and gderiv2 are the one route decision for views and
+plain derivators alike.
 """
 
 from __future__ import annotations
@@ -54,16 +54,19 @@ from .errors import DomainError, NonConvergenceError, StieltjesError
 _MIN_ROOM = 1e-6
 
 
+# every ladder halves its step per level and takes at least MIN_LEVELS levels
+SHRINK = 0.5
+MIN_LEVELS = 3
+
+
 class DiffConfig(_Slotted):
-    """Ladder settings: the initial step step0, in g-units, the factor
-    shrink per level, at most max_levels and at least min_levels levels,
-    and the extrapolation target tol."""
+    """Ladder settings: the initial step step0, in g-units, at most
+    max_levels levels, and the extrapolation target tol."""
 
-    __slots__ = ("step0", "shrink", "max_levels", "min_levels", "tol")
+    __slots__ = ("step0", "max_levels", "tol")
 
-    def __init__(self, step0=0.05, shrink=0.5, max_levels=10, min_levels=3, tol=1e-8):
-        self.step0, self.shrink, self.tol = step0, shrink, tol
-        self.max_levels, self.min_levels = max_levels, min_levels
+    def __init__(self, step0=0.05, max_levels=10, tol=1e-8):
+        self.step0, self.max_levels, self.tol = step0, max_levels, tol
 
     def _replace(self, **changes):
         """A copy with the named fields changed."""
@@ -98,14 +101,14 @@ _THREE_POINT_CFGS = tuple(cfg for _, cfg in THREE_POINT)
 CACHE_SIZE = 1024
 
 
-def _extrapolate(pairs, tol, min_levels, scale=1.0):
+def _extrapolate(pairs, tol, scale=1.0):
     """Neville extrapolation to step 0 over (step, value) pairs of scalars.
 
     The table fits a polynomial in the step it is given: the one-sided
     ladders pass their step h, the two-sided ones h^2, since their error
     has no odd powers (a table in h would spend every second level on an
     odd power that is already zero, and amplify the rounding with it).
-    The table stops once at least min_levels levels are in and the diagonal
+    The table stops once at least MIN_LEVELS levels are in and the diagonal
     moves by at most tol * (scale + |diagonal|).
     """
     xs = []
@@ -128,7 +131,7 @@ def _extrapolate(pairs, tol, min_levels, scale=1.0):
         if prev_row:
             last_two = (prev_row[-1], diag)
             err = abs(diag - prev_row[-1])
-            if len(xs) >= min_levels and err <= tol * (scale + abs(diag)):
+            if len(xs) >= MIN_LEVELS and err <= tol * (scale + abs(diag)):
                 return diag
         prev_row = row
     raise NonConvergenceError(
@@ -161,9 +164,9 @@ def right_limit_of(f, t, d, cfg=None):
         eps = eps0
         for _ in range(cfg.max_levels):
             yield eps, f(t + eps)
-            eps *= cfg.shrink
+            eps *= SHRINK
 
-    return _extrapolate(pairs(), cfg.tol, cfg.min_levels)
+    return _extrapolate(pairs(), cfg.tol)
 
 
 def _rooms(d, base, gb, lo=None):
@@ -225,27 +228,29 @@ def _one_sided(f, base, d, cfg, side, gb, rooms, probe):
             if got is not None:
                 s, actual = got
                 yield actual, (f(s) - fb) / (actual * side)
-            eta *= cfg.shrink
+            eta *= SHRINK
 
-    return _extrapolate(pairs(), cfg.tol, cfg.min_levels)
+    return _extrapolate(pairs(), cfg.tol)
 
 
 def _levels(d, t, gb, rooms, cfg, lo, probes=None):
     """The (forward, backward) sample pairs of a two-sided ladder, one per
     level that finds both sides, from the first step min(step0, 0.9 room)
-    down by shrink.  probes, the pair at step0 when the caller already took
+    down by SHRINK.  probes, the pair at step0 when the caller already took
     it, is the first level when the room allows step0.  A sampling view
-    takes each (t, lo, first step, shrink, max_levels) sequence once, level
-    by level as its ladders ask for them, and replays it: two ladders of a
-    point whose rooms clip them to one first step share their samples."""
+    takes each (t, lo, first step, max_levels) sequence once, level by level
+    as its ladders ask for them, and replays it: two ladders of a point
+    whose rooms clip them to one first step share their samples.  The view
+    draws them from the plain derivator it was copied from, so its memo
+    holds no reference to the view itself."""
     eta0 = min(cfg.step0, 0.9 * rooms[0], 0.9 * rooms[1])
     memo = d._samples
     if memo is None:
         return _sample_levels(d, t, gb, rooms, eta0, cfg, probes)
-    key = (t, lo, eta0, cfg.shrink, cfg.max_levels)
+    key = (t, lo, eta0, cfg.max_levels)
     kept = memo.get(key)
     if kept is None:
-        kept = _keep(memo, key, ([], _sample_levels(d, t, gb, rooms, eta0, cfg, probes)))
+        kept = _keep(memo, key, ([], _sample_levels(d._plain, t, gb, rooms, eta0, cfg, probes)))
     else:
         memo.move_to_end(key)
     return _replay(*kept)
@@ -260,7 +265,7 @@ def _sample_levels(d, t, gb, rooms, eta, cfg, probes):
             bwd = _backward_sample(d, t, gb, eta, rooms)
         if fwd is not None and bwd is not None:
             yield fwd, bwd
-        eta *= cfg.shrink
+        eta *= SHRINK
 
 
 def _replay(got, more):
@@ -289,7 +294,7 @@ def _sampling_view(d):
     plain derivator, keeps nothing (its _samples is None)."""
     view = object.__new__(type(d))
     view.__dict__.update(vars(d))
-    view._samples = collections.OrderedDict()
+    view._samples, view._plain = collections.OrderedDict(), d
     return view
 
 
@@ -305,7 +310,7 @@ def _central(f, levels, cfg):
             h = 0.5 * (ap + am)
             yield h * h, (f(sp) - f(sm)) / (ap + am)
 
-    return _extrapolate(pairs(), cfg.tol, cfg.min_levels)
+    return _extrapolate(pairs(), cfg.tol)
 
 
 def _three_point(f, levels, cfg, ft):
@@ -322,7 +327,7 @@ def _three_point(f, levels, cfg, ft):
             h = 0.5 * (ap + am)
             yield h * h, ((f(sp) - ft) / ap - (ft - f(sm)) / am) / h
 
-    return _extrapolate(pairs(), cfg.tol, cfg.min_levels, 1.0 + abs(ft))
+    return _extrapolate(pairs(), cfg.tol, 1.0 + abs(ft))
 
 
 def _second(f, t, ft, levels):
@@ -391,18 +396,9 @@ def gderiv(f, t, d, cfg=None, *, lo=None):
     two-sided quotients, falling back to one side when the other has no
     measure room.  No sample lies below lo (d.lo by default): the residual
     ladders pass the anchor 0 their slices walk from.
-
-    t may be a list or tuple of points: the result is then the list of the
-    derivatives at each point, taken one after another by the same scalar
-    route, and the first point that raises ends the call.
     """
     cfg = cfg or DEFAULT
-    if isinstance(t, (list, tuple)):
-        return [_gderiv(f, float(s), d, cfg, lo) for s in t]
-    return _gderiv(f, float(t), d, cfg, lo)
-
-
-def _gderiv(f, t, d, cfg, lo):
+    t = float(t)
     d._check_domain(t)
     if d.is_atom(t):
         fplus = right_limit_of(f, t, d, _limit_cfg(cfg))

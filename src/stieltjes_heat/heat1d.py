@@ -124,15 +124,9 @@ class SeparatedTerm:
         return self._s * (self.a * ep - self.b * em)
 
 
-def _as_term(problem, term):
-    if isinstance(term, SeparatedTerm):
-        return term
-    lam, a, b = term
-    return SeparatedTerm(problem, lam, a, b)
-
-
 class HeatSolution(HeatResidual):
-    """Finite superposition of separated terms with closed-form partials.
+    """Finite superposition of separated terms with closed-form partials,
+    given as (lam, a, b) triples and kept as SeparatedTerms in terms.
 
     The time row holds every term's w(t) and the space column its v(x), each
     from one walk of g and of h; lam = 0 terms read neither walk, but the
@@ -142,7 +136,7 @@ class HeatSolution(HeatResidual):
     def __init__(self, problem: HeatProblem, terms):
         self.problem = problem
         self.g, self.h, self.c = problem.g, problem.h, problem.c
-        self.terms = tuple(_as_term(problem, tm) for tm in terms)
+        self.terms = tuple(SeparatedTerm(problem, lam, a, b) for lam, a, b in terms)
 
     def _row(self, t, right=False):
         tw, gap = self.g.exp_data(0.0, t), self.g.jump(t) if right else 0.0
@@ -174,7 +168,7 @@ class HeatSolution(HeatResidual):
 
 
 def general_solution(problem: HeatProblem, terms) -> HeatSolution:
-    """Superpose separated terms; terms may be SeparatedTerm or (lam, a, b)."""
+    """Superpose separated terms, given as (lam, a, b) triples."""
     return HeatSolution(problem, terms)
 
 
@@ -191,13 +185,13 @@ def solve_ivp(problem: HeatProblem, u0_spec) -> HeatSolution:
     modes = u0_spec.get("modes", ())
     terms = []
     if a0 != 0 or b0 != 0:
-        terms.append(SeparatedTerm(problem, 0.0, a0, b0))
+        terms.append((0.0, a0, b0))
     for lam, a, b in modes:
         if lam == 0:
             raise DomainError(
                 "mode eigenvalue 0 is not allowed; fold constants into a0/b0"
             )
-        terms.append(SeparatedTerm(problem, lam, a, b))
+        terms.append((lam, a, b))
     return HeatSolution(problem, terms)
 
 
@@ -230,14 +224,12 @@ def series_solution(problem, a_stream, b_stream, lam_stream, N, probe=(7, 7)):
     """
     if N < 1:
         raise DomainError(f"need N >= 1 series terms, got {N}")
-    terms = [SeparatedTerm(problem, 0.0, _stream(a_stream, 0), _stream(b_stream, 0))]
+    terms = [(0.0, _stream(a_stream, 0), _stream(b_stream, 0))]
     for n in range(1, N + 1):
         lam = _stream(lam_stream, n)
         if lam == 0:
             raise DomainError(f"lam_stream({n}) = 0; index 0 owns the constant term")
-        terms.append(
-            SeparatedTerm(problem, lam, _stream(a_stream, n), _stream(b_stream, n))
-        )
+        terms.append((lam, _stream(a_stream, n), _stream(b_stream, n)))
     sol = HeatSolution(problem, terms)
 
     nt, nx = probe
@@ -246,7 +238,7 @@ def series_solution(problem, a_stream, b_stream, lam_stream, N, probe=(7, 7)):
     sup_value, sup_dgt, sup_dhx, sup_dhx2 = [], [], [], []
     tws = [problem.g.exp_data(0.0, t) for t in ts]
     xws = [(x, problem.h.exp_data(0.0, x)) for x in xs]
-    for tm in terms:
+    for tm in sol.terms:
         wmax = max(abs(tm.w(tw)) for tw in tws)
         vmax = max(abs(tm.v(x, xw)) for x, xw in xws)
         dvmax = max(abs(tm.dv(xw)) for _, xw in xws)

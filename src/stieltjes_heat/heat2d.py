@@ -19,7 +19,7 @@ from .errors import DivergenceError, DomainError, EvaluationError, GateError
 from .gderiv import HeatResidual
 from .heat1d import _check_rectangle, _stream
 from .lsintegral import integrate
-from .ode import SpaceFactor, independence_determinant
+from .ode import SpaceFactor
 from .special import _powers, classify_regressivity, exp_walk, monomial_table
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "GateReport",
     "GPolySolution",
     "gpoly_series_solution",
-    "SpaceFactor",
-    "independence_determinant",
     "ProductCaseSolution",
     "solve_product_case",
 ]
@@ -194,6 +192,11 @@ ratio and is the conservative value gates should use.  `trend` is one of
 converged/increasing/decreasing/oscillating, and `r_tail` the tuple of the
 last-quarter ratios.
 """
+
+
+def default_n_probe(N):
+    """The radius probe length of a truncation N whose spec names none."""
+    return max(2 * N, 120)
 
 
 def radius_sigma(alpha, n_probe=200):
@@ -387,14 +390,15 @@ def gpoly_series_solution(G, alpha, c, T, L, N, n_probe=None):
     sigma comes from the conservative (largest recent) radius ratio, and an
     oscillating ratio trend refuses rather than guessing.  Returns the
     solution together with a GateReport carrying the certified tail bound
-    sum_{n>N} |alpha_n| v_n^G(T, L).
+    sum_{n>N} |alpha_n| v_n^G(T, L).  n_probe None probes
+    default_n_probe(N) coefficients.
     """
     _require(G, "sum", "gpoly_series_solution")
     _check_rectangle(G.g, G.h, c, T, L)
     ctx = GPolyContext(G, c)
     if N < 0:
         raise DomainError(f"truncation must be >= 0, got {N}")
-    report = radius_sigma(alpha, n_probe=n_probe or max(2 * N, 120))
+    report = radius_sigma(alpha, default_n_probe(N) if n_probe is None else n_probe)
     g_T = G.g.measure(0.0, T)
     verdict = _gate_verdict(report, g_T, c)
     if verdict == "refused":

@@ -19,24 +19,11 @@ import bisect
 import math
 import operator
 import sys
-from collections import namedtuple
 
 from .errors import DomainError, EvaluationError, NonConvergenceError
 
 DEFAULT_TOL = 1e-10
 _EPS = sys.float_info.epsilon
-
-
-Integrand = namedtuple("Integrand", "f exclude_atoms", defaults=(False,))
-Integrand.__doc__ = """An integrand f with its atom-handling convention.
-
-exclude_atoms=True integrates over [a, b) \\ D_g, which is what the
-continuous factor of the exponential needs.
-"""
-
-
-def _as_integrand(f):
-    return f if isinstance(f, Integrand) else Integrand(f)
 
 
 def _checked(f):
@@ -114,16 +101,17 @@ def _check_span(name, a, b, d):
     return a, b
 
 
-def integrate(f, a, b, d, tol=DEFAULT_TOL):
-    """integral over [a, b) of f d(mu_g).  Requires a <= b, both in domain."""
-    ig = _as_integrand(f)
+def integrate(f, a, b, d, tol=DEFAULT_TOL, exclude_atoms=False):
+    """integral over [a, b) of f d(mu_g), or over [a, b) minus the atoms of d
+    when exclude_atoms (the continuous factor of the exponential).  Requires
+    a <= b, both in domain."""
     a, b = _check_span("integrate", a, b, d)
     if a == b:
         return 0.0
 
-    func = _checked(ig.f)
+    func = _checked(f)
     total = 0.0
-    if not ig.exclude_atoms:
+    if not exclude_atoms:
         for t, gap in d.atoms_in(a, b):
             total += func(t) * gap
 
@@ -138,22 +126,17 @@ def integrate_gauss(f, a, b, d):
     """Fixed-order (10-point Gauss) Stieltjes sum of f over [a, b).
 
     Non-adaptive on purpose: the integrand may carry difference-quotient
-    noise that adaptive subdivision chases forever.  f maps a list of points
-    to the list of its values: it is called once, on the nodes of every
-    affine piece end to end, and each piece sums its own ten; f is called on
-    scalars at the atoms, which contribute their left value times the gap.
-    Requires a <= b, both in domain, as integrate does.
+    noise that adaptive subdivision chases forever.  f is called on one
+    point at a time: at the ten nodes of each affine piece, and at the
+    atoms, which contribute their left value times the gap.  Requires
+    a <= b, both in domain, as integrate does.
     """
     a, b = _check_span("integrate_gauss", a, b, d)
-    spans = _affine_spans(d, a, b)
     total = 0.0
-    if spans:
-        nodes = [0.5 * (lo + hi) + 0.5 * (hi - lo) * z for lo, hi, _ in spans
-                 for z in _GAUSS_NODES]
-        fs, n = f(nodes), len(_GAUSS)
-        for k, (lo, hi, slope) in enumerate(spans):
-            fk = fs[n * k : n * (k + 1)]
-            total += slope * (0.5 * (hi - lo)) * sum(map(operator.mul, _GAUSS, fk))
+    for lo, hi, slope in _affine_spans(d, a, b):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        fs = [f(mid + half * z) for z in _GAUSS_NODES]
+        total += slope * half * sum(map(operator.mul, _GAUSS, fs))
     for t, gap in d.atoms_in(a, b):
         total += f(t) * gap
     return total
@@ -226,11 +209,9 @@ def indefinite(f, a, d, tol=DEFAULT_TOL):
     On the first call every stretch between consecutive knots (a and the
     segment ends) on an affine segment is tiled by _cheb_panels, the
     stretches sharing tol by width.  The knot values are sums of whole
-    panels and of the atoms' f(t) gap (none for Integrand(f,
-    exclude_atoms=True)).  After that F(t) is its panel's value plus one
-    Clenshaw sum, without a call of f.  F is left-continuous at atoms, and
-    real or complex as f is."""
-    ig = _as_integrand(f)
+    panels and of the atoms' f(t) gap.  After that F(t) is its panel's value
+    plus one Clenshaw sum, without a call of f.  F is left-continuous at
+    atoms, and real or complex as f is."""
     try:
         a = d._check_domain(float(a))
     except DomainError:
@@ -244,12 +225,12 @@ def indefinite(f, a, d, tol=DEFAULT_TOL):
     starts, lefts, bases, cheb = [], [], [], []
 
     def build():
-        func = _checked(ig.f)
+        func = _checked(f)
         length = sum(s.hi - s.lo for s in d.segments if s.kind == "affine")
         pieces = []  # per stretch: the atom's mass at its knot, its panels
         for lo, hi in zip(knots, knots[1:]):
             seg = d.segments[d._seg_index(hi)]
-            gap = 0.0 if ig.exclude_atoms else d.jump(lo)
+            gap = d.jump(lo)
             atom = func(lo) * gap if gap else 0.0
             if seg.kind == "affine":
                 panels = [(x, (mid, half, [seg.slope * v for v in b]), seg.slope * integral)

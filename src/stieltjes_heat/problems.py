@@ -28,6 +28,7 @@ from .heat1d import (
 from .heat2d import (
     ProductDerivator,
     SumDerivator,
+    default_n_probe,
     gpoly_series_solution,
     solve_product_case,
 )
@@ -225,7 +226,7 @@ def mode_params(parsed):
         return {
             "alpha": alpha,
             "N": N,
-            "n_probe": (max(2 * N, 120) if n_probe is None
+            "n_probe": (default_n_probe(N) if n_probe is None
                         else _count(n_probe, f"{mode}.n_probe", MAX_PROBE)),
             "a_claims": [_claim(c, f"{mode}.a_claims[{i}]") for i, c in enumerate(claims)],
         }

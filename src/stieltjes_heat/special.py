@@ -20,7 +20,7 @@ from collections import namedtuple
 from operator import mul
 
 from .errors import DomainError, EvaluationError, GateError
-from .lsintegral import Integrand, integrate
+from .lsintegral import integrate
 
 # ---------------------------------------------------------------------------
 # exponential and regressivity
@@ -65,7 +65,7 @@ def gexp(d, p, a, t, tol=1e-10):
     prod = 1.0
     for s, gap in d.atoms_in(a, t):
         prod = prod * (1.0 + p(s) * gap)
-    cont = integrate(Integrand(p, exclude_atoms=True), a, t, d, tol=tol)
+    cont = integrate(p, a, t, d, tol=tol, exclude_atoms=True)
     return prod * (cmath.exp(cont) if isinstance(cont, complex) else math.exp(cont))
 
 

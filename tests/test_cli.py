@@ -434,7 +434,8 @@ def test_check_periodic_runs_atom_jump_rows(capsys, spec_file, monkeypatch):
 
     def off_solve(parsed):
         sol, info = solve(parsed)
-        return OffCurvature(sol.problem, sol.terms), info
+        terms = [(tm.lam, tm.a, tm.b) for tm in sol.terms]
+        return OffCurvature(sol.problem, terms), info
 
     monkeypatch.setattr(cli, "solve", off_solve)
     rc, out, _ = run(capsys, ["check", path])
@@ -496,7 +497,7 @@ def test_independence_determinant_row_can_fail(capsys, spec_file, monkeypatch):
     # lam = 200 on the demo spec the two products in W(L) reach ~1e16 and
     # cancel to 1, so the rounding bound, which scales with them, is ~2e7 |P|:
     # such a row certifies nothing and FAILs, whatever W(L) reads
-    from stieltjes_heat.heat2d import SpaceFactor
+    from stieltjes_heat.ode import SpaceFactor
 
     demo = str(SPECS / "product_eigen.json")
     for path in (spec_file(product_atom_spec()), demo):
@@ -686,7 +687,7 @@ def test_check_ftc_stall_is_a_fail_row(capsys, spec_file, monkeypatch):
 
     def stalling(f, t, d, cfg=None):
         if f.__qualname__.startswith(("indefinite.", "_check_ftc.")):
-            cfg = DiffConfig(max_levels=2, min_levels=3)
+            cfg = DiffConfig(max_levels=2)
         return gderiv(f, t, d, cfg)
 
     monkeypatch.setattr(cli, "gderiv", stalling)
@@ -992,10 +993,15 @@ def test_cli_fuzz_one_field(field, value):
     ("check", "periodic_classical", ["h", "segments", 0, "slope"], 1e308, 4),
     ("eval", "gpoly_gate", ["gpoly-series", "N"], 1e308, 3),
     ("radius", "gpoly_gate", ["gpoly-series", "n_probe"], 1e308, 3),
+    *(  # n_probe 0 is refused everywhere, not replaced by the default
+        (cmd, "gpoly_gate", ["gpoly-series", "n_probe"], 0, 3)
+        for cmd in ("eval", "check", "radius", "eigs")
+    ),
 ])
 def test_malformed_fields_exit_with_one_line(capsys, spec_file, cmd, name, path, value, want):
-    """Non-list atoms, a non-positive c and counts past their cap are spec
-    errors; an overflowing phase is a numeric failure."""
+    """Non-list atoms, a non-positive c, counts past their cap and an
+    n_probe of 0 are spec errors; an overflowing phase is a numeric
+    failure."""
     spec = json.loads((SPECS / f"{name}.json").read_text())
     _set(path, value)(spec)
     rc, out, err = run(capsys, [cmd, spec_file(spec)])

@@ -167,7 +167,7 @@ def test_neville_kernel_scalar_and_array_limits():
 
     f = lambda h: 2.0 + 3.0 * h - 5.0 * h * h + h**3
     pairs = [(0.1 * 0.5**k, f(0.1 * 0.5**k)) for k in range(8)]
-    assert _extrapolate(iter(pairs), 1e-10, 3) == pytest.approx(2.0, abs=1e-12)
+    assert _extrapolate(iter(pairs), 1e-10) == pytest.approx(2.0, abs=1e-12)
 
     # arrays of node values go to the oracles' own table
     from oracles import neville
@@ -185,7 +185,7 @@ def test_neville_kernel_refuses_a_diverging_sequence():
 
     pairs = ((0.5**k, (-1.0) ** k * 2.0**k) for k in range(6))
     with pytest.raises(NonConvergenceError) as info:
-        _extrapolate(pairs, 1e-10, 3)
+        _extrapolate(pairs, 1e-10)
     prev, last = info.value.estimates
     assert prev is not None and last is not None and prev != last
 
@@ -200,27 +200,6 @@ def _outcome(fn):
     except StieltjesError as e:
         return f"{type(e).__name__}: {e}"
 
-
-def _outcomes(fn):
-    try:
-        return [repr(v) for v in fn()]
-    except StieltjesError as e:
-        return type(e).__name__
-
-
-@settings(max_examples=60, deadline=None)
-@given(segment_chains(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
-def test_batched_gderiv_matches_the_scalar_one(d, fracs):
-    # random points, atoms, points 1e-13 and 1e-3 off the atoms and the
-    # domain ends, and points in constancy runs: a list of points gets,
-    # entry for entry, what the scalar route gives, and a tuple the same
-    pts = [d.lo + q * (d.hi - d.lo) for q in fracs]
-    for a in [d.lo, d.hi] + [t for t, _ in d.atoms]:
-        pts += [a, a - 1e-13, a + 1e-13, a - 1e-3, a + 1e-3]
-    pts = [t for t in pts if d.lo <= t <= d.hi]
-    scalar = _outcomes(lambda: [gderiv(_cubic, t, d) for t in pts])
-    assert _outcomes(lambda: gderiv(_cubic, pts, d)) == scalar
-    assert _outcomes(lambda: gderiv(_cubic, tuple(pts), d)) == scalar
 
 
 @settings(max_examples=30, deadline=None)
@@ -246,40 +225,36 @@ def test_sampling_views_replay_the_plain_ladders(d, fracs):
     assert d._samples is None and view._samples
 
 
-def test_batched_gderiv_calls_f_on_floats_only(jump_g):
-    # regular points, the atom and the domain end: every sample is a float
+def test_gderiv_calls_f_on_floats_only(jump_g):
+    # regular points, the atom and the domain end, given as an int, a numpy
+    # float and floats: every sample is a float
     seen = set()
 
     def f(s):
         seen.add(type(s))
         return _cubic(s)
 
-    pts = [0.2, 0.5, 0.9, 1.5]
-    got = gderiv(f, pts, jump_g)
-    assert [repr(v) for v in got] == [repr(gderiv(_cubic, t, jump_g)) for t in pts]
+    for t in (0.2, np.float64(0.5), 0.9, 1.5, 1):
+        assert repr(gderiv(f, t, jump_g)) == repr(gderiv(_cubic, float(t), jump_g))
     assert seen == {float}
 
 
-def test_batched_gderiv_stalls_like_the_scalar_one(jump_g):
+def test_a_ladder_capped_below_min_levels_stalls(jump_g):
     from stieltjes_heat.errors import NonConvergenceError
 
-    capped = DiffConfig(max_levels=2, min_levels=3)
+    capped = DiffConfig(max_levels=2)
     with pytest.raises(NonConvergenceError, match="extrapolation to step 0 stalled"):
         gderiv(math.sin, 0.2, jump_g, capped)
-    with pytest.raises(NonConvergenceError, match="extrapolation to step 0 stalled"):
-        gderiv(math.sin, [0.2, 0.9], jump_g, capped)
 
 
-def test_repeated_steps_are_a_stall_not_a_crash(jump_g):
+def test_repeated_steps_are_a_stall_not_a_crash():
     # steps that repeat make the Neville ratio 1; that is a NonConvergenceError
-    # (it was a bare ZeroDivisionError), for one point and for a list
+    # (it was a bare ZeroDivisionError)
     from stieltjes_heat.errors import NonConvergenceError
+    from stieltjes_heat.gderiv import _extrapolate
 
-    same = DiffConfig(shrink=1.0)
     with pytest.raises(NonConvergenceError, match="repeats"):
-        gderiv(_cubic, 0.2, jump_g, same)
-    with pytest.raises(NonConvergenceError, match="repeats"):
-        gderiv(_cubic, [0.2, 0.9], jump_g, same)
+        _extrapolate(iter([(0.05, 1.0), (0.05, 1.0 + 1e-3)]), 1e-8)
     # 1e-13 past the end of a rest the rounded steps of the backward room,
     # 1e-14, repeated; that side now counts as having no room, and the
     # forward ladder settles
@@ -287,7 +262,6 @@ def test_repeated_steps_are_a_stall_not_a_crash(jump_g):
     t = 1.5 + 1e-13
     want = (1.5 - t * (0.5 + 0.375 * t)) / 0.1
     assert gderiv(_cubic, t, d) == pytest.approx(want, abs=1e-7)
-    assert gderiv(_cubic, [1.7, t], d)[1] == pytest.approx(want, abs=1e-7)
 
 
 @pytest.mark.parametrize("offset", [1e-13, 1e-11, 1e-9])
@@ -297,9 +271,8 @@ def test_points_near_a_domain_end_are_right_or_refused(offset):
     # one-sided ladder converges
     d = identity(0.0, 2.0)
     for t in (offset, 2.0 - offset):
-        for route in (lambda: gderiv(_cubic, t, d), lambda: gderiv(_cubic, [t], d)[0]):
-            try:
-                got = route()
-            except StieltjesError:
-                continue  # a named refusal
-            assert abs(got - (1.5 - t * (0.5 + 0.375 * t))) <= 1e-7
+        try:
+            got = gderiv(_cubic, t, d)
+        except StieltjesError:
+            continue  # a named refusal
+        assert abs(got - (1.5 - t * (0.5 + 0.375 * t))) <= 1e-7

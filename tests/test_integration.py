@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from stieltjes_heat import (
     DomainError,
     EvaluationError,
-    Integrand,
     NonConvergenceError,
     gderiv,
     gexp,
@@ -114,7 +113,7 @@ def test_signed_convention(plateau_h):
 def test_exclude_atoms_isolates_continuous_part(jump_g):
     f = lambda x: x + 2.0
     whole = integrate(f, 0.0, 1.5, jump_g)
-    cont = integrate(Integrand(f, exclude_atoms=True), 0.0, 1.5, jump_g)
+    cont = integrate(f, 0.0, 1.5, jump_g, exclude_atoms=True)
     assert whole - cont == pytest.approx(f(0.5) * 1.0)
 
 
@@ -217,14 +216,12 @@ def _points(d, a, inner):
 
 
 @settings(max_examples=50, deadline=None)
-@given(segment_chains(), st.floats(min_value=0.0, max_value=1.0), st.booleans(),
+@given(segment_chains(), st.floats(min_value=0.0, max_value=1.0),
        st.sampled_from([lambda s: complex(math.cos(3.0 * s), s * s - 0.5),
                         lambda s: math.cos(40.0 * s)]), st.data())
-def test_indefinite_matches_integrate_signed(d, q, exclude, f, data):
-    # a complex integrand, and cos(40 s), whose pieces need panel splits,
-    # with and without the atoms
+def test_indefinite_matches_integrate_signed(d, q, f, data):
+    # a complex integrand, and cos(40 s), whose pieces need panel splits
     a = d.lo + q * (d.hi - d.lo)
-    f = Integrand(f, exclude_atoms=exclude)
     F = indefinite(f, a, d)
     inner = data.draw(st.lists(st.floats(min_value=d.lo, max_value=d.hi), max_size=6))
     for t in _points(d, a, inner):

@@ -23,7 +23,7 @@ from conftest import segment_chains
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stieltjes_heat import Derivator, Integrand, identity, indefinite, integrate, lsintegral
+from stieltjes_heat import Derivator, identity, indefinite, integrate, lsintegral
 from stieltjes_heat.errors import DomainError, NonConvergenceError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -38,15 +38,18 @@ def _gap(got, want):
     return abs(got - want) / (1.0 + abs(want))
 
 
-def _frozen_misses(rule):
-    """The frozen QAGS cases that rule(integrand, a, b, d) misses."""
+def _frozen_misses(rule, excluding=True):
+    """The frozen QAGS cases that rule(integrand, a, b, d, exclude_atoms)
+    misses; the cases that exclude the atoms only when excluding."""
     cases = json.loads((DATA / "qags_reference.json").read_text())["cases"]
     assert len(cases) == 200
     bad = []
     for i, c in enumerate(cases):
+        if c["exclude_atoms"] and not excluding:
+            continue
         f = ref.FAMILIES[c["family"]](c["params"])
-        got = rule(Integrand(f, c["exclude_atoms"]), c["a"], c["b"],
-                   Derivator.from_pieces(c["pieces"]))
+        got = rule(f, c["a"], c["b"], Derivator.from_pieces(c["pieces"]),
+                   exclude_atoms=c["exclude_atoms"])
         want = complex(*c["ref"]) if isinstance(c["ref"], list) else c["ref"]
         if not _gap(got, want) <= 1e-12:
             bad.append((i, c["family"], got, want))
@@ -59,8 +62,9 @@ def test_integrate_matches_frozen_qags():
 
 def test_indefinite_matches_frozen_qags():
     # integrate_signed, which test_integration holds F against, runs the
-    # same panels, so F needs a reference of its own
-    assert not _frozen_misses(lambda f, a, b, d: indefinite(f, a, d)(b))
+    # same panels, so F needs a reference of its own; F keeps the atoms
+    F = lambda f, a, b, d, exclude_atoms: indefinite(f, a, d)(b)
+    assert not _frozen_misses(F, excluding=False)
 
 
 @settings(max_examples=40, deadline=None)
@@ -72,7 +76,7 @@ def test_integrate_matches_live_qags(d, seed, exclude):
     family, params = ref.random_integrand(rng, d)
     f = ref.FAMILIES[family](params)
     want = ref.qags_stieltjes(f, a, b, d, exclude)
-    assert _gap(integrate(Integrand(f, exclude), a, b, d), want) <= 1e-12
+    assert _gap(integrate(f, a, b, d, exclude_atoms=exclude), want) <= 1e-12
 
 
 def test_rule_is_exact_on_polynomials():
@@ -87,7 +91,7 @@ def test_rule_is_exact_on_polynomials():
             assert abs(sum(panel[2]) - exact) < 1e-15
 
 
-@pytest.mark.parametrize("kind", ["real", "complex", "exclude_atoms"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
 @pytest.mark.parametrize("w", [1.0, 40.0])
 @pytest.mark.parametrize("name", ["jump_g", "plateau_h", "mixed"])
 def test_integrate_and_indefinite_run_one_rule(name, w, kind, request):
@@ -104,7 +108,7 @@ def test_integrate_and_indefinite_run_one_rule(name, w, kind, request):
             v = math.cos(w * s) + 0.25 * s
             return complex(v, math.sin(w * s)) if kind == "complex" else v
 
-        return Integrand(f, kind == "exclude_atoms")
+        return f
 
     got = integrate(make("integrate"), d.lo, d.hi, d)
     want = indefinite(make("indefinite"), d.lo, d)(d.hi)
@@ -137,16 +141,18 @@ def test_singular_integrand_does_not_converge(lo, hi):
 
 
 def test_gauss_sum_calls_f_once_on_the_nodes_of_every_piece(plateau_h):
-    # ten nodes on each affine piece of [0, 2.5), one call; the atom at 1.5
-    # adds its left value times the gap; the flat piece adds nothing
+    # ten nodes on each affine piece of [0, 2.5), one scalar call each; the
+    # atom at 1.5 adds its left value times the gap; the flat piece adds
+    # nothing
     calls = []
 
     def f(s):
         calls.append(s)
-        return [t**19 for t in s] if isinstance(s, list) else s**19
+        return s**19
 
     got = lsintegral.integrate_gauss(f, 0.0, 2.5, plateau_h)
-    assert [len(calls[0]), calls[1:]] == [20, [1.5]]
+    assert len(calls) == 21 and all(type(s) is float for s in calls)
+    assert len(set(calls[:20])) == 20 and calls[20] == 1.5
     # the 10-point Gauss rule is exact for degree 19 on each piece
     want = 1.0 / 20 + 1.5**19 * 1.0 + 2.0 * (2.5**20 - 1.5**20) / 20
     assert got == pytest.approx(want, rel=1e-14)
@@ -155,7 +161,7 @@ def test_gauss_sum_calls_f_once_on_the_nodes_of_every_piece(plateau_h):
 def test_gauss_sum_refuses_what_integrate_refuses(jump_g):
     # reversed ends and ends outside the domain [0, 1.5] raise, as in
     # integrate, instead of summing the pieces the span happens to meet
-    one = lambda s: [1.0] * len(s) if isinstance(s, list) else 1.0
+    one = lambda s: 1.0
     assert lsintegral.integrate_gauss(one, 0.0, 1.5, jump_g) == pytest.approx(2.5)
     for a, b in ((1.0, 0.5), (0.0, 6.5), (-1.0, 1.0)):
         for rule in (integrate, lsintegral.integrate_gauss):

@@ -161,7 +161,8 @@ def test_gpoly_ladders_take_each_sample_once(monkeypatch):
     # on check's 5x5 grid of gpoly_gate, by one residual_grid pass or by
     # residual_numeric at every entry, the sampling views take each t's d_g
     # samples and each x's three-point samples once per solution: no
-    # (derivator, point, side, step) sample is taken twice
+    # (derivator, point, side, step) sample is taken twice, by a view or by
+    # the plain derivator its level sequences sample
     parsed = load_problem((SPECS / "gpoly_gate.json").read_text())
     ts = regular_points(parsed.g, 0.0, parsed.T, 5)
     xs = regular_points(parsed.h, 0.0, parsed.L, 5)
@@ -169,7 +170,7 @@ def test_gpoly_ladders_take_each_sample_once(monkeypatch):
 
     def recorded(name, fn):
         def sample(d, base, gb, eta, rooms):
-            taken.append((id(d), name, base, eta))
+            taken.append((id(getattr(d, "_plain", d)), name, base, eta))
             return fn(d, base, gb, eta, rooms)
         return sample
 
@@ -185,6 +186,23 @@ def test_gpoly_ladders_take_each_sample_once(monkeypatch):
         else:
             assert sol.residual_grid(ts, xs)[1] == []
         assert taken and len(set(taken)) == len(taken)
+
+
+def test_a_sampling_view_dies_with_its_solution():
+    # a view's memo holds level generators that sample the plain derivator,
+    # not the view, so without the cycle collector the views go as soon as
+    # the solution does
+    parsed = load_problem((SPECS / "gpoly_gate.json").read_text())
+    gc.disable()
+    try:
+        sol, _info = solve(parsed)
+        assert sol.residual_grid([0.3, 0.6], [0.4, 0.8])[1] == []
+        refs = [weakref.ref(sol)] + [weakref.ref(v) for v in sol._views]
+        assert all(v._samples for v in sol._views)
+        del sol, _info
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_a_factor_derivative_that_raises_is_kept(monkeypatch):
