@@ -91,27 +91,38 @@ def test_rule_is_exact_on_polynomials():
             assert abs(sum(panel[2]) - exact) < 1e-15
 
 
-@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("kind", ["real", "complex", "exclude_atoms"])
 @pytest.mark.parametrize("w", [1.0, 40.0])
 @pytest.mark.parametrize("name", ["jump_g", "plateau_h", "mixed"])
 def test_integrate_and_indefinite_run_one_rule(name, w, kind, request):
     # over the whole domain both tile each affine piece with the same panels
     # (tol shared by width) and add the same atoms: f sees the same points,
     # and the sums differ only in the order of their terms; w = 40 needs
-    # panel splits
+    # panel splits.  F keeps the atoms, so integrate's exclude_atoms sum is
+    # F's total with each atom's f(t) gap taken back out
     d = request.getfixturevalue(name)
     seen = {"integrate": [], "indefinite": []}
+
+    def value(s):
+        v = math.cos(w * s) + 0.25 * s
+        return complex(v, math.sin(w * s)) if kind == "complex" else v
 
     def make(route):
         def f(s):
             seen[route].append(s)
-            v = math.cos(w * s) + 0.25 * s
-            return complex(v, math.sin(w * s)) if kind == "complex" else v
+            return value(s)
 
         return f
 
-    got = integrate(make("integrate"), d.lo, d.hi, d)
+    exclude = kind == "exclude_atoms"
+    got = integrate(make("integrate"), d.lo, d.hi, d, exclude_atoms=exclude)
     want = indefinite(make("indefinite"), d.lo, d)(d.hi)
+    if exclude:
+        atoms = d.atoms_in(d.lo, d.hi)
+        assert atoms
+        want -= sum(value(t) * gap for t, gap in atoms)
+        for t, _ in atoms:
+            seen["indefinite"].remove(t)
     assert sorted(seen["integrate"]) == sorted(seen["indefinite"])
     assert len(seen["integrate"]) >= 17 * sum(s.kind == "affine" for s in d.segments)
     assert abs(got - want) <= 1e-15 * (1.0 + abs(want))
